@@ -24,7 +24,7 @@ from .dimension import (
     parse_dim_element,
     talented_window,
 )
-from .errors import BudgetExceededError, MonodynError
+from .errors import BudgetExceededError, MonodynError, ParseError
 from .graph import adjacency_matrix, parse_graph, structure_report
 from .grid import (
     DEFAULT_PALETTE,
@@ -100,12 +100,25 @@ def _chain_json(chain: SSEChain) -> dict:
     }
 
 
-def _chain_from_json(doc: dict) -> SSEChain:
-    matrices = tuple(IntMatrix.from_rows(rows) for rows in doc["matrices"])
-    witnesses = tuple(
-        ESWitness(IntMatrix.from_rows(w["r"]), IntMatrix.from_rows(w["s"]))
-        for w in doc["witnesses"]
-    )
+def _matrix_from_json(rows) -> IntMatrix:
+    # IntMatrix.from_rows would truncate 1.9 to 1 and read "7" as 7.
+    if not all(type(x) is int for row in rows for x in row):
+        raise ParseError("chain matrices must hold JSON integers")
+    return IntMatrix.from_rows(rows)
+
+
+def _chain_from_json(text: str) -> SSEChain:
+    try:
+        doc = json.loads(text)
+        matrices = tuple(_matrix_from_json(rows) for rows in doc["matrices"])
+        witnesses = tuple(
+            ESWitness(_matrix_from_json(w["r"]), _matrix_from_json(w["s"]))
+            for w in doc["witnesses"]
+        )
+    except (ValueError, KeyError, TypeError) as err:
+        # json.JSONDecodeError is a ValueError; KeyError and TypeError come
+        # from documents of the wrong shape.
+        raise ParseError(f"malformed chain document: {err}") from None
     return SSEChain(matrices, witnesses)
 
 
@@ -216,7 +229,10 @@ def _parse_places(raw: list[str]) -> dict[tuple[int, int], int]:
         parts = chunk.split(",")
         if len(parts) != 3:
             raise MonodynError(f"--place wants 'row,col,chips', got {chunk!r}")
-        r, c, n = (int(p) for p in parts)
+        try:
+            r, c, n = (int(p) for p in parts)
+        except ValueError:
+            raise ParseError(f"--place wants integers 'row,col,chips', got {chunk!r}") from None
         places[(r, c)] = places.get((r, c), 0) + n
     return places
 
@@ -360,7 +376,7 @@ def _cmd_shift_verify_se(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_shift_verify_chain(args, bounds: Bounds, out: _Out):
-    chain = _chain_from_json(json.loads(_read(args.chain)))
+    chain = _chain_from_json(_read(args.chain))
     ok, failing = verify_sse_chain(chain)
     out.report = {"kind": "verify", "check": "chain", "ok": ok, "failing_index": failing}
     out.code = 0 if ok else 1
@@ -469,7 +485,6 @@ def _cmd_lpa_compare(args, bounds: Bounds, out: _Out):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="compact single-line JSON output")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized operations")
     common.add_argument("--bounds-file", metavar="FILE", help="key/value bounds overrides")
     for flag, dest in (
         ("--depth", "search_depth"),

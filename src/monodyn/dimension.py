@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import DEFAULT_BOUNDS
 from .errors import ParseError, ShapeError
 from .graph import Graph
 from .matrix import IntMatrix, det, vec_mat_mul
 from .monoid import MonoidPresentation, Vector
 from .smith import solve_integer_column
 
-DEFAULT_MAX_POWER = 64
 
 POSITIVE = "positive"
 NOT_POSITIVE = "not_positive"
@@ -52,7 +52,7 @@ def _require_same_matrix(x: DimElement, y: DimElement):
         raise ShapeError("elements live over different matrices")
 
 
-def dim_equal(x: DimElement, y: DimElement, max_power: int = DEFAULT_MAX_POWER) -> str:
+def dim_equal(x: DimElement, y: DimElement, max_power: int = DEFAULT_BOUNDS.max_power) -> str:
     """Push both elements to a common stage and compare.
 
     When det(A) is nonzero, multiplication by A is injective, so equality is
@@ -80,7 +80,7 @@ def dim_equal(x: DimElement, y: DimElement, max_power: int = DEFAULT_MAX_POWER) 
     return INCONCLUSIVE
 
 
-def dim_positive(x: DimElement, max_power: int = DEFAULT_MAX_POWER) -> str:
+def dim_positive(x: DimElement, max_power: int = DEFAULT_BOUNDS.max_power) -> str:
     """Positive iff some power pushes the vector into the nonnegative orthant.
 
     A strictly negative vector stays strictly negative under any nonnegative

@@ -17,13 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_BOUNDS
 from .errors import BudgetExceededError, ParseError, ShapeError
 from .graph import Graph
-from .sandpile import ChipConfig, Odometer, DEFAULT_FIRING_BUDGET
+from .sandpile import ChipConfig, Odometer
 
 CLOSED = "closed"
 OPEN = "open"
 SINK = "sink"
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,8 @@ def make_grid(spec: GridSpec) -> Graph:
 
 
 def grid_config(spec: GridSpec, placements: dict[tuple[int, int], int]) -> ChipConfig:
-    """Configuration from (row, col) -> chips placements."""
-    counts = np.zeros((spec.rows, spec.cols), dtype=np.int64)
+    """Configuration from (row, col) -> chips placements, summed exactly."""
+    counts = np.zeros((spec.rows, spec.cols), dtype=object)
     for (r, c), n in placements.items():
         if not (0 <= r < spec.rows and 0 <= c < spec.cols):
             raise ShapeError(f"placement ({r},{c}) outside {spec.rows}x{spec.cols} grid")
@@ -81,9 +84,11 @@ def grid_config(spec: GridSpec, placements: dict[tuple[int, int], int]) -> ChipC
     return array_to_config(spec, counts)
 
 
-def config_to_array(spec: GridSpec, c: ChipConfig) -> np.ndarray:
+def config_to_array(spec: GridSpec, c: ChipConfig, dtype=None) -> np.ndarray:
     """Counts as a rows x cols array.  A 1x1 closed grid is a lone sink and
-    carries no counts, so the array is all zeros there."""
+    carries no counts, so the array is all zeros there.  The array is int64
+    unless ``dtype`` says otherwise or a count does not fit, in which case it
+    holds exact Python integers (dtype object)."""
     expected = spec.rows * spec.cols
     if spec.mode == CLOSED and expected == 1:
         expected = 0
@@ -91,9 +96,11 @@ def config_to_array(spec: GridSpec, c: ChipConfig) -> np.ndarray:
         raise ShapeError(
             f"config has {len(c.counts)} counts, grid expects {expected}"
         )
-    arr = np.zeros(spec.rows * spec.cols, dtype=np.int64)
+    if dtype is None:
+        dtype = np.int64 if max(c.counts, default=0) <= INT64_MAX else object
+    arr = np.zeros(spec.rows * spec.cols, dtype=dtype)
     if expected:
-        arr[:] = np.asarray(c.counts, dtype=np.int64)
+        arr[:] = np.asarray(c.counts, dtype=dtype)
     return arr.reshape(spec.rows, spec.cols)
 
 
@@ -114,6 +121,25 @@ def _thresholds(spec: GridSpec) -> np.ndarray:
     return t
 
 
+def _stabilizer_dtype(spec: GridSpec, c: ChipConfig, budget: int):
+    """int64 when no value the stabilizer computes can overflow it, else
+    object (exact Python integers).
+
+    Counts stay nonnegative, so every count and every sum over cells is at
+    most the number of chips on the grid.  Each odometer entry is at most
+    the number of firings, which the budget caps.  On an open grid, with
+    phi(x) the expected number of steps a random walk from x takes to reach
+    the sink, each firing lowers sum(count * phi) by exactly 4, and phi is at
+    most (m + 1)^2 / 2 for the shorter side m; that caps the firings too.
+    """
+    chips = sum(c.counts)
+    firings = budget
+    if spec.mode == OPEN:
+        m = min(spec.rows, spec.cols)
+        firings = min(budget, chips * (m + 1) ** 2 // 8)
+    return np.int64 if max(chips, firings) <= INT64_MAX else object
+
+
 def stabilize_grid(
     spec: GridSpec, c: ChipConfig, *, budget: int | None = None
 ) -> tuple[ChipConfig, Odometer]:
@@ -121,10 +147,12 @@ def stabilize_grid(
 
     Each sweep topples every unstable cell floor(count / threshold) times at
     once; the abelian property guarantees the result matches single firings.
+    The arrays are int64 when that cannot overflow and exact Python integers
+    otherwise, so chips are conserved at any size.
     """
     if budget is None:
-        budget = DEFAULT_FIRING_BUDGET
-    counts = config_to_array(spec, c).copy()
+        budget = DEFAULT_BOUNDS.firing_budget
+    counts = config_to_array(spec, c, _stabilizer_dtype(spec, c, budget))
     thresh = _thresholds(spec)
     odo = np.zeros_like(counts)
     absorbed = c.absorbed
@@ -190,7 +218,7 @@ DEFAULT_PALETTE = Palette(((0, 0, 255), (0, 255, 255), (255, 255, 0), (139, 69, 
 def render_ppm(spec: GridSpec, c: ChipConfig, palette: Palette = DEFAULT_PALETTE) -> bytes:
     """Binary PPM (P6), one pixel per grid cell, 255 max-val."""
     arr = config_to_array(spec, c)
-    clamped = np.minimum(arr, 3)
+    clamped = np.minimum(arr, 3).astype(np.intp)
     lut = np.array(palette.colors, dtype=np.uint8)
     pixels = lut[clamped]
     header = f"P6\n{spec.cols} {spec.rows}\n255\n".encode("ascii")

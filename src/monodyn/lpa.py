@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import DEFAULT_BOUNDS
 from .errors import ShapeError
 from .graph import Graph, adjacency_matrix, every_cycle_has_exit, strongly_connected_components
 from .monoid import (
@@ -128,10 +129,10 @@ def kp_compare(
     mode: str = PLAIN,
     *,
     presentation: str = UNWEIGHTED,
-    max_elements: int = 10_000,
-    depth: int = 6,
-    max_lag: int = 4,
-    coeff_bound: int = 2,
+    max_elements: int = DEFAULT_BOUNDS.max_elements,
+    depth: int = DEFAULT_BOUNDS.search_depth,
+    max_lag: int = DEFAULT_BOUNDS.max_lag,
+    coeff_bound: int = DEFAULT_BOUNDS.coeff_bound,
 ) -> CompareVerdict:
     """Bounded comparison of the two graphs' monoid-level invariants.
 

@@ -27,14 +27,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from .config import DEFAULT_BOUNDS
 from .errors import ParseError, ShapeError
 from .graph import Graph, structure_report
 
 Vector = tuple[int, ...]
-
-DEFAULT_DEPTH = 6
-DEFAULT_MAX_ELEMENTS = 10_000
-DEFAULT_NODE_BUDGET = 200_000
 
 YES = "yes"
 NO = "no"
@@ -88,6 +85,46 @@ class MonoidTable:
     add: tuple[tuple[int, ...], ...]
     identity: int
     generator_classes: tuple[int, ...]
+
+    @staticmethod
+    def from_generator_action(
+        generators: Sequence[str],
+        elements: Sequence[Vector],
+        gen_add: Sequence[Sequence[int]],
+        identity: int,
+        parents: Sequence[tuple[int, int] | None],
+    ) -> "MonoidTable":
+        """Cayley table of a monoid generated by ``generators``, from the
+        action of the generators alone.
+
+        ``gen_add[c][g]`` is the class of element c plus generator g, and
+        ``parents[j] = (p, g)`` records that class j is class p plus generator
+        g, with p < j; the identity's entry is None.  Then
+        ``add[i][j] = gen_add[add[i][p]][g]``, so each entry costs one lookup:
+        column j is column p pushed through generator g's column of gen_add.
+        """
+        n = len(elements)
+        if len(gen_add) != n or len(parents) != n:
+            raise ValueError("elements, gen_add and parents must have one entry per class")
+        by_generator = list(zip(*gen_add))
+        cols: list[list[int]] = [[]] * n
+        cols[identity] = list(range(n))
+        for j, link in enumerate(parents):
+            if j == identity:
+                if link is not None:
+                    raise ValueError("the identity class has no parent")
+                continue
+            if link is None or not 0 <= link[0] < j:
+                raise ValueError(f"parent of class {j} must be a class below it")
+            p, g = link
+            cols[j] = list(map(by_generator[g].__getitem__, cols[p]))
+        return MonoidTable(
+            generators=tuple(generators),
+            elements=tuple(elements),
+            add=tuple(zip(*cols)),
+            identity=identity,
+            generator_classes=tuple(gen_add[identity]),
+        )
 
     @property
     def size(self) -> int:
@@ -225,9 +262,9 @@ def words_equal(
     p: MonoidPresentation,
     x: Sequence[int],
     y: Sequence[int],
-    depth: int = DEFAULT_DEPTH,
+    depth: int = DEFAULT_BOUNDS.search_depth,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int = DEFAULT_BOUNDS.node_budget,
 ) -> WordEquality:
     """Bidirectional breadth-first search over one-step rewrites.
 
@@ -299,10 +336,10 @@ def words_equal(
 
 def enumerate_monoid(
     p: MonoidPresentation,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-    depth: int = DEFAULT_DEPTH,
+    max_elements: int = DEFAULT_BOUNDS.max_elements,
+    depth: int = DEFAULT_BOUNDS.search_depth,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int = DEFAULT_BOUNDS.node_budget,
 ) -> MonoidTable | None:
     """Breadth-first generation from 0 by adding generators, merging
     vectors whose equality the word search certifies.
@@ -320,6 +357,8 @@ def enumerate_monoid(
     # lexicographically least vector seen in the class.
     anchors: list[Vector] = [zero]
     labels: list[Vector] = [zero]
+    # parents[c] is the (class, generator) step that first produced class c.
+    parents: list[tuple[int, int] | None] = [None]
     vec2class: dict[Vector, int] = {zero: 0}
     # Classes grouped by relation-lattice coset: congruent vectors share the
     # coset, so only same-coset anchors ever need a word search.
@@ -344,25 +383,26 @@ def enumerate_monoid(
             return None
         return len(anchors)
 
-    def register(y: Vector) -> int:
+    def register(y: Vector, parent: tuple[int, int]) -> int:
         ci = len(anchors)
         anchors.append(y)
         labels.append(y)
+        parents.append(parent)
         vec2class[y] = ci
         coset_buckets.setdefault(fingerprint(y), []).append(ci)
         return ci
 
     # Classes enter `pending` once, in index order, so gen_add rows line up
     # with class indices.  gen_add[c][i] is the certified class of
-    # rep(c) + generator i; the full table follows by folding, since class
-    # addition is well-defined on the congruence quotient.
+    # rep(c) + generator i; the table follows from this generator action
+    # since class addition is well-defined on the congruence quotient.
     gen_add: list[list[int]] = []
     pending = deque([0])
     while pending:
         ci = pending.popleft()
         base = anchors[ci]
         row = []
-        for e in gens:
+        for gi, e in enumerate(gens):
             y = tuple(a + b for a, b in zip(base, e))
             cls = classify(y)
             if cls is None:
@@ -370,30 +410,12 @@ def enumerate_monoid(
             if cls == len(anchors):
                 if len(anchors) >= max_elements:
                     return None
-                pending.append(register(y))
+                pending.append(register(y, (ci, gi)))
             row.append(cls)
         gen_add.append(row)
 
-    n = len(anchors)
-
-    def fold_add(start: int, vec: Vector) -> int:
-        t = start
-        for gi, mult in enumerate(vec):
-            for _ in range(mult):
-                t = gen_add[t][gi]
-        return t
-
-    add_rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            add_rows[i][j] = add_rows[j][i] = fold_add(i, labels[j])
-
-    return MonoidTable(
-        generators=p.generators,
-        elements=tuple(labels),
-        add=tuple(tuple(r) for r in add_rows),
-        identity=vec2class[zero],
-        generator_classes=tuple(gen_add[vec2class[zero]]),
+    return MonoidTable.from_generator_action(
+        p.generators, labels, gen_add, vec2class[zero], parents
     )
 
 

@@ -14,16 +14,16 @@ Config file format: lines ``<vertex> <count>``, absent vertices mean 0,
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
 from typing import Mapping
 
+from .config import DEFAULT_BOUNDS
 from .errors import BudgetExceededError, CapExceededError, FiringError, ParseError
 from .graph import Graph, structure_report
 from .monoid import MonoidTable
-
-DEFAULT_FIRING_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def stabilize(
     chip-heavy closed grids but never on sandpile graphs.
     """
     if budget is None:
-        budget = DEFAULT_FIRING_BUDGET
+        budget = DEFAULT_BOUNDS.firing_budget
     arena = _Arena(g, c)
     n = len(arena.counts)
 
@@ -270,12 +270,19 @@ def stable_add(g: Graph, a: ChipConfig, b: ChipConfig, *, budget: int | None = N
     return config
 
 
-def sandpile_monoid(g: Graph, *, max_elements: int = 10_000, budget: int | None = None) -> MonoidTable:
+def sandpile_monoid(
+    g: Graph, *, max_elements: int = DEFAULT_BOUNDS.max_elements, budget: int | None = None
+) -> MonoidTable:
     """All stable configurations under stabilized addition, as a Cayley table.
 
     The element count is the product of the outdegrees of the non-sink
     vertices; elements are listed in lexicographic count order so index 0 is
-    the zero configuration.
+    the zero configuration.  The table is built from the generator action:
+    adding one chip at vertex g to a stable configuration is a plain index
+    step unless g reaches its outdegree, and only those sums are stabilized
+    (n * k additions in all).  The parent of a nonzero configuration is the
+    same configuration with its last nonzero count lowered by one, which
+    comes earlier in lexicographic order.
     """
     rep = structure_report(g)
     if not rep.sandpile:
@@ -291,28 +298,23 @@ def sandpile_monoid(g: Graph, *, max_elements: int = 10_000, budget: int | None 
         )
     elements = [tuple(t) for t in itertools.product(*(range(d) for d in outdeg))]
     index = {e: i for i, e in enumerate(elements)}
-    add_rows = []
+    # Index distance between configurations one chip apart at vertex k.
+    stride = [math.prod(outdeg[k + 1 :]) for k in range(len(outdeg))]
+    gen_add = []
+    parents: list[tuple[int, int] | None] = []
     for i, a in enumerate(elements):
-        row = [0] * size
-        for j, b in enumerate(elements):
-            if j < i:
-                row[j] = add_rows[j][i]
-                continue
-            summed = stable_add(g, ChipConfig(a), ChipConfig(b), budget=budget)
-            row[j] = index[summed.counts]
-        add_rows.append(row)
-    gen_classes = []
-    for k in range(len(nonsink)):
-        e_k = tuple(1 if i == k else 0 for i in range(len(nonsink)))
-        stabilized, _ = stabilize(g, ChipConfig(e_k), budget=budget)
-        gen_classes.append(index[stabilized.counts])
-    return MonoidTable(
-        generators=nonsink,
-        elements=tuple(elements),
-        add=tuple(tuple(r) for r in add_rows),
-        identity=index[(0,) * len(nonsink)],
-        generator_classes=tuple(gen_classes),
-    )
+        row = []
+        for k, count in enumerate(a):
+            if count + 1 < outdeg[k]:
+                row.append(i + stride[k])
+            else:
+                bumped = a[:k] + (count + 1,) + a[k + 1 :]
+                stabilized, _ = stabilize(g, ChipConfig(bumped), budget=budget)
+                row.append(index[stabilized.counts])
+        gen_add.append(row)
+        last = max((k for k, count in enumerate(a) if count), default=None)
+        parents.append(None if last is None else (i - stride[last], last))
+    return MonoidTable.from_generator_action(nonsink, elements, gen_add, 0, parents)
 
 
 def format_config_terms(g: Graph, configs: list[ChipConfig]) -> list[str]:

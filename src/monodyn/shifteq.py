@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .config import DEFAULT_BOUNDS
 from .errors import ShapeError
 from .matrix import IntMatrix, charpoly, kron
 from .smith import integer_kernel_basis, invariant_factors
@@ -232,8 +233,8 @@ def _factorizations(m: IntMatrix, inner_dim: int):
 def sse_search(
     a: IntMatrix,
     b: IntMatrix,
-    max_depth: int = 6,
-    max_inner_dim: int = 3,
+    max_depth: int = DEFAULT_BOUNDS.search_depth,
+    max_inner_dim: int = DEFAULT_BOUNDS.max_inner_dim,
 ) -> SSEChain | SearchExhausted:
     """Breadth-first search over elementary moves from A toward B.
 
@@ -293,8 +294,8 @@ def sse_search(
 def se_search(
     a: IntMatrix,
     b: IntMatrix,
-    max_lag: int = 4,
-    coeff_bound: int = 2,
+    max_lag: int = DEFAULT_BOUNDS.max_lag,
+    coeff_bound: int = DEFAULT_BOUNDS.coeff_bound,
     *,
     candidate_cap: int = 250_000,
 ) -> SEWitness | SearchExhausted:

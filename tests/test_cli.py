@@ -353,6 +353,50 @@ def test_runtime_error_exit_3(files, capsys, tmp_path):
     assert code == 3
 
 
+def test_malformed_place_is_json_error(files, capsys):
+    code, report = invoke_json(capsys, ["sandpile", "grid", "3", "3", "--place", "a,b,c"])
+    assert code == 3 and report["kind"] == "error" and "a,b,c" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"matrices": [[[1]]], "witnesses": [',  # truncated
+        "[1, 2]",
+        '{"matrices": [[[1]]]}',
+        '{"matrices": 5, "witnesses": []}',
+        '{"matrices": [[["x"]]], "witnesses": []}',
+        '{"matrices": [[[1]], [[1]]], "witnesses": [{"r": [[1]]}]}',
+        # Entries that are not integers used to be truncated, so this chain
+        # of [[1.9]] and [[1]] verified.
+        '{"matrices": [[[1.9]], [[1]]], "witnesses": [{"r": [[1]], "s": [[1]]}]}',
+        '{"matrices": [[["1"]], [[1]]], "witnesses": [{"r": [[1]], "s": [[1]]}]}',
+    ],
+)
+def test_malformed_chain_is_json_error(files, capsys, tmp_path, text):
+    bad = tmp_path / "bad-chain.json"
+    bad.write_text(text)
+    code, report = invoke_json(capsys, ["shift", "verify-chain", str(bad)])
+    assert code == 3 and report["kind"] == "error"
+
+
+def test_grid_placement_beyond_int64(files, capsys):
+    chips = 2**63
+    code, report = invoke_json(
+        capsys,
+        ["sandpile", "grid", "3", "3", "--mode", "open", "--place", f"1,1,{chips}", "--budget", str(10**30)],
+    )
+    assert code == 0 and report["stabilized"]
+    left = sum(int(count) * cells for count, cells in report["histogram"].items())
+    assert left + report["absorbed"] == chips
+
+
+def test_seed_flag_removed(files):
+    with pytest.raises(SystemExit) as exc:
+        run(["lpa", "matrix-iso", "2", "1", "2", "3", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_reports_byte_identical(files, capsys):
     _, first = invoke(capsys, ["graph", "check", files["e.graph"]])
     _, second = invoke(capsys, ["graph", "check", files["e.graph"]])

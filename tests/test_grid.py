@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodyn.errors import BudgetExceededError, ParseError
 from monodyn.grid import (
@@ -109,6 +111,54 @@ def test_fast_grid_matches_generic_15x15():
     gen = stabilize(g, c)
     assert fast[0] == gen[0] and fast[1] == gen[1]
     assert fast[0].absorbed == gen[0].absorbed
+
+
+def assert_exact_and_conserved(spec, placements, budget):
+    c = grid_config(spec, placements)
+    assert c.total() + c.absorbed == sum(placements.values())
+    fast_config, fast_odo = stabilize_grid(spec, c, budget=budget)
+    gen_config, gen_odo = stabilize(make_grid(spec), c, budget=budget)
+    assert fast_config.total() + fast_config.absorbed == sum(placements.values())
+    assert fast_config == gen_config and fast_config.absorbed == gen_config.absorbed
+    assert fast_odo == gen_odo
+
+
+def test_open_grid_conserves_chips_beyond_int64():
+    # 9 * 2**62 chips do not fit in int64; sums over cells used to wrap.
+    spec = GridSpec(3, 3, "open")
+    placements = {(r, c): 2**62 for r in range(3) for c in range(3)}
+    assert_exact_and_conserved(spec, placements, 10**30)
+
+
+def test_placement_of_2_63_chips_is_exact():
+    assert_exact_and_conserved(GridSpec(3, 3, "open"), {(1, 1): 2**63}, 10**30)
+    # With the default budget the same drop is an honest budget failure.
+    c = grid_config(GridSpec(3, 3, "open"), {(1, 1): 2**63})
+    with pytest.raises(BudgetExceededError) as err:
+        stabilize_grid(GridSpec(3, 3, "open"), c)
+    assert err.value.config.total() + err.value.config.absorbed == 2**63
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 5),
+    chips=st.lists(st.integers(0, 2**70), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_open_grid_chip_conservation(rows, cols, chips, data):
+    spec = GridSpec(rows, cols, "open")
+    placements: dict[tuple[int, int], int] = {}
+    for n in chips:
+        cell = (data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1)))
+        placements[cell] = placements.get(cell, 0) + n
+    assert_exact_and_conserved(spec, placements, 10**40)
+
+
+def test_closed_grid_exact_under_huge_budget():
+    # A budget beyond int64 switches the stabilizer to exact integers.
+    spec = GridSpec(3, 4, "closed")
+    assert_exact_and_conserved(spec, {(1, 1): 9, (2, 3): 4}, 10**30)
 
 
 def test_closed_grid_budget_guard():

@@ -1,10 +1,16 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from monodyn.corpus import random_sandpile_graph, sandpile_corpus
 from monodyn.errors import BudgetExceededError, CapExceededError, FiringError, ParseError
-from monodyn.graph import Graph
-from monodyn.monoid import enumerate_monoid, graph_monoid_presentation
+from monodyn.graph import Graph, adjacency_matrix
+from monodyn.matrix import IntMatrix, det
+from monodyn.monoid import MonoidTable, enumerate_monoid, graph_monoid_presentation
 from monodyn.sandpile import (
     ChipConfig,
     fire,
@@ -156,6 +162,84 @@ def test_sandpile_monoid_cap(four_vertex_sandpile):
 def test_sandpile_monoid_rejects_non_sandpile():
     with pytest.raises(FiringError):
         sandpile_monoid(rose_graph(2))
+
+
+def definitional_table(g: Graph) -> MonoidTable:
+    """The sandpile monoid straight from its definition: stable_add on every
+    pair of stable configurations, listed in lexicographic order."""
+    nonsink = g.nonsink_vertices
+    elements = list(itertools.product(*(range(g.outdegree(v)) for v in nonsink)))
+    index = {e: i for i, e in enumerate(elements)}
+    add = tuple(
+        tuple(index[stable_add(g, ChipConfig(a), ChipConfig(b)).counts] for b in elements)
+        for a in elements
+    )
+    units = [tuple(int(i == k) for i in range(len(nonsink))) for k in range(len(nonsink))]
+    generator_classes = tuple(index[stabilize(g, ChipConfig(e))[0].counts] for e in units)
+    return MonoidTable(
+        tuple(nonsink), tuple(elements), add, index[(0,) * len(nonsink)], generator_classes
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(3, 4), (4, 4), (5, 2), (6, 2), (5, 3), (5, 4), (6, 3), (6, 4)]),
+)
+def test_sandpile_monoid_matches_definition(seed, shape):
+    max_vertices, max_outdegree = shape
+    g = random_sandpile_graph(random.Random(seed), max_vertices, max_outdegree)
+    assume(math.prod(g.outdegree(v) for v in g.nonsink_vertices) <= 64)
+    assert sandpile_monoid(g) == definitional_table(g)
+
+
+def cycle_with_loops(k: int) -> Graph:
+    """k-cycle with a loop and two sink edges at every vertex: outdegree 4
+    everywhere, so 4**k stable configurations."""
+    names = [f"c{i}" for i in range(k)] + ["s"]
+    edges = []
+    for i in range(k):
+        edges += [(names[i], names[(i + 1) % k]), (names[i], names[i]), (names[i], "s", 2)]
+    return Graph.build(names, edges)
+
+
+def reduced_laplacian(g: Graph) -> IntMatrix:
+    a = adjacency_matrix(g)
+    keep = [g.index[v] for v in g.nonsink_vertices]
+    return IntMatrix.from_rows(
+        [[g.outdegree(g.vertices[i]) * (i == j) - a.at(i, j) for j in keep] for i in keep]
+    )
+
+
+def recurrent_count(g: Graph) -> int:
+    """The recurrent configurations are the minimal ideal of the sandpile
+    monoid, which is the orbit of the maximal stable configuration."""
+    t = sandpile_monoid(g)
+    top = t.elements.index(tuple(g.outdegree(v) - 1 for v in g.nonsink_vertices))
+    return len(set(t.add[top]))
+
+
+def test_recurrent_count_is_det_of_reduced_laplacian():
+    for g in sandpile_corpus(11, 40, max_vertices=5, max_outdegree=3):
+        assert recurrent_count(g) == det(reduced_laplacian(g))
+
+
+def test_recurrent_count_1024_element_cycle():
+    g = cycle_with_loops(5)
+    assert math.prod(g.outdegree(v) for v in g.nonsink_vertices) == 1024
+    assert recurrent_count(g) == det(reduced_laplacian(g)) == 3**5 - 1
+
+
+def test_from_generator_action_rejects_parent_not_below_child():
+    # The three-element monoid 0, x, 2x = 3x on one generator.
+    elements = ((0,), (1,), (2,))
+    gen_add = [[1], [2], [2]]
+    t = MonoidTable.from_generator_action(("x",), elements, gen_add, 0, [None, (0, 0), (1, 0)])
+    assert t.add == ((0, 1, 2), (1, 2, 2), (2, 2, 2))
+    t.check_laws()
+    for parents in ([None, (2, 0), (1, 0)], [None, (0, 0), (2, 0)], [None, None, (1, 0)]):
+        with pytest.raises(ValueError):
+            MonoidTable.from_generator_action(("x",), elements, gen_add, 0, parents)
 
 
 def test_monoid_vs_presentation_oracle(two_cycle_loop_sink):
