@@ -309,15 +309,13 @@ def _cmd_monoid_equal(args, bounds: Bounds, out: _Out):
 
 def _cmd_monoid_enumerate(args, bounds: Bounds, out: _Out):
     p = parse_presentation(_read(args.presentation))
-    table = enumerate_monoid(
-        p, bounds.max_elements, bounds.search_depth, node_budget=bounds.node_budget
-    )
+    table = enumerate_monoid(p, bounds.max_elements, node_budget=bounds.node_budget)
     if table is None:
         out.code = 1
         out.report = {
             "kind": "monoid-table",
             "outcome": "unknown",
-            "bounds": {"max_elements": bounds.max_elements, "depth": bounds.search_depth},
+            "bounds": {"max_elements": bounds.max_elements, "node_budget": bounds.node_budget},
         }
         return
     out.report = {"kind": "monoid-table", "outcome": "table", "table": table.to_json_dict()}
@@ -461,7 +459,7 @@ def _cmd_lpa_compare(args, bounds: Bounds, out: _Out):
         mode=args.mode,
         presentation=args.presentation,
         max_elements=bounds.max_elements,
-        depth=bounds.search_depth,
+        node_budget=bounds.node_budget,
         max_lag=bounds.max_lag,
         coeff_bound=bounds.coeff_bound,
     )

@@ -130,7 +130,7 @@ def kp_compare(
     *,
     presentation: str = UNWEIGHTED,
     max_elements: int = DEFAULT_BOUNDS.max_elements,
-    depth: int = DEFAULT_BOUNDS.search_depth,
+    node_budget: int = DEFAULT_BOUNDS.node_budget,
     max_lag: int = DEFAULT_BOUNDS.max_lag,
     coeff_bound: int = DEFAULT_BOUNDS.coeff_bound,
 ) -> CompareVerdict:
@@ -171,13 +171,13 @@ def kp_compare(
 
     p1 = _presentation_for(first, presentation)
     p2 = _presentation_for(second, presentation)
-    t1 = enumerate_monoid(p1, max_elements=max_elements, depth=depth)
-    t2 = enumerate_monoid(p2, max_elements=max_elements, depth=depth)
+    t1 = enumerate_monoid(p1, max_elements, node_budget=node_budget)
+    t2 = enumerate_monoid(p2, max_elements, node_budget=node_budget)
     if t1 is None or t2 is None:
         return CompareVerdict(
             "unknown",
             "monoid enumeration did not close within bounds",
-            bounds={"max_elements": max_elements, "depth": depth},
+            bounds={"max_elements": max_elements, "node_budget": node_budget},
         )
     if t1.size != t2.size:
         return CompareVerdict(

@@ -13,6 +13,15 @@ vector outside the lattice spanned by the relation differences.  A bound
 running out yields "unknown", never "no".  Graph monoids can be infinite, so
 the honest third state is unavoidable.
 
+Enumeration works with normal forms instead.  The congruence is membership
+in the pure-difference binomial ideal of the relations, and a Gröbner basis
+of that ideal under the graded reverse lexicographic order, read as rewriting
+rules lead -> tail, sends every vector to the one normal form of its class
+(Eisenbud-Sturmfels, "Binomial ideals", 1996).  The completion that builds it
+is bounded by the node budget.  The monoid is finite exactly when every
+generator has a pure power among the leading terms, so an infinite monoid is
+recognized before any element is listed.
+
 Presentation file format::
 
     gens: a b c
@@ -22,9 +31,9 @@ Presentation file format::
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .config import DEFAULT_BOUNDS
@@ -216,35 +225,34 @@ def _one_step(w: Vector, relations) -> list[Vector]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _coset_fingerprint_fn(p: MonoidPresentation):
-    """Function mapping a vector to its coset of the lattice spanned by the
-    relation differences lhs - rhs.
+def _lattice_contains(rows: Sequence[Vector], v: Sequence[int]) -> bool:
+    """Whether v is an integer combination of ``rows``.
 
-    With U B V = D the Smith decomposition of the stacked differences
-    (transposed), x lies in the lattice exactly when each coordinate of U x
-    vanishes modulo the matching diagonal entry, so reducing U x coordinate
-    by coordinate is a complete coset invariant."""
-    from .matrix import IntMatrix
-    from .smith import smith_normal_form
-
-    k = len(p.generators)
-    if not p.relations:
-        return lambda vec: tuple(vec)
-    rows = [tuple(a - b for a, b in zip(lhs, rhs)) for lhs, rhs in p.relations]
-    bt = IntMatrix.from_rows(rows).transpose()  # k x r
-    u, d, _ = smith_normal_form(bt)
-    diag = [d.at(i, i) if i < min(d.rows, d.cols) else 0 for i in range(k)]
-    u_rows = [tuple(u.at(i, j) for j in range(k)) for i in range(k)]
-
-    def fingerprint(vec):
-        out = []
-        for row, di in zip(u_rows, diag):
-            coord = sum(r * x for r, x in zip(row, vec))
-            out.append(coord % di if di else coord)
-        return tuple(out)
-
-    return fingerprint
+    The rows are brought to echelon form by integer row operations (the
+    smallest entry of each column divides the others out, Euclid-style),
+    then v is reduced against the pivots, which leave the columns before
+    theirs alone: v lies in the lattice exactly when nothing is left over."""
+    rows = [list(r) for r in rows]
+    echelon: list[tuple[int, list[int]]] = []
+    for col in range(len(v)):
+        active = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(active) > 1:
+            active.sort(key=lambda r: abs(r[col]))
+            pivot = active[0]
+            kept = [pivot]
+            for r in active[1:]:
+                q = r[col] // pivot[col]
+                r = [a - q * b for a, b in zip(r, pivot)]
+                (kept if r[col] else rows).append(r)
+            active = kept
+        if active:
+            echelon.append((col, active[0]))
+    v = list(v)
+    for col, r in echelon:
+        q = v[col] // r[col]
+        v = [a - q * b for a, b in zip(v, r)]
+    return not any(v)
 
 
 def congruent_difference_possible(p: MonoidPresentation, x: Vector, y: Vector) -> bool:
@@ -254,8 +262,8 @@ def congruent_difference_possible(p: MonoidPresentation, x: Vector, y: Vector) -
     inequality."""
     if x == y:
         return True
-    fp = _coset_fingerprint_fn(p)
-    return fp(x) == fp(y)
+    diffs = [tuple(a - b for a, b in zip(lhs, rhs)) for lhs, rhs in p.relations]
+    return _lattice_contains(diffs, [a - b for a, b in zip(x, y)])
 
 
 def words_equal(
@@ -334,89 +342,153 @@ def words_equal(
             exhausted[side] = True
 
 
+class _OutOfBudget(Exception):
+    pass
+
+
+def _grevlex_key(v: Vector) -> tuple:
+    """Sort key of the graded reverse lexicographic order: the higher degree
+    is larger, and at equal degree so is the smaller last differing entry."""
+    return sum(v), tuple(-x for x in reversed(v))
+
+
+def _rule(lead: Vector, tail: Vector) -> tuple:
+    """Rewriting rule lead -> tail with the lead's support and the sparse
+    difference tail - lead precomputed for ``_normal_form``."""
+    support = tuple((i, c) for i, c in enumerate(lead) if c)
+    delta = tuple((i, t - l) for i, (l, t) in enumerate(zip(lead, tail)) if t != l)
+    return lead, tail, support, delta
+
+
+def _normal_form(v: Vector, rules, budget: list[int] | None = None) -> Vector:
+    """Rewrite v until no rule's lead embeds in it, each rule as often as it
+    fits at once.  When ``budget`` is given, every rule examined costs one
+    unit of ``budget[0]``."""
+    w = list(v)
+    changed = True
+    while changed:
+        if budget is not None:
+            budget[0] -= len(rules)
+            if budget[0] < 0:
+                raise _OutOfBudget
+        changed = False
+        for _, _, support, delta in rules:
+            q = min([w[i] // c for i, c in support])
+            if q:
+                for i, d in delta:
+                    w[i] += q * d
+                changed = True
+    return tuple(w)
+
+
+def _groebner_rules(p: MonoidPresentation, node_budget: int) -> list[tuple] | None:
+    """Binomial Gröbner completion of the relations in the graded reverse
+    lexicographic order, as rewriting rules, or None when the budget runs out.
+
+    Pairs are taken lowest lcm degree first and skipped when their leads are
+    coprime; a new rule sends every rule whose lead it divides back to the
+    queue of equations.  Every rule examined during a reduction and every
+    pair formed costs one unit of ``node_budget``."""
+    budget = [node_budget]
+    rules: dict[int, tuple] = {}
+    equations = deque(p.relations)
+    pairs: list[tuple[int, int, int]] = []  # (lcm degree, newer rule id, older rule id)
+    next_id = 0
+    try:
+        while equations or pairs:
+            if equations:
+                a, b = equations.popleft()
+            else:
+                _, i, j = heapq.heappop(pairs)
+                if i not in rules or j not in rules:
+                    continue
+                (l1, t1, _, _), (l2, t2, _, _) = rules[i], rules[j]
+                lcm = tuple(map(max, l1, l2))
+                a = tuple(m - x + y for m, x, y in zip(lcm, l1, t1))
+                b = tuple(m - x + y for m, x, y in zip(lcm, l2, t2))
+            a = _normal_form(a, rules.values(), budget)
+            b = _normal_form(b, rules.values(), budget)
+            if a == b:
+                continue
+            lead, tail = (a, b) if _grevlex_key(a) > _grevlex_key(b) else (b, a)
+            for rid, (l, t, _, _) in list(rules.items()):
+                if all(x >= y for x, y in zip(l, lead)):
+                    del rules[rid]
+                    equations.append((l, t))
+            for rid, (l, _, _, _) in rules.items():
+                if any(x and y for x, y in zip(l, lead)):
+                    budget[0] -= 1
+                    heapq.heappush(pairs, (sum(map(max, l, lead)), next_id, rid))
+            if budget[0] < 0:
+                return None
+            rules[next_id] = _rule(lead, tail)
+            next_id += 1
+    except _OutOfBudget:
+        return None
+    return list(rules.values())
+
+
 def enumerate_monoid(
     p: MonoidPresentation,
     max_elements: int = DEFAULT_BOUNDS.max_elements,
-    depth: int = DEFAULT_BOUNDS.search_depth,
     *,
     node_budget: int = DEFAULT_BOUNDS.node_budget,
 ) -> MonoidTable | None:
-    """Breadth-first generation from 0 by adding generators, merging
-    vectors whose equality the word search certifies.
+    """Breadth-first generation from 0 by adding generators, classifying
+    each vector by its Gröbner normal form.
 
-    Returns a table only when the generated set closes under addition within
-    the bounds and every needed equality was decided; returns None (unknown)
-    when a bound was hit or some comparison came back undecided.
+    Returns None (unknown) when the completion runs out of ``node_budget``,
+    when some generator has no pure-power leading term (the monoid is then
+    infinite), or when more than ``max_elements`` classes appear.
     """
     k = len(p.generators)
+    rules = _groebner_rules(p, node_budget)
+    if rules is None:
+        return None
+    # Finite exactly when every generator has a pure-power leading term.
+    if len({support[0][0] for _, _, support, _ in rules if len(support) == 1}) < k:
+        return None
     zero: Vector = (0,) * k
-    gens = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-    fingerprint = _coset_fingerprint_fn(p)
-    # Searches anchor at the first vector discovered in a class (it sits
-    # close to the generation frontier); the published element label is the
-    # lexicographically least vector seen in the class.
+    # Walks go from the first vector discovered in a class (anchors); the
+    # published element label is the lexicographically least vector seen in
+    # the class.
     anchors: list[Vector] = [zero]
     labels: list[Vector] = [zero]
+    normal_forms: list[Vector] = [zero]
     # parents[c] is the (class, generator) step that first produced class c.
     parents: list[tuple[int, int] | None] = [None]
-    vec2class: dict[Vector, int] = {zero: 0}
-    # Classes grouped by relation-lattice coset: congruent vectors share the
-    # coset, so only same-coset anchors ever need a word search.
-    coset_buckets: dict[tuple, list[int]] = {fingerprint(zero): [0]}
-
-    def classify(y: Vector) -> int | None:
-        """Class index, len(anchors) for a new class, None for undecided."""
-        known = vec2class.get(y)
-        if known is not None:
-            return known
-        undecided = False
-        for ci in coset_buckets.get(fingerprint(y), ()):
-            res = words_equal(p, y, anchors[ci], depth, node_budget=node_budget)
-            if res.verdict == YES:
-                vec2class[y] = ci
-                if y < labels[ci]:
-                    labels[ci] = y
-                return ci
-            if res.verdict == UNKNOWN:
-                undecided = True
-        if undecided:
-            return None
-        return len(anchors)
-
-    def register(y: Vector, parent: tuple[int, int]) -> int:
-        ci = len(anchors)
-        anchors.append(y)
-        labels.append(y)
-        parents.append(parent)
-        vec2class[y] = ci
-        coset_buckets.setdefault(fingerprint(y), []).append(ci)
-        return ci
+    nf2class: dict[Vector, int] = {zero: 0}
 
     # Classes enter `pending` once, in index order, so gen_add rows line up
-    # with class indices.  gen_add[c][i] is the certified class of
-    # rep(c) + generator i; the table follows from this generator action
-    # since class addition is well-defined on the congruence quotient.
+    # with class indices.  gen_add[c][i] is the class of rep(c) + generator
+    # i; the table follows from this generator action since class addition
+    # is well-defined on the congruence quotient.
     gen_add: list[list[int]] = []
     pending = deque([0])
     while pending:
         ci = pending.popleft()
-        base = anchors[ci]
+        base, base_nf = anchors[ci], normal_forms[ci]
         row = []
-        for gi, e in enumerate(gens):
-            y = tuple(a + b for a, b in zip(base, e))
-            cls = classify(y)
+        for gi in range(k):
+            y = base[:gi] + (base[gi] + 1,) + base[gi + 1:]
+            nf = _normal_form(base_nf[:gi] + (base_nf[gi] + 1,) + base_nf[gi + 1:], rules)
+            cls = nf2class.get(nf)
             if cls is None:
-                return None
-            if cls == len(anchors):
-                if len(anchors) >= max_elements:
+                cls = len(anchors)
+                if cls >= max_elements:
                     return None
-                pending.append(register(y, (ci, gi)))
+                anchors.append(y)
+                labels.append(y)
+                normal_forms.append(nf)
+                parents.append((ci, gi))
+                nf2class[nf] = cls
+                pending.append(cls)
+            elif y < labels[cls]:
+                labels[cls] = y
             row.append(cls)
         gen_add.append(row)
 
-    return MonoidTable.from_generator_action(
-        p.generators, labels, gen_add, vec2class[zero], parents
-    )
+    return MonoidTable.from_generator_action(p.generators, labels, gen_add, 0, parents)
 
 
 def replay_path(p: MonoidPresentation, path: Sequence[Vector]) -> bool:

@@ -5,9 +5,19 @@ worked stabilization trace; ``two_cycle_loop_sink`` is the two-cycle-with-loop g
 extended by an edge into a sink.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
+import monodyn
 from monodyn.graph import Graph
+
+# Child processes (``python -m monodyn.cli``) import the same package as the
+# tests, also when it is found through pytest's ``pythonpath`` setting alone.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(monodyn.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture

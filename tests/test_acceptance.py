@@ -120,7 +120,7 @@ def test_criterion_05_oracle_equivalence():
     agreed = 0
     for g in sandpile_corpus(20260809, 120, max_vertices=5, max_outdegree=3):
         p = graph_monoid_presentation(g, weighted=True, sink_zero=True)
-        table = enumerate_monoid(p, max_elements=10_000, depth=6)
+        table = enumerate_monoid(p, max_elements=10_000)
         if table is None:
             continue
         completed += 1

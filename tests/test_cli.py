@@ -201,6 +201,18 @@ def test_monoid_enumerate(files, capsys, tmp_path):
     assert code == 1 and report["outcome"] == "unknown"
 
 
+def test_unknown_enumeration_reports_its_bounds(files, capsys, tmp_path):
+    free = tmp_path / "free.pres"
+    free.write_text("gens: a b\n")
+    code, report = invoke_json(capsys, ["monoid", "enumerate", str(free), "--node-budget", "500"])
+    assert code == 1 and report["bounds"] == {"max_elements": 10_000, "node_budget": 500}
+    code, report = invoke_json(
+        capsys, ["lpa", "compare", files["f.graph"], files["f.graph"], "--max-elements", "7"]
+    )
+    assert code == 1 and report["outcome"] == "unknown"
+    assert report["bounds"] == {"max_elements": 7, "node_budget": 200_000}
+
+
 def test_talented_window(files, capsys):
     code, out = invoke(capsys, ["talented", "window", files["rose2.graph"], "1"])
     assert code == 0

@@ -141,8 +141,8 @@ def test_kp_compare_witness_replays(graph_two_cycle_loop):
     verdict = kp_compare(src, dst)
     images = verdict.generator_images
     p1 = graph_monoid_presentation(src)
-    t1 = enumerate_monoid(p1, 10, 6)
-    t2 = enumerate_monoid(graph_monoid_presentation(dst), 10, 6)
+    t1 = enumerate_monoid(p1, 10)
+    t2 = enumerate_monoid(graph_monoid_presentation(dst), 10)
 
     def phi(vec):
         acc = t2.identity

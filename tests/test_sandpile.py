@@ -246,7 +246,7 @@ def test_monoid_vs_presentation_oracle(two_cycle_loop_sink):
     """The stable-configuration table and the presentation enumeration are
     the same monoid; the stabilization map is the isomorphism."""
     p = graph_monoid_presentation(two_cycle_loop_sink, weighted=True, sink_zero=True)
-    t_pres = enumerate_monoid(p, max_elements=50, depth=6)
+    t_pres = enumerate_monoid(p, max_elements=50)
     t_conf = sandpile_monoid(two_cycle_loop_sink)
     assert t_pres is not None and t_pres.size == t_conf.size
 
