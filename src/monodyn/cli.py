@@ -38,12 +38,12 @@ from .grid import (
 from .lpa import higman_thompson_iso, kp_compare, lpa_simple, matrix_leavitt_iso
 from .matrix import IntMatrix, parse_matrix, serialize_matrix
 from .monoid import (
-    enumerate_monoid,
     graph_monoid_presentation,
     parse_element,
     parse_presentation,
     serialize_presentation,
     words_equal,
+    _enumerate_monoid,
     _format_side,
 )
 from .sandpile import (
@@ -309,13 +309,14 @@ def _cmd_monoid_equal(args, bounds: Bounds, out: _Out):
 
 def _cmd_monoid_enumerate(args, bounds: Bounds, out: _Out):
     p = parse_presentation(_read(args.presentation))
-    table = enumerate_monoid(p, bounds.max_elements, node_budget=bounds.node_budget)
+    table, stopped_by = _enumerate_monoid(p, bounds.max_elements, bounds.node_budget)
     if table is None:
         out.code = 1
         out.report = {
             "kind": "monoid-table",
             "outcome": "unknown",
             "bounds": {"max_elements": bounds.max_elements, "node_budget": bounds.node_budget},
+            "stopped_by": stopped_by,
         }
         return
     out.report = {"kind": "monoid-table", "outcome": "table", "table": table.to_json_dict()}
@@ -473,6 +474,8 @@ def _cmd_lpa_compare(args, bounds: Bounds, out: _Out):
         report["invariants"] = _invariants_json(verdict.invariants)
     if verdict.bounds is not None:
         report["bounds"] = dict(verdict.bounds)
+    if verdict.stopped_by is not None:
+        report["stopped_by"] = verdict.stopped_by
     out.report = report
     out.code = 0 if verdict.kind == "iso_witness" else 1
 

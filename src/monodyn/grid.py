@@ -8,25 +8,41 @@ missing neighbors, which makes every cell's threshold exactly 4.
 ``stabilize_grid`` is a flat-array stabilizer that topples every unstable
 cell in bulk per sweep; by order independence its final configuration and
 odometer are identical to the generic graph stabilizer's, which the test
-suite checks cell for cell.  Images are binary PPM (P6), one pixel per cell.
+suite checks cell for cell.  It works in place on a padded array of the
+narrowest integer type that provably cannot overflow, and each sweep covers
+only the band of rows around the unstable cells.  Images are binary PPM
+(P6), one pixel per cell.
+
+numpy is imported inside the functions that use it, so importing this module
+(and the CLI, which imports it) does not load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
 from .errors import BudgetExceededError, ParseError, ShapeError
 from .graph import Graph
 from .sandpile import ChipConfig, Odometer
 
+if TYPE_CHECKING:
+    import numpy as np
+
 CLOSED = "closed"
 OPEN = "open"
 SINK = "sink"
 
-INT64_MAX = int(np.iinfo(np.int64).max)
+INT16_MAX = 2**15 - 1
+INT32_MAX = 2**31 - 1
+INT64_MAX = 2**63 - 1
+
+# The stabilizer recomputes its band of active rows every _WINDOW sweeps and
+# keeps a margin of _WINDOW rows around the unstable cells.  Instability
+# spreads at most one cell per sweep, so no cell outside the band can topple
+# before the next recomputation.
+_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,8 @@ def make_grid(spec: GridSpec) -> Graph:
 
 def grid_config(spec: GridSpec, placements: dict[tuple[int, int], int]) -> ChipConfig:
     """Configuration from (row, col) -> chips placements, summed exactly."""
+    import numpy as np
+
     counts = np.zeros((spec.rows, spec.cols), dtype=object)
     for (r, c), n in placements.items():
         if not (0 <= r < spec.rows and 0 <= c < spec.cols):
@@ -89,6 +107,8 @@ def config_to_array(spec: GridSpec, c: ChipConfig, dtype=None) -> np.ndarray:
     carries no counts, so the array is all zeros there.  The array is int64
     unless ``dtype`` says otherwise or a count does not fit, in which case it
     holds exact Python integers (dtype object)."""
+    import numpy as np
+
     expected = spec.rows * spec.cols
     if spec.mode == CLOSED and expected == 1:
         expected = 0
@@ -107,37 +127,42 @@ def config_to_array(spec: GridSpec, c: ChipConfig, dtype=None) -> np.ndarray:
 def array_to_config(spec: GridSpec, arr: np.ndarray, absorbed: int = 0) -> ChipConfig:
     if spec.mode == CLOSED and spec.rows * spec.cols == 1:
         return ChipConfig((), int(absorbed) + int(arr.sum()))
-    return ChipConfig(tuple(int(x) for x in arr.reshape(-1)), int(absorbed))
+    return ChipConfig(tuple(arr.reshape(-1).tolist()), int(absorbed))
 
 
-def _thresholds(spec: GridSpec) -> np.ndarray:
-    if spec.mode == OPEN:
-        return np.full((spec.rows, spec.cols), 4, dtype=np.int64)
-    t = np.full((spec.rows, spec.cols), 4, dtype=np.int64)
-    t[0, :] -= 1
-    t[-1, :] -= 1
-    t[:, 0] -= 1
-    t[:, -1] -= 1
-    return t
+def _narrowest_dtype(bound: int):
+    import numpy as np
+
+    for dtype, top in ((np.int16, INT16_MAX), (np.int32, INT32_MAX), (np.int64, INT64_MAX)):
+        if bound <= top:
+            return dtype
+    return object
 
 
 def _stabilizer_dtype(spec: GridSpec, c: ChipConfig, budget: int):
-    """int64 when no value the stabilizer computes can overflow it, else
-    object (exact Python integers).
+    """(count dtype, odometer dtype) for ``stabilize_grid``: for each, the
+    narrowest of int16, int32 and int64 that no value it holds can overflow,
+    or object (exact Python integers) for both when either needs it.
 
     Counts stay nonnegative, so every count and every sum over cells is at
-    most the number of chips on the grid.  Each odometer entry is at most
-    the number of firings, which the budget caps.  On an open grid, with
-    phi(x) the expected number of steps a random walk from x takes to reach
-    the sink, each firing lowers sum(count * phi) by exactly 4, and phi is at
-    most (m + 1)^2 / 2 for the shorter side m; that caps the firings too.
+    most the number of chips on the grid.  A cell of the padding ring holds
+    at most one sweep's topplings of its one grid neighbour, no more than
+    the chips, since the stabilizer clears the ring after every sweep.
+
+    Each odometer entry is at most the number of firings, which the budget
+    caps.  On an open grid, with phi(x) the expected number of steps a
+    random walk from x takes to reach the sink, each firing lowers
+    sum(count * phi) by exactly 4, and phi is at most (m + 1)^2 / 2 for the
+    shorter side m; that caps the firings too.  A topple count never exceeds
+    the count it is taken from or the odometer entry it is added to.
     """
     chips = sum(c.counts)
     firings = budget
     if spec.mode == OPEN:
         m = min(spec.rows, spec.cols)
         firings = min(budget, chips * (m + 1) ** 2 // 8)
-    return np.int64 if max(chips, firings) <= INT64_MAX else object
+    dtypes = (_narrowest_dtype(chips), _narrowest_dtype(firings))
+    return (object, object) if object in dtypes else dtypes
 
 
 def stabilize_grid(
@@ -147,55 +172,138 @@ def stabilize_grid(
 
     Each sweep topples every unstable cell floor(count / threshold) times at
     once; the abelian property guarantees the result matches single firings.
-    The arrays are int64 when that cannot overflow and exact Python integers
-    otherwise, so chips are conserved at any size.
+
+    The counts live row-major inside a (rows + 2) x (cols + 2) array with a
+    one-cell ring, so a band of whole grid rows is one contiguous slice of
+    the flattened array and its four neighbour slices are that slice shifted
+    by one cell and by one row.  A sweep updates the array in place through
+    those slices.  Chips pushed into the ring are cleared after every sweep:
+    on a closed grid no chip leaves (a boundary cell loses only its degree
+    per firing), and on an open grid they are the sink's, whose total
+    follows from the odometer at the end.
+
+    Every ``_WINDOW`` sweeps the band shrinks to the rows of the unstable
+    cells grown by ``_WINDOW`` rows each way, which holds every cell that
+    can topple until the next recomputation.  A sweep's firings are counted
+    only while the next ``_WINDOW`` sweeps could overrun the budget;
+    otherwise a stable grid shows at the next recomputation, after at most
+    ``_WINDOW - 1`` sweeps that topple nothing.  So the sweep sequence, the
+    result, the odometer and any ``BudgetExceededError`` are those of
+    sweeping the whole grid.
+
+    The arrays use the narrowest integer type that cannot overflow (see
+    ``_stabilizer_dtype``) and exact Python integers when int64 could, so
+    chips are conserved at any size.
     """
+    import numpy as np
+
     if budget is None:
         budget = DEFAULT_BOUNDS.firing_budget
-    counts = config_to_array(spec, c, _stabilizer_dtype(spec, c, budget))
-    thresh = _thresholds(spec)
-    odo = np.zeros_like(counts)
-    absorbed = c.absorbed
-    fired = 0
-    if spec.mode == CLOSED and spec.rows * spec.cols == 1:
-        return array_to_config(spec, counts, absorbed), Odometer(())
+    rows, cols = spec.rows, spec.cols
+    count_dtype, odo_dtype = _stabilizer_dtype(spec, c, budget)
+    start = config_to_array(spec, c, count_dtype)
+    if spec.mode == CLOSED and rows * cols == 1:
+        return array_to_config(spec, start, c.absorbed), Odometer(())
 
-    shed = np.zeros_like(counts)  # chips to sink per topple, open mode only
-    if spec.mode == OPEN:
-        inner = np.full_like(counts, 4)
-        inner[0, :] -= 1
-        inner[-1, :] -= 1
-        inner[:, 0] -= 1
-        inner[:, -1] -= 1
-        shed = 4 - inner
+    width = cols + 2
+    padded = np.zeros((rows + 2, width), dtype=count_dtype)
+    padded[1:-1, 1:-1] = start
+    flat = padded.reshape(-1)
+    odo = np.zeros((rows, width), dtype=odo_dtype)  # ring columns stay 0
+    open_mode = spec.mode == OPEN
+    if open_mode:
+        thresh = 4
+    else:
+        # Grid degrees: 4 inside, 3 on an edge, 2 in a corner; 1 on the
+        # ring, whose cells hold no chips when a sweep starts.
+        thresh = np.ones((rows, width), dtype=count_dtype)
+        thresh[:, 1:-1] = 4
+        thresh[0, 1:-1] -= 1
+        thresh[-1, 1:-1] -= 1
+        thresh[:, 1] -= 1
+        thresh[:, -2] -= 1
+    buf = np.zeros(rows * width, dtype=count_dtype)
 
+    def result() -> tuple[ChipConfig, Odometer]:
+        firings = odo[:, 1:-1]
+        absorbed = c.absorbed
+        if open_mode:
+            # A cell sheds one chip per firing for each side on the boundary.
+            sides = (firings[0], firings[-1], firings[:, 0], firings[:, -1])
+            absorbed += sum(int(side.sum()) for side in sides)
+        return (
+            array_to_config(spec, padded[1:-1, 1:-1], absorbed),
+            Odometer(tuple(firings.reshape(-1).tolist())),
+        )
+
+    chips = sum(c.counts)
+    sweeps = 0
     while True:
-        topple = counts // thresh
-        total = int(topple.sum())
-        if total == 0:
-            break
-        if fired + total > budget:
-            partial = array_to_config(spec, counts, absorbed)
-            raise BudgetExceededError(
-                f"did not stabilize within budget of {budget} firings",
-                config=partial,
-                odometer=Odometer(tuple(int(x) for x in odo.reshape(-1))),
-                fired=fired,
+        if sweeps % _WINDOW == 0:
+            hit = np.flatnonzero((padded[1:-1] >= thresh).any(axis=1))
+            if not hit.size:
+                break
+            # A sweep fires at most once per chip.
+            fired = int(odo.sum())
+            exact = fired + _WINDOW * chips > budget
+            r0 = max(int(hit[0]) - _WINDOW, 0)
+            r1 = min(int(hit[-1]) + 1 + _WINDOW, rows)
+            lo, hi = (r0 + 1) * width, (r1 + 1) * width
+            band = flat[lo:hi]
+            neighbours = (
+                flat[lo - width : hi - width],
+                flat[lo + width : hi + width],
+                flat[lo - 1 : hi - 1],
+                flat[lo + 1 : hi + 1],
             )
-        fired += total
-        odo += topple
-        counts -= topple * thresh
-        counts[:-1, :] += topple[1:, :]
-        counts[1:, :] += topple[:-1, :]
-        counts[:, :-1] += topple[:, 1:]
-        counts[:, 1:] += topple[:, :-1]
-        if spec.mode == OPEN:
-            absorbed += int((topple * shed).sum())
+            # The ring cells those slices reach with nonzero topplings.
+            ring = [padded[r0 + 1 : r1 + 1, :: width - 1]]
+            if r0 == 0:
+                ring.append(padded[0])
+            if r1 == rows:
+                ring.append(padded[-1])
+            odo_band = odo.reshape(-1)[r0 * width : r1 * width]
+            topple = buf[: hi - lo]
+            if not open_mode:
+                thresh_band = thresh[r0:r1].reshape(-1)
+                # The cells whose threshold is not 4: the band's edge columns
+                # and the first and last grid rows when the band holds them.
+                grids = (band.reshape(-1, width), thresh[r0:r1], topple.reshape(-1, width))
+                edges = [tuple(a[:, 1] for a in grids), tuple(a[:, -2] for a in grids)]
+                if r0 == 0:
+                    edges.append(tuple(a[0] for a in grids))
+                if r1 == rows:
+                    edges.append(tuple(a[-1] for a in grids))
 
-    return (
-        array_to_config(spec, counts, absorbed),
-        Odometer(tuple(int(x) for x in odo.reshape(-1))),
-    )
+        np.right_shift(band, 2, out=topple)
+        if not open_mode:
+            for edge_counts, edge_thresh, edge_topple in edges:
+                np.floor_divide(edge_counts, edge_thresh, out=edge_topple)
+        if exact:
+            total = int(topple.sum())
+            if total == 0:
+                break
+            if fired + total > budget:
+                config, odometer = result()
+                raise BudgetExceededError(
+                    f"did not stabilize within budget of {budget} firings",
+                    config=config,
+                    odometer=odometer,
+                    fired=fired,
+                )
+            fired += total
+        odo_band += topple
+        if open_mode:
+            band &= 3
+        else:
+            band -= topple * thresh_band
+        for view in neighbours:
+            view += topple
+        for view in ring:
+            view.fill(0)
+        sweeps += 1
+
+    return result()
 
 
 @dataclass(frozen=True)
@@ -217,6 +325,8 @@ DEFAULT_PALETTE = Palette(((0, 0, 255), (0, 255, 255), (255, 255, 0), (139, 69, 
 
 def render_ppm(spec: GridSpec, c: ChipConfig, palette: Palette = DEFAULT_PALETTE) -> bytes:
     """Binary PPM (P6), one pixel per grid cell, 255 max-val."""
+    import numpy as np
+
     arr = config_to_array(spec, c)
     clamped = np.minimum(arr, 3).astype(np.intp)
     lut = np.array(palette.colors, dtype=np.uint8)
@@ -227,6 +337,8 @@ def render_ppm(spec: GridSpec, c: ChipConfig, palette: Palette = DEFAULT_PALETTE
 
 def decode_ppm(data: bytes) -> tuple[int, int, np.ndarray]:
     """Parse a binary P6 image back into (width, height, pixel array)."""
+    import numpy as np
+
     parts = data.split(b"\n", 3)
     if len(parts) < 4 or parts[0] != b"P6":
         raise ParseError("not a binary P6 image")

@@ -22,7 +22,7 @@ from .config import DEFAULT_BOUNDS
 from .errors import ShapeError
 from .graph import Graph, adjacency_matrix, every_cycle_has_exit, strongly_connected_components
 from .monoid import (
-    enumerate_monoid,
+    _enumerate_monoid,
     find_unit_isomorphism,
     graph_monoid_presentation,
 )
@@ -53,6 +53,7 @@ class CompareVerdict:
     se_witness: SEWitness | None = None
     invariants: object | None = None
     bounds: dict | None = None
+    stopped_by: str | None = None  # why an enumeration stopped, for unknown
 
 
 def cycle_bearing_components(g: Graph) -> tuple[tuple[str, ...], ...]:
@@ -171,13 +172,14 @@ def kp_compare(
 
     p1 = _presentation_for(first, presentation)
     p2 = _presentation_for(second, presentation)
-    t1 = enumerate_monoid(p1, max_elements, node_budget=node_budget)
-    t2 = enumerate_monoid(p2, max_elements, node_budget=node_budget)
+    t1, why1 = _enumerate_monoid(p1, max_elements, node_budget)
+    t2, why2 = _enumerate_monoid(p2, max_elements, node_budget)
     if t1 is None or t2 is None:
         return CompareVerdict(
             "unknown",
             "monoid enumeration did not close within bounds",
             bounds={"max_elements": max_elements, "node_budget": node_budget},
+            stopped_by=why1 or why2,
         )
     if t1.size != t2.size:
         return CompareVerdict(

@@ -439,15 +439,24 @@ def enumerate_monoid(
 
     Returns None (unknown) when the completion runs out of ``node_budget``,
     when some generator has no pure-power leading term (the monoid is then
-    infinite), or when more than ``max_elements`` classes appear.
+    infinite), or when more than ``max_elements`` classes appear;
+    ``_enumerate_monoid`` also names which of the three stopped it.
     """
+    return _enumerate_monoid(p, max_elements, node_budget)[0]
+
+
+def _enumerate_monoid(
+    p: MonoidPresentation, max_elements: int, node_budget: int
+) -> tuple[MonoidTable | None, str | None]:
+    """``enumerate_monoid``'s table, or None and why enumeration stopped:
+    ``"node_budget"``, ``"infinite"`` or ``"max_elements"``."""
     k = len(p.generators)
     rules = _groebner_rules(p, node_budget)
     if rules is None:
-        return None
+        return None, "node_budget"
     # Finite exactly when every generator has a pure-power leading term.
     if len({support[0][0] for _, _, support, _ in rules if len(support) == 1}) < k:
-        return None
+        return None, "infinite"
     zero: Vector = (0,) * k
     # Walks go from the first vector discovered in a class (anchors); the
     # published element label is the lexicographically least vector seen in
@@ -476,7 +485,7 @@ def enumerate_monoid(
             if cls is None:
                 cls = len(anchors)
                 if cls >= max_elements:
-                    return None
+                    return None, "max_elements"
                 anchors.append(y)
                 labels.append(y)
                 normal_forms.append(nf)
@@ -488,7 +497,7 @@ def enumerate_monoid(
             row.append(cls)
         gen_add.append(row)
 
-    return MonoidTable.from_generator_action(p.generators, labels, gen_add, 0, parents)
+    return MonoidTable.from_generator_action(p.generators, labels, gen_add, 0, parents), None
 
 
 def replay_path(p: MonoidPresentation, path: Sequence[Vector]) -> bool:

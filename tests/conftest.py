@@ -3,9 +3,14 @@
 ``four_vertex_sandpile`` is the four-vertex sandpile graph whose 8-chip run drives the
 worked stabilization trace; ``two_cycle_loop_sink`` is the two-cycle-with-loop graph
 extended by an edge into a sink.
+
+Every test runs under a wall-clock limit (``TEST_TIME_LIMIT_S``), so a
+regression that makes a bounded procedure run away fails its test instead of
+hanging the suite.
 """
 
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -18,6 +23,32 @@ from monodyn.graph import Graph
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(monodyn.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")])
 )
+
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an ``Exception``, so hypothesis does not catch it and shrink, which
+    would run the slow example again and again."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail the running test once it has taken ``TEST_TIME_LIMIT_S`` seconds."""
+    if not hasattr(signal, "setitimer"):  # no interval timers on this platform
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran longer than {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -213,6 +213,43 @@ def test_unknown_enumeration_reports_its_bounds(files, capsys, tmp_path):
     assert report["bounds"] == {"max_elements": 7, "node_budget": 200_000}
 
 
+def test_unknown_enumeration_stopped_by_infinite(capsys, tmp_path):
+    free = tmp_path / "free.pres"
+    free.write_text("gens: a b\n")
+    code, report = invoke_json(capsys, ["monoid", "enumerate", str(free)])
+    assert code == 1 and report["stopped_by"] == "infinite"
+
+
+def test_unknown_enumeration_stopped_by_node_budget(capsys, tmp_path):
+    graph = tmp_path / "window.graph"
+    graph.write_text("v v1\nv v2\nv v3\nv s\ne v1 v2 2\ne v1 s\ne v2 v2\ne v2 v3 2\ne v3 v3\ne v3 s\n")
+    code, window = invoke(capsys, ["talented", "window", str(graph), "2"])
+    assert code == 0
+    pres = tmp_path / "window.pres"
+    pres.write_text(window)
+    code, report = invoke_json(capsys, ["monoid", "enumerate", str(pres), "--node-budget", "1"])
+    assert code == 1 and report["stopped_by"] == "node_budget"
+
+
+def test_unknown_enumeration_stopped_by_max_elements(files, capsys, tmp_path):
+    pres = tmp_path / "three.pres"
+    pres.write_text("gens: a\na = 3a\n")
+    code, report = invoke_json(capsys, ["monoid", "enumerate", str(pres), "--max-elements", "2"])
+    assert code == 1 and report["stopped_by"] == "max_elements"
+    code, report = invoke_json(capsys, ["monoid", "enumerate", str(pres), "--max-elements", "3"])
+    assert code == 0 and len(report["table"]["elements"]) == 3 and "stopped_by" not in report
+    code, report = invoke_json(
+        capsys,
+        ["lpa", "compare", files["f.graph"], files["f.graph"], "--presentation", "sandpile", "--max-elements", "2"],
+    )
+    assert code == 1 and report["stopped_by"] == "max_elements"
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, monodyn.cli, monodyn.grid; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
 def test_talented_window(files, capsys):
     code, out = invoke(capsys, ["talented", "window", files["rose2.graph"], "1"])
     assert code == 0

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -18,6 +20,7 @@ from monodyn.grid import (
     parse_palette,
     render_ppm,
     stabilize_grid,
+    _stabilizer_dtype,
 )
 from monodyn.sandpile import stabilize
 
@@ -222,3 +225,148 @@ def test_grid_config_bounds():
     spec = GridSpec(2, 2, "closed")
     with pytest.raises(Exception):
         grid_config(spec, {(5, 5): 1})
+
+
+# --- stabilize_grid kernel: dtypes, active window, budget failures ----------
+
+DTYPE_EDGES = (2**15, 2**31, 2**63)  # first totals that int16 / int32 / int64 cannot hold
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 8),
+    mode=st.sampled_from(("open", "closed")),
+    edge=st.sampled_from(DTYPE_EDGES),
+    offset=st.integers(-2, 2),
+    budget_edge=st.sampled_from(DTYPE_EDGES + (10**40,)),
+    budget_offset=st.integers(-1, 0),
+    data=st.data(),
+)
+def test_grid_matches_generic_at_every_dtype(rows, cols, mode, edge, offset, budget_edge, budget_offset, data):
+    # Open grids hold chip totals next to each dtype's edge.  Closed grids
+    # stabilize only with fewer chips than edges, so there the budget takes
+    # the odometer across the edges.
+    spec = GridSpec(rows, cols, mode)
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    if mode == "closed":
+        total = data.draw(st.integers(0, max(0, 2 * rows * cols - rows - cols - 1)))
+    else:
+        total = edge + offset
+    placements: dict[tuple[int, int], int] = {}
+    drops = data.draw(st.integers(1, 3))
+    for i in range(drops):
+        n = total if i == drops - 1 else data.draw(st.integers(0, total))
+        cell = data.draw(st.sampled_from(cells))
+        placements[cell] = placements.get(cell, 0) + n
+        total -= n
+    c = grid_config(spec, placements)
+    budget = budget_edge + budget_offset
+    # The generic stabilizer runs unbudgeted: it finishes a budget-cut batch
+    # one firing at a time, which takes forever at these chip counts.
+    generic_config, generic_odo = stabilize(make_grid(spec), c, budget=10**40)
+    try:
+        fast = stabilize_grid(spec, c, budget=budget)
+    except BudgetExceededError:
+        assert generic_odo.total() > budget
+    else:
+        assert fast == (generic_config, generic_odo) and generic_odo.total() <= budget
+
+
+@pytest.mark.parametrize(
+    "spec, placements",
+    [
+        (GridSpec(40, 40, "open"), {(3, 35): 2000}),
+        (GridSpec(40, 40, "open"), {(5, 6): 1500, (33, 30): 1200}),
+        (GridSpec(37, 23, "open"), {(0, 0): 900, (36, 22): 700, (18, 0): 300}),
+        (GridSpec(30, 30, "closed"), {(4, 25): 1500}),
+        (GridSpec(30, 30, "closed"), {(2, 2): 600, (27, 26): 600}),
+    ],
+)
+def test_active_window_matches_generic(spec, placements):
+    # Off-centre drops and drops far apart: the active windows cover only
+    # part of the grid, and then grow and merge.
+    c = grid_config(spec, placements)
+    assert stabilize_grid(spec, c) == stabilize(make_grid(spec), c)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, mode, chips, budget, expected",
+    [
+        (201, 201, "open", 2**14, 10**9, (np.int16, np.int32)),
+        (201, 201, "open", 2**15 - 1, 10**9, (np.int16, np.int32)),
+        (201, 201, "open", 2**15, 10**9, (np.int32, np.int32)),
+        (3, 3, "open", 5000, 10**9, (np.int16, np.int16)),
+        (3, 3, "open", 2**31, 10**40, (np.int64, np.int64)),
+        (101, 101, "open", 2**31, 10**40, (np.int64, np.int64)),
+        (11, 11, "open", 2**60, 10**40, (object, object)),
+        (11, 11, "open", 2**60, 10**6, (np.int64, np.int32)),
+        (3, 3, "open", 2**63, 10, (object, object)),
+        (9, 9, "closed", 10, 10**9, (np.int16, np.int32)),
+        (9, 9, "closed", 10, 2**15 - 1, (np.int16, np.int16)),
+        (9, 9, "closed", 10, 2**31, (np.int16, np.int64)),
+        (9, 9, "closed", 10, 2**63, (object, object)),
+        (9, 9, "closed", 2**40, 10, (np.int64, np.int16)),
+        (9, 9, "closed", 2**15, 2**15 - 1, (np.int32, np.int16)),
+    ],
+)
+def test_stabilizer_dtype_choice(rows, cols, mode, chips, budget, expected):
+    spec = GridSpec(rows, cols, mode)
+    assert _stabilizer_dtype(spec, grid_config(spec, {(1, 1): chips}), budget) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, placements, budget",
+    [
+        (GridSpec(21, 21, "open"), {(10, 10): 2000}, 5000),
+        # A budget above 8 sweeps' worth of chips: totals are skipped at first.
+        (GridSpec(21, 21, "open"), {(10, 10): 2000}, 40000),
+        (GridSpec(21, 17, "open"), {(2, 3): 3000, (18, 14): 800}, 12345),
+        (GridSpec(5, 5, "open"), {(2, 2): 2**70}, 10**6),
+        (GridSpec(6, 6, "closed"), {(1, 1): 80}, 1000),
+        (GridSpec(4, 5, "closed"), {(1, 1): 2**40, (3, 4): 7}, 10**5),
+        (GridSpec(4, 4, "closed"), {(0, 3): 2**70}, 10**5),
+        (GridSpec(30, 30, "closed"), {(3, 3): 2000}, 4000),
+    ],
+)
+def test_budget_failure_partial_state_obeys_odometer(spec, placements, budget):
+    start = grid_config(spec, placements)
+    with pytest.raises(BudgetExceededError) as err:
+        stabilize_grid(spec, start, budget=budget)
+    partial, odometer, fired = err.value.config, err.value.odometer, err.value.fired
+    assert fired == odometer.total() <= budget
+    odo = np.array(odometer.firings, dtype=object).reshape(spec.rows, spec.cols)
+    degree = np.full((spec.rows, spec.cols), 4, dtype=object)
+    degree[0, :] -= 1
+    degree[-1, :] -= 1
+    degree[:, 0] -= 1
+    degree[:, -1] -= 1
+    thresh = degree if spec.mode == "closed" else np.full_like(degree, 4)
+    inflow = np.zeros_like(odo)
+    inflow[:-1, :] += odo[1:, :]
+    inflow[1:, :] += odo[:-1, :]
+    inflow[:, :-1] += odo[:, 1:]
+    inflow[:, 1:] += odo[:, :-1]
+    expected = config_to_array(spec, start, object) - thresh * odo + inflow
+    assert (config_to_array(spec, partial, object) == expected).all()
+    shed = int(((thresh - degree) * odo).sum())
+    assert partial.absorbed == start.absorbed + shed
+
+
+def pile_digest(spec, placements):
+    final, odometer = stabilize_grid(spec, grid_config(spec, placements))
+    payload = json.dumps([list(final.counts), final.absorbed, list(odometer.firings)])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_readme_drop_is_pinned():
+    # The 201x201 open grid with 2^14 chips in the centre (the README's drop):
+    # counts, absorbed chips and odometer as the whole-grid int64 sweeps gave.
+    digest = pile_digest(GridSpec(201, 201, "open"), {(100, 100): 2**14})
+    assert digest == "40d7d2d286834626c33682d7a44a80babebaca5dd89197a042f271f1fa85ca4e"
+
+
+def test_loose_multi_drop_pile_is_pinned():
+    spec = GridSpec(60, 60, "open")
+    digest = pile_digest(spec, {(12, 17): 3000, (45, 40): 2500, (20, 50): 1234})
+    assert digest == "4fad772cec8a0a05f35ef5e878611c1ffacec1975b9855e7821dc0e3c372f672"
