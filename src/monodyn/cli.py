@@ -332,7 +332,7 @@ def _cmd_dim_equal(args, bounds: Bounds, out: _Out):
     m = _load_matrix(args.matrix)
     x = parse_dim_element(m, args.lhs)
     y = parse_dim_element(m, args.rhs)
-    verdict = dim_equal(x, y, bounds.max_power)
+    verdict = dim_equal(x, y)
     out.report = {"kind": "dim-equal", "verdict": verdict}
     out.code = 0 if verdict == "yes" else 1
 

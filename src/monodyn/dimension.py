@@ -2,10 +2,10 @@
 windowed presentations of the stage-graded vertex monoid.
 
 An element of the limit group is a pair (vec, stage) with (vec, stage)
-identified with (vec . A, stage + 1).  Equality and positivity are decided
-against explicit power bounds and answer with a third "inconclusive" state
-when a bound runs out, because exact decisions in general need spectral
-machinery that is out of scope here.
+identified with (vec . A, stage + 1).  Equality is decided exactly.
+Positivity is decided against an explicit power bound and answers with a
+third "inconclusive" state when the bound runs out, because an exact
+decision in general needs spectral machinery that is out of scope here.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_BOUNDS
 from .errors import ParseError, ShapeError
 from .graph import Graph
-from .matrix import IntMatrix, det, vec_mat_mul
+from .matrix import IntMatrix, vec_mat_mul
 from .monoid import MonoidPresentation, Vector
 from .smith import solve_integer_column
 
@@ -52,32 +52,33 @@ def _require_same_matrix(x: DimElement, y: DimElement):
         raise ShapeError("elements live over different matrices")
 
 
-def dim_equal(x: DimElement, y: DimElement, max_power: int = DEFAULT_BOUNDS.max_power) -> str:
-    """Push both elements to a common stage and compare.
-
-    When det(A) is nonzero, multiplication by A is injective, so equality is
-    settled at the first common stage.  Otherwise equal elements must agree
-    after some extra push; the bound caps how far to look.
-    """
+def _common_stage(x: DimElement, y: DimElement) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Both vectors pushed to the later of the two stages, and that stage."""
     _require_same_matrix(x, y)
-    a = x.matrix
-    m0 = max(x.stage, y.stage)
-    vx = x.vec
-    for _ in range(m0 - x.stage):
-        vx = vec_mat_mul(vx, a)
-    vy = y.vec
-    for _ in range(m0 - y.stage):
-        vy = vec_mat_mul(vy, a)
-    if vx == vy:
-        return YES
-    if det(a) != 0:
-        return NO
-    for _ in range(max_power):
-        vx = vec_mat_mul(vx, a)
-        vy = vec_mat_mul(vy, a)
-        if vx == vy:
-            return YES
-    return INCONCLUSIVE
+    stage = max(x.stage, y.stage)
+    vecs = []
+    for e in (x, y):
+        v = e.vec
+        for _ in range(stage - e.stage):
+            v = vec_mat_mul(v, e.matrix)
+        vecs.append(v)
+    return vecs[0], vecs[1], stage
+
+
+def dim_equal(x: DimElement, y: DimElement) -> str:
+    """Push both elements to a common stage, then n more times, and compare.
+
+    The elements are equal when their difference d satisfies d . A^k = 0 for
+    some k.  The kernels of right multiplication by A^k grow with k and stop
+    growing by k = n (Fitting's lemma), so k = n decides.
+    """
+    vx, vy, _ = _common_stage(x, y)
+    d = tuple(p - q for p, q in zip(vx, vy))
+    for _ in range(x.matrix.rows):
+        if not any(d):
+            break
+        d = vec_mat_mul(d, x.matrix)
+    return NO if any(d) else YES
 
 
 def dim_positive(x: DimElement, max_power: int = DEFAULT_BOUNDS.max_power) -> str:
@@ -102,16 +103,8 @@ def dim_positive(x: DimElement, max_power: int = DEFAULT_BOUNDS.max_power) -> st
 
 def dim_add(x: DimElement, y: DimElement) -> DimElement:
     """Sum after moving both to a common stage."""
-    _require_same_matrix(x, y)
-    a = x.matrix
-    m0 = max(x.stage, y.stage)
-    vx = x.vec
-    for _ in range(m0 - x.stage):
-        vx = vec_mat_mul(vx, a)
-    vy = y.vec
-    for _ in range(m0 - y.stage):
-        vy = vec_mat_mul(vy, a)
-    return DimElement(a, tuple(p + q for p, q in zip(vx, vy)), m0)
+    vx, vy, stage = _common_stage(x, y)
+    return DimElement(x.matrix, tuple(p + q for p, q in zip(vx, vy)), stage)
 
 
 def delta_shift(x: DimElement, direction: str = FORWARD) -> DimElement:

@@ -39,6 +39,7 @@ from typing import Sequence
 from .config import DEFAULT_BOUNDS
 from .errors import ParseError, ShapeError
 from .graph import Graph, structure_report
+from .smith import lattice_contains
 
 Vector = tuple[int, ...]
 
@@ -225,36 +226,6 @@ def _one_step(w: Vector, relations) -> list[Vector]:
     return out
 
 
-def _lattice_contains(rows: Sequence[Vector], v: Sequence[int]) -> bool:
-    """Whether v is an integer combination of ``rows``.
-
-    The rows are brought to echelon form by integer row operations (the
-    smallest entry of each column divides the others out, Euclid-style),
-    then v is reduced against the pivots, which leave the columns before
-    theirs alone: v lies in the lattice exactly when nothing is left over."""
-    rows = [list(r) for r in rows]
-    echelon: list[tuple[int, list[int]]] = []
-    for col in range(len(v)):
-        active = [r for r in rows if r[col]]
-        rows = [r for r in rows if not r[col]]
-        while len(active) > 1:
-            active.sort(key=lambda r: abs(r[col]))
-            pivot = active[0]
-            kept = [pivot]
-            for r in active[1:]:
-                q = r[col] // pivot[col]
-                r = [a - q * b for a, b in zip(r, pivot)]
-                (kept if r[col] else rows).append(r)
-            active = kept
-        if active:
-            echelon.append((col, active[0]))
-    v = list(v)
-    for col, r in echelon:
-        q = v[col] // r[col]
-        v = [a - q * b for a, b in zip(v, r)]
-    return not any(v)
-
-
 def congruent_difference_possible(p: MonoidPresentation, x: Vector, y: Vector) -> bool:
     """Necessary condition for x ~ y: every rewrite step changes the vector
     by some +-(lhs - rhs), so congruent vectors lie in the same coset of the
@@ -263,7 +234,7 @@ def congruent_difference_possible(p: MonoidPresentation, x: Vector, y: Vector) -
     if x == y:
         return True
     diffs = [tuple(a - b for a, b in zip(lhs, rhs)) for lhs, rhs in p.relations]
-    return _lattice_contains(diffs, [a - b for a, b in zip(x, y)])
+    return lattice_contains(diffs, [a - b for a, b in zip(x, y)])
 
 
 def words_equal(

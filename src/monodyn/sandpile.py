@@ -134,15 +134,15 @@ class _Arena:
     def unstable(self, i: int) -> bool:
         return self.counts[i] >= self.outdeg[i]
 
-    def fire_once(self, i: int):
-        self.counts[i] -= self.outdeg[i]
+    def fire(self, i: int, times: int = 1):
+        self.counts[i] -= times * self.outdeg[i]
         for j, mult in self.targets[i]:
             if j is None:
-                self.absorbed += mult
+                self.absorbed += times * mult
             else:
-                self.counts[j] += mult
-        self.odometer[i] += 1
-        self.fired += 1
+                self.counts[j] += times * mult
+        self.odometer[i] += times
+        self.fired += times
 
     def snapshot(self) -> ChipConfig:
         return ChipConfig(tuple(self.counts), self.absorbed)
@@ -172,7 +172,7 @@ def fire(g: Graph, c: ChipConfig, v: str) -> ChipConfig:
         raise FiringError(
             f"vertex {v!r} holds {arena.counts[i]} chips, fewer than outdegree {arena.outdeg[i]}"
         )
-    arena.fire_once(i)
+    arena.fire(i)
     return arena.snapshot()
 
 
@@ -208,7 +208,7 @@ def stabilize(
             if arena.fired >= budget:
                 raise arena.budget_error(budget)
             i = rng.choice(unstable)
-            arena.fire_once(i)
+            arena.fire(i)
             if trace_to is not None:
                 trace_to.append(arena.snapshot())
 
@@ -219,27 +219,15 @@ def stabilize(
         queued[i] = False
         if not arena.unstable(i):
             continue
-        batch = arena.counts[i] // arena.outdeg[i]
-        if arena.fired + batch > budget:
-            batch = budget - arena.fired
-            for _ in range(batch):
-                arena.fire_once(i)
-                if trace_to is not None:
-                    trace_to.append(arena.snapshot())
-            raise arena.budget_error(budget)
+        batch = min(arena.counts[i] // arena.outdeg[i], budget - arena.fired)
         if trace_to is not None:
             for _ in range(batch):
-                arena.fire_once(i)
+                arena.fire(i)
                 trace_to.append(arena.snapshot())
         else:
-            arena.counts[i] -= batch * arena.outdeg[i]
-            for j, mult in arena.targets[i]:
-                if j is None:
-                    arena.absorbed += batch * mult
-                else:
-                    arena.counts[j] += batch * mult
-            arena.odometer[i] += batch
-            arena.fired += batch
+            arena.fire(i, batch)
+        if arena.fired == budget and arena.unstable(i):
+            raise arena.budget_error(budget)
         for j, _ in arena.targets[i]:
             if j is not None and not queued[j] and arena.unstable(j):
                 queue.append(j)

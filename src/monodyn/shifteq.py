@@ -19,6 +19,9 @@ from .errors import ShapeError
 from .matrix import IntMatrix, charpoly, kron
 from .smith import integer_kernel_basis, invariant_factors
 
+# se_search skips a kernel whose coefficient box holds more combinations.
+_CANDIDATE_CAP = 250_000
+
 
 @dataclass(frozen=True)
 class ESWitness:
@@ -296,8 +299,6 @@ def se_search(
     b: IntMatrix,
     max_lag: int = DEFAULT_BOUNDS.max_lag,
     coeff_bound: int = DEFAULT_BOUNDS.coeff_bound,
-    *,
-    candidate_cap: int = 250_000,
 ) -> SEWitness | SearchExhausted:
     """Solve the intertwining equations over the integers, then look for
     entrywise-nonnegative combinations that factor the matrix powers.
@@ -322,7 +323,7 @@ def se_search(
         basis = integer_kernel_basis(kernel_map)
         if not basis:
             return []
-        if (2 * coeff_bound + 1) ** len(basis) > candidate_cap:
+        if (2 * coeff_bound + 1) ** len(basis) > _CANDIDATE_CAP:
             return []
         out = []
         seen = set()

@@ -1,118 +1,123 @@
-"""Smith normal form over the integers, with unimodular transforms.
+"""Integer row reduction: Smith normal forms, invariant factors, integer
+kernels, integer solves and lattice membership.
+
+All of them run through one elimination, ``_echelon``, which brings a list of
+rows to echelon form in place by Euclid steps and can repeat every row
+operation on a transform.
 
 ``smith_normal_form(M)`` returns ``(U, D, V)`` with ``U @ M @ V == D``,
 ``|det U| == |det V| == 1``, ``D`` diagonal with nonnegative entries, and each
-diagonal entry dividing the next.  The transforms are tracked through every
-elementary operation, which is what the shift-equivalence layer needs to solve
-integer linear systems and extract kernels.
+diagonal entry dividing the next.  It alternates ``_echelon`` on the rows
+(tracking U) and on the columns, as the rows of the transpose (tracking the
+transpose of V), until the matrix is diagonal, as Kannan and Bachem (1979)
+alternate row and column forms.  Working a whole column per step keeps the
+transform entries far smaller than a global smallest-pivot search.
+``invariant_factors`` runs the same loop without transforms.
+
+``solve_integer_column`` and ``lattice_contains`` echelon a generating set
+once and reduce the target vector against its pivots.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .errors import ShapeError
 from .matrix import IntMatrix, det
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
+def _echelon(rows: list[list[int]], t: list[list[int]] | None = None) -> int:
+    """Bring ``rows`` to echelon form in place and return the rank.
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, k):
-        # row dst += k * row src
-        arow, urow = a[src], u[src]
-        for idx in range(cols):
-            a[dst][idx] += k * arow[idx]
-        for idx in range(rows):
-            u[dst][idx] += k * urow[idx]
-
-    def add_col(src, dst, k):
-        for r in a:
-            r[dst] += k * r[src]
-        for r in v:
-            r[dst] += k * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    n = min(rows, cols)
-    for t in range(n):
+    Column by column, the row at or below the rank with the smallest nonzero
+    entry in the column becomes the pivot and reduces the rows under it by
+    floor division.  The remainders are smaller than the pivot, so repeating
+    clears the column (Euclid's algorithm).  When ``t`` is given, every row
+    operation is repeated on it.
+    """
+    n = len(rows)
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
         while True:
-            # Smallest nonzero |entry| in the trailing submatrix becomes the pivot.
-            pivot = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    x = a[i][j]
-                    if x != 0 and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-            if pivot is None:
+            piv, best = None, 0
+            for i in range(rank, n):
+                x = rows[i][col]
+                if x and (piv is None or abs(x) < best):
+                    piv, best = i, abs(x)
+            if piv is None:
                 break
-            pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-            d = a[t][t]
-
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // d
-                    if q:
-                        add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // d
-                    if q:
-                        add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        dirty = True
-            if dirty:
-                continue  # remainders became new, smaller pivot candidates
-
-            # Row and column are clear; enforce divisibility of the rest.
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % d != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            if piv != rank:
+                rows[rank], rows[piv] = rows[piv], rows[rank]
+                if t is not None:
+                    t[rank], t[piv] = t[piv], t[rank]
+            top = rows[rank]
+            p = top[col]
+            clear = True
+            for i in range(rank + 1, n):
+                r = rows[i]
+                if r[col]:
+                    q = r[col] // p
+                    rows[i] = r = [a - q * b for a, b in zip(r, top)]
+                    if t is not None:
+                        t[i] = [a - q * b for a, b in zip(t[i], t[rank])]
+                    clear = clear and not r[col]
+            if clear:
+                rank += 1
                 break
-            add_row(offender, t, 1)  # drags a non-multiple into the pivot row
+        if rank == n:
+            break
+    return rank
 
-        if a[t][t] < 0:
-            negate_row(t)
 
-    return (
-        IntMatrix.from_rows(u),
-        IntMatrix.from_rows(a),
-        IntMatrix.from_rows(v),
-    )
+def _transpose(rows: list[list[int]]) -> list[list[int]]:
+    return [list(c) for c in zip(*rows)]
+
+
+def _diagonalize(
+    a: list[list[int]], u: list[list[int]] | None = None, vt: list[list[int]] | None = None
+) -> list[list[int]]:
+    """Smith form of the rows ``a``; row operations go to ``u``, column
+    operations to the rows of ``vt``."""
+    while True:
+        _echelon(a, u)
+        at = _transpose(a)
+        _echelon(at, vt)
+        a = _transpose(at)
+        if any(x for i, r in enumerate(a) for j, x in enumerate(r) if i != j):
+            continue
+        diag = [a[i][i] for i in range(min(len(a), len(at)))]
+        # Pivots fill the leading diagonal, so zeros trail and a nonzero
+        # entry that does not divide a later one is the only defect left.
+        bad = next(
+            ((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
+             if diag[i] and diag[j] % diag[i]),
+            None,
+        )
+        if bad is None:
+            break
+        i, j = bad
+        a[i] = [x + y for x, y in zip(a[i], a[j])]
+        if u is not None:
+            u[i] = [x + y for x, y in zip(u[i], u[j])]
+    for i in range(len(diag)):
+        if diag[i] < 0:
+            a[i] = [-x for x in a[i]]
+            if u is not None:
+                u[i] = [-x for x in u[i]]
+    return a
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    u = IntMatrix.identity(m.rows).to_rows()
+    vt = IntMatrix.identity(m.cols).to_rows()
+    d = _diagonalize(m.to_rows(), u, vt)
+    return IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(_transpose(vt))
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith normal form (length ``min(rows, cols)``)."""
-    _, d, _ = smith_normal_form(m)
-    return tuple(d.at(i, i) for i in range(min(m.rows, m.cols)))
+    d = _diagonalize(m.to_rows())
+    return tuple(d[i][i] for i in range(min(m.rows, m.cols)))
 
 
 def is_unimodular(m: IntMatrix) -> bool:
@@ -130,38 +135,40 @@ def integer_kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     return basis
 
 
-class IntegerLinearSolver:
-    """Precomputed Smith decomposition of M for repeated ``M x = b`` queries."""
-
-    def __init__(self, m: IntMatrix):
-        self.m = m
-        self.u, self.d, self.v = smith_normal_form(m)
-
-    def solve(self, b: tuple[int, ...]) -> tuple[int, ...] | None:
-        """One integer solution, or None when none exists."""
-        m = self.m
-        if len(b) != m.rows:
-            raise ShapeError("right hand side length does not match matrix rows")
-        y = tuple(
-            sum(self.u.at(i, k) * b[k] for k in range(m.rows)) for i in range(m.rows)
-        )
-        z = [0] * m.cols
-        n = min(m.rows, m.cols)
-        for i in range(m.rows):
-            di = self.d.at(i, i) if i < n else 0
-            if di == 0:
-                if y[i] != 0:
-                    return None
-            else:
-                if y[i] % di != 0:
-                    return None
-                if i < m.cols:
-                    z[i] = y[i] // di
-        return tuple(
-            sum(self.v.at(i, k) * z[k] for k in range(m.cols)) for i in range(m.cols)
-        )
+def _reduce(echelon: list[list[int]], v: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Multipliers q and remainder v - sum q[k] * echelon[k]: each echelon
+    row takes from v what it can of the entry at its pivot column, which the
+    rows after it leave alone.  v lies in their span exactly when nothing is
+    left."""
+    v = list(v)
+    q = []
+    for r in echelon:
+        col = next(j for j, x in enumerate(r) if x)
+        k = v[col] // r[col]
+        if k:
+            v = [a - k * b for a, b in zip(v, r)]
+        q.append(k)
+    return q, v
 
 
 def solve_integer_column(m: IntMatrix, b: tuple[int, ...]) -> tuple[int, ...] | None:
-    """One integer solution of M x = b, or None when no integer solution exists."""
-    return IntegerLinearSolver(m).solve(b)
+    """One integer solution of M x = b, or None when no integer solution exists.
+
+    The rows of an echelon form T M^T span the lattice of the columns of M,
+    so reducing b against them gives b = q T M^T, that is x = q T."""
+    if len(b) != m.rows:
+        raise ShapeError("right hand side length does not match matrix rows")
+    e = m.transpose().to_rows()
+    t = IntMatrix.identity(m.cols).to_rows()
+    rank = _echelon(e, t)
+    q, rest = _reduce(e[:rank], b)
+    if any(rest):
+        return None
+    return tuple(sum(k * t[i][j] for i, k in enumerate(q)) for j in range(m.cols))
+
+
+def lattice_contains(rows: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
+    """Whether v is an integer combination of ``rows``."""
+    rows = [list(r) for r in rows]
+    rank = _echelon(rows)
+    return not any(_reduce(rows[:rank], v)[1])

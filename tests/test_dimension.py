@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodyn.dimension import (
     DimElement,
@@ -16,7 +18,7 @@ from monodyn.dimension import (
 )
 from monodyn.errors import ParseError, ShapeError
 from monodyn.graph import Graph
-from monodyn.matrix import IntMatrix
+from monodyn.matrix import IntMatrix, det, vec_mat_mul
 from monodyn.monoid import words_equal
 
 from conftest import rose_graph
@@ -41,7 +43,46 @@ def test_dim_equal_singular_matrix():
     sing = IntMatrix.from_rows([[1, 1], [1, 1]])
     # (1, -1) dies after one push, so it equals zero in the limit.
     assert dim_equal(DimElement(sing, (1, -1), 0), DimElement(sing, (0, 0), 0)) == "yes"
-    assert dim_equal(DimElement(sing, (1, 0), 0), DimElement(sing, (0, 0), 0), max_power=8) == "inconclusive"
+    # (1, 0) . A^k = (1, 1) 2^(k-1) never vanishes: a definite no.
+    assert dim_equal(DimElement(sing, (1, 0), 0), DimElement(sing, (0, 0), 0)) == "no"
+
+
+def singular_3x3():
+    # A row that is a sum of multiples of the others makes det = 0, and the
+    # repeated factor of A then shows in a nontrivial eventual kernel.
+    def build(rows, k, coeffs, order):
+        rows = [list(r) for r in rows]
+        rows.insert(k, [coeffs[0] * a + coeffs[1] * b for a, b in zip(*rows)])
+        return IntMatrix.from_rows([rows[i] for i in order])
+
+    return st.builds(
+        build,
+        st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=2, max_size=2),
+        st.integers(0, 2),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.permutations(range(3)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=singular_3x3(), data=st.data())
+def test_dim_equal_matches_pushing_2n_times(a, data):
+    assert det(a) == 0
+    vec = st.tuples(*[st.integers(-4, 4)] * 3)
+    x = DimElement(a, data.draw(vec), data.draw(st.integers(0, 2)))
+    if data.draw(st.booleans()):
+        # Same vector plus a vector that A may kill after a few pushes.
+        y = DimElement(a, tuple(p + q for p, q in zip(x.vec, data.draw(vec))), x.stage)
+    else:
+        y = DimElement(a, data.draw(vec), data.draw(st.integers(0, 2)))
+    stage = max(x.stage, y.stage) + 2 * a.rows
+    pushed = []
+    for e in (x, y):
+        v = e.vec
+        for _ in range(stage - e.stage):
+            v = vec_mat_mul(v, a)
+        pushed.append(v)
+    assert dim_equal(x, y) == ("yes" if pushed[0] == pushed[1] else "no")
 
 
 def test_dim_equal_errors():

@@ -85,7 +85,9 @@ def test_fast_grid_matches_generic():
             continue
         spec = GridSpec(rows, cols, mode)
         g = make_grid(spec)
-        # Keep closed-grid totals below the always-stabilizes threshold.
+        # Closed-grid totals go up to sum(degree - 1) = 2E - V chips, but a
+        # closed grid is sure to stabilize only below E chips, so a draw may
+        # never settle: both stabilizers then run out of the same budget.
         cells = [(r, c) for r in range(rows) for c in range(cols)]
         budget_total = sum(max(g.outdegree(spec.cell_name(r, c)) - 1, 0) for r, c in cells)
         placements = {}
@@ -97,11 +99,23 @@ def test_fast_grid_matches_generic():
             remaining -= n
             placements[rng.choice(cells)] = n
         c = grid_config(spec, placements)
-        fast_config, fast_odo = stabilize_grid(spec, c)
-        gen_config, gen_odo = stabilize(g, c)
-        assert fast_config == gen_config
-        assert fast_config.absorbed == gen_config.absorbed
-        assert fast_odo == gen_odo
+        results = []
+        for run in (lambda: stabilize_grid(spec, c, budget=10**5), lambda: stabilize(g, c, budget=10**5)):
+            try:
+                config, odo = run()
+                results.append((config, config.absorbed, odo))
+            except BudgetExceededError as err:
+                results.append(err)
+        fast, gen = results
+        if isinstance(fast, BudgetExceededError) or isinstance(gen, BudgetExceededError):
+            # The schedulers stop at different points (the grid before the
+            # sweep that would overrun, the generic one at the budget), so
+            # only the failure itself and chip conservation are shared.
+            assert isinstance(fast, BudgetExceededError) and isinstance(gen, BudgetExceededError)
+            for err in (fast, gen):
+                assert err.config.total() + err.config.absorbed == c.total() + c.absorbed
+        else:
+            assert fast == gen
 
 
 def test_fast_grid_matches_generic_15x15():
@@ -262,8 +276,8 @@ def test_grid_matches_generic_at_every_dtype(rows, cols, mode, edge, offset, bud
         total -= n
     c = grid_config(spec, placements)
     budget = budget_edge + budget_offset
-    # The generic stabilizer runs unbudgeted: it finishes a budget-cut batch
-    # one firing at a time, which takes forever at these chip counts.
+    # The generic stabilizer runs unbudgeted, so a grid budget failure can be
+    # checked against the full odometer.
     generic_config, generic_odo = stabilize(make_grid(spec), c, budget=10**40)
     try:
         fast = stabilize_grid(spec, c, budget=budget)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from monodyn.corpus import random_sandpile_graph, sandpile_corpus
 from monodyn.errors import BudgetExceededError, CapExceededError, FiringError, ParseError
 from monodyn.graph import Graph, adjacency_matrix
+from monodyn.grid import GridSpec, grid_config, make_grid
 from monodyn.matrix import IntMatrix, det
 from monodyn.monoid import MonoidTable, enumerate_monoid, graph_monoid_presentation
 from monodyn.sandpile import (
@@ -102,6 +104,36 @@ def test_budget_guard_on_closed_cycle():
         stabilize(g, c, budget=100)
     assert err.value.fired == 100
     assert err.value.config.total() == 1  # chips conserved even on abort
+
+
+def test_budget_cut_is_one_bulk_step():
+    # 2^40 chips need far more than 10^7 firings; the cut batch is fired at
+    # once, not one firing at a time.
+    spec = GridSpec(3, 3, "open")
+    g = make_grid(spec)
+    c = grid_config(spec, {(1, 1): 2**40})
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        stabilize(g, c, budget=10**7)
+    assert time.perf_counter() - t0 < 1.0
+    assert err.value.fired == 10**7 == err.value.odometer.total()
+    assert err.value.config.total() + err.value.config.absorbed == 2**40
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5, 17, 100, 1001])
+def test_budget_cut_matches_traced_run(budget):
+    spec = GridSpec(3, 3, "open")
+    g = make_grid(spec)
+    c = grid_config(spec, {(1, 1): 2**40, (0, 2): 7})
+    with pytest.raises(BudgetExceededError) as bulk:
+        stabilize(g, c, budget=budget)
+    trace: list[ChipConfig] = []
+    with pytest.raises(BudgetExceededError) as traced:
+        stabilize(g, c, budget=budget, trace_to=trace)
+    assert len(trace) == budget == bulk.value.fired == traced.value.fired
+    assert bulk.value.config == traced.value.config == (trace[-1] if trace else c)
+    assert bulk.value.config.absorbed == traced.value.config.absorbed
+    assert bulk.value.odometer == traced.value.odometer
 
 
 def test_stable_add_monoid_relation(two_cycle_loop_sink):

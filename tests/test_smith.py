@@ -1,11 +1,16 @@
 import math
 import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodyn.matrix import IntMatrix, det
 from monodyn.smith import (
     integer_kernel_basis,
     invariant_factors,
     is_unimodular,
+    lattice_contains,
     smith_normal_form,
     solve_integer_column,
 )
@@ -160,3 +165,71 @@ def test_solve_integer_column():
         assert got is not None
         back = tuple(sum(a.at(i, j) * got[j] for j in range(3)) for i in range(3))
         assert back == b
+
+
+def rational_rank(rows) -> int:
+    """Rank over the rationals by Gaussian elimination on fractions."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def int_matrices(max_rows=5, max_cols=5, lo=-6, hi=6):
+    return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
+        lambda shape: st.lists(
+            st.integers(lo, hi), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+        ).map(lambda e: IntMatrix(shape[0], shape[1], tuple(e)))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=int_matrices(6, 6, -9, 9))
+def test_invariant_factors_match_smith_diagonal(m):
+    _, d, _ = smith_normal_form(m)
+    assert invariant_factors(m) == tuple(d.at(i, i) for i in range(min(m.rows, m.cols)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=int_matrices(), data=st.data())
+def test_lattice_contains_matches_integer_solve(m, data):
+    # v is a combination of the rows of M exactly when M^T x = v has an
+    # integer solution.  Half the draws are combinations of the rows, nudged
+    # off the lattice now and then.
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
+        v = [sum(c * m.at(i, j) for i, c in enumerate(coeffs)) for j in range(m.cols)]
+        v[0] += data.draw(st.sampled_from((0, 0, 1)))
+    else:
+        v = data.draw(st.lists(st.integers(-8, 8), min_size=m.cols, max_size=m.cols))
+    solution = solve_integer_column(m.transpose(), tuple(v))
+    assert lattice_contains(m.to_rows(), v) == (solution is not None)
+    if solution is not None:
+        assert m.transpose() @ IntMatrix(m.rows, 1, solution) == IntMatrix(m.cols, 1, tuple(v))
+
+
+def test_lattice_contains_without_rows():
+    assert lattice_contains([], [0, 0])
+    assert not lattice_contains([], [0, 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=int_matrices(5, 6, -4, 4), low_rank=st.booleans())
+def test_kernel_basis_spans_the_kernel(m, low_rank):
+    if low_rank and m.rows > 1:
+        # Repeat the first row so the rank drops below the row count.
+        m = IntMatrix.from_rows(m.to_rows()[:-1] + [list(m.row(0))])
+    basis = integer_kernel_basis(m)
+    for x in basis:
+        assert all(sum(m.at(i, j) * x[j] for j in range(m.cols)) == 0 for i in range(m.rows))
+    assert len(basis) == m.cols - rational_rank(m.to_rows())
+    if basis:
+        assert rational_rank(basis) == len(basis)
