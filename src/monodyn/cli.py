@@ -219,7 +219,7 @@ def _cmd_sandpile_add(args, bounds: Bounds, out: _Out):
 
 def _cmd_sandpile_monoid(args, bounds: Bounds, out: _Out):
     g = _load_graph(args.graph)
-    table = sandpile_monoid(g, max_elements=bounds.max_elements, budget=bounds.firing_budget)
+    table = sandpile_monoid(g, max_elements=bounds.max_elements)
     out.report = {"kind": "monoid-table", "outcome": "table", "table": table.to_json_dict()}
 
 

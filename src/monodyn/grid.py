@@ -189,7 +189,10 @@ def stabilize_grid(
     otherwise a stable grid shows at the next recomputation, after at most
     ``_WINDOW - 1`` sweeps that topple nothing.  So the sweep sequence, the
     result, the odometer and any ``BudgetExceededError`` are those of
-    sweeping the whole grid.
+    sweeping the whole grid.  The error carries the state after the last
+    whole sweep that fits in the budget: ``fired <= budget``, and one more
+    sweep would pass it.  So unlike ``sandpile.stabilize``, which stops at
+    exactly ``fired == budget``, the partial state is a sweep boundary.
 
     The arrays use the narrowest integer type that cannot overflow (see
     ``_stabilizer_dtype``) and exact Python integers when int64 could, so

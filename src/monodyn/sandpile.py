@@ -193,7 +193,9 @@ def stabilize(
     collects a snapshot after every single firing.
 
     Raises BudgetExceededError when the budget runs out, which can happen on
-    chip-heavy closed grids but never on sandpile graphs.
+    chip-heavy closed grids but never on sandpile graphs.  The error stops at
+    exactly ``fired == budget``: the last batch is cut to fit, and its config
+    and odometer are the state after that many single firings.
     """
     if budget is None:
         budget = DEFAULT_BOUNDS.firing_budget
@@ -258,50 +260,82 @@ def stable_add(g: Graph, a: ChipConfig, b: ChipConfig, *, budget: int | None = N
     return config
 
 
-def sandpile_monoid(
-    g: Graph, *, max_elements: int = DEFAULT_BOUNDS.max_elements, budget: int | None = None
-) -> MonoidTable:
+def sandpile_monoid(g: Graph, *, max_elements: int = DEFAULT_BOUNDS.max_elements) -> MonoidTable:
     """All stable configurations under stabilized addition, as a Cayley table.
 
-    The element count is the product of the outdegrees of the non-sink
+    The element count is the product of the outdegrees d_k of the non-sink
     vertices; elements are listed in lexicographic count order so index 0 is
-    the zero configuration.  The table is built from the generator action:
-    adding one chip at vertex g to a stable configuration is a plain index
-    step unless g reaches its outdegree, and only those sums are stabilized
-    (n * k additions in all).  The parent of a nonzero configuration is the
-    same configuration with its last nonzero count lowered by one, which
-    comes earlier in lexicographic order.
+    the zero configuration.  The table is built from the generator action
+    ``gen_add[a][k]``, the class of a + e_k, without calling ``stabilize``.
+    Unless a_k = d_k - 1 the sum is stable and one index step away.  At that
+    threshold, firing k once turns a + e_k into b = a - (d_k - 1) e_k plus one
+    chip on each non-sink out-neighbour of k, counted with multiplicity; b is
+    stable, so by the abelian property the class is b with those chips added
+    one at a time, each a lookup ``gen_add[x][j]`` into the table being built.
+
+    A lookup that is still missing is another threshold entry.  It is pushed
+    on an explicit stack and resolved first, and the entry below it restarts
+    its fold when it is resumed.  The stack never meets an entry that is
+    still in progress.  Each entry above another is reached from it by a
+    nonempty sequence of legal firings, up to chips set aside for later
+    lookups.  So a repeat would give a nonzero firing vector sigma >= 0 whose
+    net effect -L^T sigma on the configuration is nonnegative, for the
+    reduced Laplacian L = D - A.  On a sandpile graph every vertex reaches
+    the sink, so L^T is a nonsingular M-matrix with a nonnegative inverse,
+    and L^T sigma <= 0 forces sigma <= 0, that is sigma = 0.
+
+    Every threshold entry is resolved once with one firing, so the build
+    fires at most n times per element (n non-sink vertices) and needs no
+    firing budget.  The parent of a nonzero configuration is the same
+    configuration with its last nonzero count lowered by one, which comes
+    earlier in lexicographic order.
     """
     rep = structure_report(g)
     if not rep.sandpile:
         raise FiringError("sandpile monoid requires a graph with a unique reachable sink")
     nonsink = g.nonsink_vertices
     outdeg = [g.outdegree(v) for v in nonsink]
-    size = 1
-    for d in outdeg:
-        size *= d
+    size = math.prod(outdeg)
     if size > max_elements:
         raise CapExceededError(
-            f"stable configuration count {size} exceeds cap {max_elements}"
+            f"stable configuration count {size} exceeds max_elements {max_elements}"
         )
+    pos = {v: k for k, v in enumerate(nonsink)}
+    # The non-sink vertex of each chip that one firing of k sends out.
+    chips = [
+        [pos[dst] for dst, mult in g.out_adj[v] if dst in pos for _ in range(mult)]
+        for v in nonsink
+    ]
     elements = [tuple(t) for t in itertools.product(*(range(d) for d in outdeg))]
-    index = {e: i for i, e in enumerate(elements)}
     # Index distance between configurations one chip apart at vertex k.
     stride = [math.prod(outdeg[k + 1 :]) for k in range(len(outdeg))]
-    gen_add = []
+    # Index distance from a threshold configuration to b after firing k.
+    drop = [(d - 1) * s for d, s in zip(outdeg, stride)]
+    gen_add: list[list[int | None]] = []
     parents: list[tuple[int, int] | None] = []
     for i, a in enumerate(elements):
-        row = []
-        for k, count in enumerate(a):
-            if count + 1 < outdeg[k]:
-                row.append(i + stride[k])
-            else:
-                bumped = a[:k] + (count + 1,) + a[k + 1 :]
-                stabilized, _ = stabilize(g, ChipConfig(bumped), budget=budget)
-                row.append(index[stabilized.counts])
-        gen_add.append(row)
+        gen_add.append(
+            [i + stride[k] if count + 1 < outdeg[k] else None for k, count in enumerate(a)]
+        )
         last = max((k for k, count in enumerate(a) if count), default=None)
         parents.append(None if last is None else (i - stride[last], last))
+    for i, row in enumerate(gen_add):
+        for k, entry in enumerate(row):
+            if entry is not None:
+                continue
+            stack = [(i, k)]
+            while stack:
+                x, j = stack[-1]
+                y = x - drop[j]
+                for t in chips[j]:
+                    z = gen_add[y][t]
+                    if z is None:
+                        stack.append((y, t))
+                        break
+                    y = z
+                else:
+                    gen_add[x][j] = y
+                    stack.pop()
     return MonoidTable.from_generator_action(nonsink, elements, gen_add, 0, parents)
 
 

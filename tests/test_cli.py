@@ -124,6 +124,14 @@ def test_sandpile_monoid(files, capsys):
     assert len(table["elements"]) == 4
 
 
+def test_sandpile_monoid_cap_names_max_elements(files, capsys):
+    code, report = invoke_json(
+        capsys, ["sandpile", "monoid", files["e.graph"], "--max-elements", "5"]
+    )
+    assert code == 3 and report["kind"] == "error"
+    assert "max_elements" in report["message"]
+
+
 def test_sandpile_grid(files, capsys):
     code, report = invoke_json(
         capsys,

@@ -189,6 +189,26 @@ def test_closed_grid_budget_guard():
         stabilize(g, c, budget=10_000)
 
 
+@pytest.mark.parametrize("budget", [0, 10, 999, 10**5])
+def test_budget_failure_rules_of_both_stabilizers(budget):
+    # 12 chips in the centre of a closed 3x3 grid (12 edges) never settle.
+    # The generic stabilizer stops at exactly the budget; the grid stabilizer
+    # keeps the state after the last whole sweep that fits in it.
+    spec = GridSpec(3, 3, "closed")
+    g = make_grid(spec)
+    c = grid_config(spec, {(1, 1): 12})
+    with pytest.raises(BudgetExceededError) as generic:
+        stabilize(g, c, budget=budget)
+    with pytest.raises(BudgetExceededError) as grid:
+        stabilize_grid(spec, c, budget=budget)
+    assert generic.value.fired == budget == generic.value.odometer.total()
+    partial = grid.value.config
+    next_sweep = sum(n // g.outdegree(v) for v, n in partial.to_mapping(g).items())
+    assert grid.value.fired == grid.value.odometer.total() <= budget < grid.value.fired + next_sweep
+    for err in (generic.value, grid.value):
+        assert err.config.total() + err.config.absorbed == 12
+
+
 def test_render_zero_2x2():
     spec = GridSpec(2, 2, "closed")
     img = render_ppm(spec, grid_config(spec, {}))

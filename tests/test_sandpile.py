@@ -1,4 +1,7 @@
+import functools
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -13,6 +16,7 @@ from monodyn.graph import Graph, adjacency_matrix
 from monodyn.grid import GridSpec, grid_config, make_grid
 from monodyn.matrix import IntMatrix, det
 from monodyn.monoid import MonoidTable, enumerate_monoid, graph_monoid_presentation
+from monodyn.smith import invariant_factors
 from monodyn.sandpile import (
     ChipConfig,
     fire,
@@ -187,7 +191,7 @@ def test_sandpile_monoid_element_count(four_vertex_sandpile):
 
 
 def test_sandpile_monoid_cap(four_vertex_sandpile):
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="count 27 exceeds max_elements 10"):
         sandpile_monoid(four_vertex_sandpile, max_elements=10)
 
 
@@ -260,6 +264,95 @@ def test_recurrent_count_1024_element_cycle():
     g = cycle_with_loops(5)
     assert math.prod(g.outdegree(v) for v in g.nonsink_vertices) == 1024
     assert recurrent_count(g) == det(reduced_laplacian(g)) == 3**5 - 1
+
+
+def table_digest(t: MonoidTable) -> str:
+    return hashlib.sha256(json.dumps(t.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_sandpile_tables_are_pinned():
+    # Digests of the tables the stabilize-per-threshold-sum builder gave.
+    weighted = Graph.build(
+        ["a", "b", "c", "s"],
+        [
+            ("a", "s", 2), ("a", "a", 2), ("a", "b"),
+            ("b", "c", 3), ("b", "b"), ("b", "s"),
+            ("c", "a", 2), ("c", "c", 2), ("c", "s", 3),
+        ],
+    )
+    cycle = sandpile_monoid(cycle_with_loops(5))
+    assert cycle.size == 1024
+    assert table_digest(cycle) == "72fb11041cc2841a7dfcdd7d18bb98aefb686b124eed40d147ca86af85afc8d9"
+    table = sandpile_monoid(weighted)
+    assert table.size == 175
+    assert table_digest(table) == "2ab42e8c58216aeb56a65433bfed80feb310f0300d54b1b7b5832641ca6b11ae"
+
+
+def test_sandpile_monoid_never_stabilizes(four_vertex_sandpile, monkeypatch):
+    expected = definitional_table(four_vertex_sandpile)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sandpile_monoid called stabilize")
+
+    monkeypatch.setattr("monodyn.sandpile.stabilize", refuse)
+    t = sandpile_monoid(four_vertex_sandpile)
+    assert t.size == 27 and t == expected
+
+
+def minimal_ideal_torsion(t: MonoidTable) -> tuple[int, dict[int, int]]:
+    """Order of the minimal ideal of a finite commutative monoid, and for
+    every m dividing it the number of elements x with m x = e.
+
+    The sum of all elements is the largest element (every element divides
+    it), so it lies in the minimal ideal, which is its orbit.  The ideal must
+    be an abelian group: one idempotent e, neutral on the ideal, and an
+    inverse for every element."""
+    top = functools.reduce(lambda x, y: t.add[x][y], range(t.size), t.identity)
+    ideal = set(t.add[top])
+    (e,) = [x for x in ideal if t.add[x][x] == x]
+    assert all(t.add[e][x] == x for x in ideal)
+    assert all(any(t.add[x][y] == e for y in ideal) for x in ideal)
+    orders = []
+    for x in ideal:
+        k, y = 1, x
+        while y != e:
+            k, y = k + 1, t.add[y][x]
+        orders.append(k)
+    n = len(ideal)
+    return n, {m: sum(m % k == 0 for k in orders) for m in range(1, n + 1) if n % m == 0}
+
+
+def expected_torsion(n: int, factors: tuple[int, ...]) -> dict[int, int]:
+    """m-torsion counts of the group with these (nonzero) invariant factors."""
+    return {m: math.prod(math.gcd(m, d) for d in factors) for m in range(1, n + 1) if n % m == 0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(3, 4), (4, 4), (5, 3), (5, 4), (6, 3), (6, 4)]),
+)
+def test_minimal_ideal_is_the_group_completion(seed, shape):
+    """Both builders' minimal ideals are the sandpile group: Z^n modulo the
+    reduced Laplacian on the sandpile side, Z^n modulo the relation
+    differences on the presentation side."""
+    max_vertices, max_outdegree = shape
+    g = random_sandpile_graph(random.Random(seed), max_vertices, max_outdegree)
+    assume(math.prod(g.outdegree(v) for v in g.nonsink_vertices) <= 64)
+    laplacian = tuple(abs(d) for d in invariant_factors(reduced_laplacian(g)))
+    n, torsion = minimal_ideal_torsion(sandpile_monoid(g))
+    assert n == math.prod(laplacian) and torsion == expected_torsion(n, laplacian)
+
+    p = graph_monoid_presentation(g, weighted=True, sink_zero=True)
+    differences = IntMatrix.from_rows(
+        [[x - y for x, y in zip(lhs, rhs)] for lhs, rhs in p.relations]
+    )
+    factors = tuple(abs(d) for d in invariant_factors(differences))
+    assert len(factors) == len(p.generators) and 0 not in factors  # free rank 0
+    table = enumerate_monoid(p)
+    assert table is not None
+    n, torsion = minimal_ideal_torsion(table)
+    assert n == math.prod(factors) and torsion == expected_torsion(n, factors)
 
 
 def test_from_generator_action_rejects_parent_not_below_child():
