@@ -12,63 +12,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS, Bounds, load_bounds
-from .dimension import (
-    delta_shift,
-    dim_equal,
-    dim_positive,
-    fib_cone_member,
-    format_dim_element,
-    parse_dim_element,
-    talented_window,
-)
 from .errors import BudgetExceededError, MonodynError, ParseError
-from .graph import adjacency_matrix, parse_graph, structure_report
-from .grid import (
-    DEFAULT_PALETTE,
-    GridSpec,
-    grid_config,
-    make_grid,
-    parse_palette,
-    render_ppm,
-    stabilize_grid,
-)
-from .lpa import higman_thompson_iso, kp_compare, lpa_simple, matrix_leavitt_iso
-from .matrix import IntMatrix, parse_matrix, serialize_matrix
-from .monoid import (
-    graph_monoid_presentation,
-    parse_element,
-    parse_presentation,
-    serialize_presentation,
-    words_equal,
-    _enumerate_monoid,
-    _format_side,
-)
-from .sandpile import (
-    ChipConfig,
-    format_config_terms,
-    parse_config,
-    sandpile_monoid,
-    stable_add,
-    stabilize,
-)
-from .shifteq import (
-    ESWitness,
-    SEWitness,
-    SSEChain,
-    invariants_report,
-    se_search,
-    sse_search,
-    verify_elementary,
-    verify_se,
-    verify_sse_chain,
-)
+
+if TYPE_CHECKING:
+    from .matrix import IntMatrix
+    from .sandpile import ChipConfig
+    from .shifteq import SSEChain
 
 
 def load_report_schema() -> dict:
     """The published JSON schema every report validates against."""
+    from importlib import resources
+
     text = resources.files("monodyn").joinpath("report_schema.json").read_text("utf-8")
     return json.loads(text)
 
@@ -101,6 +59,8 @@ def _chain_json(chain: SSEChain) -> dict:
 
 
 def _matrix_from_json(rows) -> IntMatrix:
+    from .matrix import IntMatrix
+
     # IntMatrix.from_rows would truncate 1.9 to 1 and read "7" as 7.
     if not all(type(x) is int for row in rows for x in row):
         raise ParseError("chain matrices must hold JSON integers")
@@ -108,6 +68,8 @@ def _matrix_from_json(rows) -> IntMatrix:
 
 
 def _chain_from_json(text: str) -> SSEChain:
+    from .shifteq import ESWitness, SSEChain
+
     try:
         doc = json.loads(text)
         matrices = tuple(_matrix_from_json(rows) for rows in doc["matrices"])
@@ -128,10 +90,14 @@ def _read(path: str) -> str:
 
 
 def _load_graph(path: str):
+    from .graph import parse_graph
+
     return parse_graph(_read(path))
 
 
 def _load_matrix(path: str) -> IntMatrix:
+    from .matrix import parse_matrix
+
     return parse_matrix(_read(path))
 
 
@@ -149,6 +115,8 @@ class _Out:
 
 
 def _cmd_graph_check(args, bounds: Bounds, out: _Out):
+    from .graph import structure_report
+
     g = _load_graph(args.graph)
     rep = structure_report(g)
     out.report = {
@@ -164,6 +132,9 @@ def _cmd_graph_check(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_graph_matrix(args, bounds: Bounds, out: _Out):
+    from .graph import adjacency_matrix
+    from .matrix import serialize_matrix
+
     g = _load_graph(args.graph)
     m = adjacency_matrix(g)
     if args.out:
@@ -178,6 +149,8 @@ def _cmd_graph_matrix(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_sandpile_stabilize(args, bounds: Bounds, out: _Out):
+    from .sandpile import format_config_terms, parse_config, stabilize
+
     g = _load_graph(args.graph)
     start = parse_config(g, _read(args.config))
     trace: list[ChipConfig] | None = [] if args.trace else None
@@ -206,6 +179,8 @@ def _cmd_sandpile_stabilize(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_sandpile_add(args, bounds: Bounds, out: _Out):
+    from .sandpile import parse_config, stable_add
+
     g = _load_graph(args.graph)
     a = parse_config(g, _read(args.config_a))
     b = parse_config(g, _read(args.config_b))
@@ -218,6 +193,8 @@ def _cmd_sandpile_add(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_sandpile_monoid(args, bounds: Bounds, out: _Out):
+    from .sandpile import sandpile_monoid
+
     g = _load_graph(args.graph)
     table = sandpile_monoid(g, max_elements=bounds.max_elements)
     out.report = {"kind": "monoid-table", "outcome": "table", "table": table.to_json_dict()}
@@ -238,6 +215,9 @@ def _parse_places(raw: list[str]) -> dict[tuple[int, int], int]:
 
 
 def _cmd_sandpile_grid(args, bounds: Bounds, out: _Out):
+    from .grid import GridSpec, grid_config, make_grid, stabilize_grid
+    from .sandpile import serialize_config
+
     spec = GridSpec(args.rows, args.cols, args.mode)
     config = grid_config(spec, _parse_places(args.place))
     try:
@@ -260,8 +240,6 @@ def _cmd_sandpile_grid(args, bounds: Bounds, out: _Out):
         histogram[key] = histogram.get(key, 0) + 1
     if args.save_config:
         g = make_grid(spec)
-        from .sandpile import serialize_config
-
         with open(args.save_config, "w", encoding="utf-8") as fh:
             fh.write(serialize_config(g, final))
     out.report = {
@@ -277,6 +255,9 @@ def _cmd_sandpile_grid(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_sandpile_render(args, bounds: Bounds, out: _Out):
+    from .grid import DEFAULT_PALETTE, GridSpec, make_grid, parse_palette, render_ppm
+    from .sandpile import parse_config
+
     spec = GridSpec(args.rows, args.cols, args.mode)
     g = make_grid(spec)
     config = parse_config(g, _read(args.config))
@@ -290,12 +271,16 @@ def _cmd_sandpile_render(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_monoid_present(args, bounds: Bounds, out: _Out):
+    from .monoid import graph_monoid_presentation, serialize_presentation
+
     g = _load_graph(args.graph)
     p = graph_monoid_presentation(g, weighted=args.weighted, sink_zero=args.sink_zero)
     out.text = serialize_presentation(p).rstrip("\n")
 
 
 def _cmd_monoid_equal(args, bounds: Bounds, out: _Out):
+    from .monoid import _format_side, parse_element, parse_presentation, words_equal
+
     p = parse_presentation(_read(args.presentation))
     x = parse_element(p, args.lhs)
     y = parse_element(p, args.rhs)
@@ -308,6 +293,8 @@ def _cmd_monoid_equal(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_monoid_enumerate(args, bounds: Bounds, out: _Out):
+    from .monoid import _enumerate_monoid, parse_presentation
+
     p = parse_presentation(_read(args.presentation))
     table, stopped_by = _enumerate_monoid(p, bounds.max_elements, bounds.node_budget)
     if table is None:
@@ -323,12 +310,17 @@ def _cmd_monoid_enumerate(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_talented_window(args, bounds: Bounds, out: _Out):
+    from .dimension import talented_window
+    from .monoid import serialize_presentation
+
     g = _load_graph(args.graph)
     w = talented_window(g, args.radius)
     out.text = serialize_presentation(w.presentation).rstrip("\n")
 
 
 def _cmd_dim_equal(args, bounds: Bounds, out: _Out):
+    from .dimension import dim_equal, parse_dim_element
+
     m = _load_matrix(args.matrix)
     x = parse_dim_element(m, args.lhs)
     y = parse_dim_element(m, args.rhs)
@@ -338,6 +330,8 @@ def _cmd_dim_equal(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_dim_positive(args, bounds: Bounds, out: _Out):
+    from .dimension import dim_positive, parse_dim_element
+
     m = _load_matrix(args.matrix)
     x = parse_dim_element(m, args.element)
     verdict = dim_positive(x, bounds.max_power)
@@ -346,6 +340,8 @@ def _cmd_dim_positive(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_dim_shift(args, bounds: Bounds, out: _Out):
+    from .dimension import delta_shift, format_dim_element, parse_dim_element
+
     m = _load_matrix(args.matrix)
     x = parse_dim_element(m, args.element)
     shifted = delta_shift(x, args.direction)
@@ -353,12 +349,16 @@ def _cmd_dim_shift(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_dim_fib(args, bounds: Bounds, out: _Out):
+    from .dimension import fib_cone_member
+
     member = fib_cone_member(args.m, args.n)
     out.report = {"kind": "fib-cone", "member": member, "m": args.m, "n": args.n}
     out.code = 0 if member else 1
 
 
 def _cmd_shift_verify_es(args, bounds: Bounds, out: _Out):
+    from .shifteq import ESWitness, verify_elementary
+
     a, b = _load_matrix(args.a), _load_matrix(args.b)
     w = ESWitness(_load_matrix(args.r), _load_matrix(args.s))
     ok = verify_elementary(a, b, w)
@@ -367,6 +367,8 @@ def _cmd_shift_verify_es(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_shift_verify_se(args, bounds: Bounds, out: _Out):
+    from .shifteq import SEWitness, verify_se
+
     a, b = _load_matrix(args.a), _load_matrix(args.b)
     w = SEWitness(_load_matrix(args.r), _load_matrix(args.s), args.lag)
     ok = verify_se(a, b, w)
@@ -375,6 +377,8 @@ def _cmd_shift_verify_se(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_shift_verify_chain(args, bounds: Bounds, out: _Out):
+    from .shifteq import verify_sse_chain
+
     chain = _chain_from_json(_read(args.chain))
     ok, failing = verify_sse_chain(chain)
     out.report = {"kind": "verify", "check": "chain", "ok": ok, "failing_index": failing}
@@ -382,6 +386,8 @@ def _cmd_shift_verify_chain(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_shift_search_sse(args, bounds: Bounds, out: _Out):
+    from .shifteq import SSEChain, sse_search
+
     a, b = _load_matrix(args.a), _load_matrix(args.b)
     result = sse_search(a, b, max_depth=bounds.search_depth, max_inner_dim=bounds.max_inner_dim)
     if isinstance(result, SSEChain):
@@ -392,6 +398,8 @@ def _cmd_shift_search_sse(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_shift_search_se(args, bounds: Bounds, out: _Out):
+    from .shifteq import SEWitness, se_search
+
     a, b = _load_matrix(args.a), _load_matrix(args.b)
     result = se_search(a, b, max_lag=bounds.max_lag, coeff_bound=bounds.coeff_bound)
     if isinstance(result, SEWitness):
@@ -410,6 +418,8 @@ def _cmd_shift_search_se(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_shift_invariants(args, bounds: Bounds, out: _Out):
+    from .shifteq import invariants_report
+
     a, b = _load_matrix(args.a), _load_matrix(args.b)
     rep = invariants_report(a, b)
     out.report = {"kind": "invariants", "verdict": rep.verdict, "report": _invariants_json(rep)}
@@ -417,6 +427,8 @@ def _cmd_shift_invariants(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_lpa_simple(args, bounds: Bounds, out: _Out):
+    from .lpa import lpa_simple
+
     g = _load_graph(args.graph)
     v = lpa_simple(g)
     out.report = {
@@ -431,27 +443,33 @@ def _cmd_lpa_simple(args, bounds: Bounds, out: _Out):
 
 
 def _cmd_lpa_zorn(args, bounds: Bounds, out: _Out):
-    g = _load_graph(args.graph)
     from .graph import every_cycle_has_exit
 
+    g = _load_graph(args.graph)
     ok, cycle = every_cycle_has_exit(g)
     out.report = {"kind": "zorn", "zorn": ok, "witness_cycle": list(cycle) if cycle else None}
     out.code = 0 if ok else 1
 
 
 def _cmd_lpa_matrix_iso(args, bounds: Bounds, out: _Out):
+    from .lpa import matrix_leavitt_iso
+
     result = matrix_leavitt_iso(args.n, args.r, args.m, args.s)
     out.report = {"kind": "iso", "result": result, "condition": "matrix-leavitt"}
     out.code = 0 if result else 1
 
 
 def _cmd_lpa_ht_iso(args, bounds: Bounds, out: _Out):
+    from .lpa import higman_thompson_iso
+
     result = higman_thompson_iso(args.n, args.r, args.m, args.s)
     out.report = {"kind": "iso", "result": result, "condition": "higman-thompson"}
     out.code = 0 if result else 1
 
 
 def _cmd_lpa_compare(args, bounds: Bounds, out: _Out):
+    from .lpa import kp_compare
+
     first = _load_graph(args.graph_a)
     second = _load_graph(args.graph_b)
     verdict = kp_compare(
@@ -483,28 +501,32 @@ def _cmd_lpa_compare(args, bounds: Bounds, out: _Out):
 # --- parser -----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="compact single-line JSON output")
-    common.add_argument("--bounds-file", metavar="FILE", help="key/value bounds overrides")
-    for flag, dest in (
-        ("--depth", "search_depth"),
-        ("--max-elements", "max_elements"),
-        ("--max-power", "max_power"),
-        ("--budget", "firing_budget"),
-        ("--inner-dim", "max_inner_dim"),
-        ("--max-lag", "max_lag"),
-        ("--coeff-bound", "coeff_bound"),
-        ("--node-budget", "node_budget"),
-    ):
-        common.add_argument(flag, dest=f"bound_{dest}", type=int, default=None)
+# Each bound's command-line flag.  A subcommand takes the flags, and
+# --bounds-file, only for the bounds its handler reads.
+_BOUND_FLAGS = {
+    "search_depth": "--depth",
+    "max_elements": "--max-elements",
+    "max_power": "--max-power",
+    "firing_budget": "--budget",
+    "max_inner_dim": "--inner-dim",
+    "max_lag": "--max-lag",
+    "coeff_bound": "--coeff-bound",
+    "node_budget": "--node-budget",
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="monodyn", description=__doc__)
     top = parser.add_subparsers(dest="group", required=True)
 
-    def sub(group, name, handler, **kwargs):
-        p = group.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler)
+    def sub(group, name, handler, bounds=(), **kwargs):
+        p = group.add_parser(name, **kwargs)
+        p.add_argument("--json", action="store_true", help="compact single-line JSON output")
+        if bounds:
+            p.add_argument("--bounds-file", metavar="FILE", help="key/value bounds overrides")
+        for bound in bounds:
+            p.add_argument(_BOUND_FLAGS[bound], dest=f"bound_{bound}", type=int, default=None)
+        p.set_defaults(handler=handler, bound_names=bounds)
         return p
 
     graph = top.add_parser("graph").add_subparsers(dest="command", required=True)
@@ -515,17 +537,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the matrix file format here")
 
     sp = top.add_parser("sandpile").add_subparsers(dest="command", required=True)
-    p = sub(sp, "stabilize", _cmd_sandpile_stabilize)
+    p = sub(sp, "stabilize", _cmd_sandpile_stabilize, ("firing_budget",))
     p.add_argument("graph")
     p.add_argument("config")
     p.add_argument("--trace", action="store_true", help="print the firing trace as plain text")
-    p = sub(sp, "add", _cmd_sandpile_add)
+    p = sub(sp, "add", _cmd_sandpile_add, ("firing_budget",))
     p.add_argument("graph")
     p.add_argument("config_a")
     p.add_argument("config_b")
-    p = sub(sp, "monoid", _cmd_sandpile_monoid)
+    p = sub(sp, "monoid", _cmd_sandpile_monoid, ("max_elements",))
     p.add_argument("graph")
-    p = sub(sp, "grid", _cmd_sandpile_grid)
+    p = sub(sp, "grid", _cmd_sandpile_grid, ("firing_budget",))
     p.add_argument("rows", type=int)
     p.add_argument("cols", type=int)
     p.add_argument("--mode", choices=("closed", "open"), default="closed")
@@ -544,11 +566,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--sink-zero", action="store_true")
-    p = sub(mon, "equal", _cmd_monoid_equal)
+    p = sub(mon, "equal", _cmd_monoid_equal, ("search_depth", "node_budget"))
     p.add_argument("presentation")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p = sub(mon, "enumerate", _cmd_monoid_enumerate)
+    p = sub(mon, "enumerate", _cmd_monoid_enumerate, ("max_elements", "node_budget"))
     p.add_argument("presentation")
 
     tal = top.add_parser("talented").add_subparsers(dest="command", required=True)
@@ -561,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p = sub(dim, "positive", _cmd_dim_positive)
+    p = sub(dim, "positive", _cmd_dim_positive, ("max_power",))
     p.add_argument("matrix")
     p.add_argument("element")
     p = sub(dim, "shift", _cmd_dim_shift)
@@ -582,10 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lag", type=int, default=1)
     p = sub(sh, "verify-chain", _cmd_shift_verify_chain)
     p.add_argument("chain", help="JSON chain document")
-    p = sub(sh, "search-sse", _cmd_shift_search_sse)
+    p = sub(sh, "search-sse", _cmd_shift_search_sse, ("search_depth", "max_inner_dim"))
     p.add_argument("a")
     p.add_argument("b")
-    p = sub(sh, "search-se", _cmd_shift_search_se)
+    p = sub(sh, "search-se", _cmd_shift_search_se, ("max_lag", "coeff_bound"))
     p.add_argument("a")
     p.add_argument("b")
     p = sub(sh, "invariants", _cmd_shift_invariants)
@@ -603,7 +625,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub(lpa, "ht-iso", _cmd_lpa_ht_iso)
     for name in ("n", "r", "m", "s"):
         p.add_argument(name, type=int)
-    p = sub(lpa, "compare", _cmd_lpa_compare)
+    p = sub(
+        lpa,
+        "compare",
+        _cmd_lpa_compare,
+        ("max_elements", "node_budget", "max_lag", "coeff_bound"),
+    )
     p.add_argument("graph_a")
     p.add_argument("graph_b")
     p.add_argument("--mode", choices=("plain", "graded"), default="plain")
@@ -621,17 +648,8 @@ def _resolve_bounds(args) -> Bounds:
     if getattr(args, "bounds_file", None):
         bounds = load_bounds(args.bounds_file, bounds)
     overrides = {}
-    for name in (
-        "search_depth",
-        "max_elements",
-        "max_power",
-        "firing_budget",
-        "max_inner_dim",
-        "max_lag",
-        "coeff_bound",
-        "node_budget",
-    ):
-        value = getattr(args, f"bound_{name}", None)
+    for name in args.bound_names:
+        value = getattr(args, f"bound_{name}")
         if value is not None:
             overrides[name] = value
     if overrides:

@@ -11,13 +11,16 @@ decision in general needs spectral machinery that is out of scope here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
 from .errors import ParseError, ShapeError
-from .graph import Graph
 from .matrix import IntMatrix, vec_mat_mul
-from .monoid import MonoidPresentation, Vector
 from .smith import solve_integer_column
+
+if TYPE_CHECKING:
+    from .graph import Graph
+    from .monoid import MonoidPresentation, Vector
 
 
 POSITIVE = "positive"
@@ -194,6 +197,8 @@ class TalentedWindow:
 
 
 def talented_window(g: Graph, radius: int) -> TalentedWindow:
+    from .monoid import MonoidPresentation
+
     if radius < 0:
         raise ShapeError("window radius must be nonnegative")
     width = 2 * radius + 1

@@ -14,7 +14,8 @@ only the band of rows around the unstable cells.  Images are binary PPM
 (P6), one pixel per cell.
 
 numpy is imported inside the functions that use it, so importing this module
-(and the CLI, which imports it) does not load numpy.
+does not load numpy.  A grid has at most ``MAX_GRID_CELLS`` cells;
+``GridSpec`` refuses a larger one before any array or graph is built.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ INT64_MAX = 2**63 - 1
 # before the next recomputation.
 _WINDOW = 8
 
+# The most cells a grid may have, a 1024 x 1024 grid.  Arrays, and for
+# rendering and saving the grid's graph, grow with the cell count, so a size
+# beyond this is refused up front rather than failing or running on.
+MAX_GRID_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -54,6 +60,11 @@ class GridSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ShapeError("grid dimensions must be positive")
+        if self.rows * self.cols > MAX_GRID_CELLS:
+            raise ShapeError(
+                f"a {self.rows}x{self.cols} grid exceeds the limit of "
+                f"MAX_GRID_CELLS = {MAX_GRID_CELLS} cells"
+            )
         if self.mode not in (CLOSED, OPEN):
             raise ParseError(f"grid mode must be 'closed' or 'open', got {self.mode!r}")
 

@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
 from .errors import ShapeError
 from .graph import Graph, adjacency_matrix, every_cycle_has_exit, strongly_connected_components
-from .monoid import (
-    _enumerate_monoid,
-    find_unit_isomorphism,
-    graph_monoid_presentation,
-)
-from .shifteq import SEWitness, invariants_report, se_search, verify_se
+
+if TYPE_CHECKING:
+    from .shifteq import SEWitness
 
 PLAIN = "plain"
 GRADED = "graded"
@@ -115,6 +113,8 @@ def higman_thompson_iso(n: int, r: int, m: int, s: int) -> bool:
 
 
 def _presentation_for(g: Graph, presentation: str):
+    from .monoid import graph_monoid_presentation
+
     if presentation == UNWEIGHTED:
         return graph_monoid_presentation(g)
     if presentation == WEIGHTED:
@@ -143,6 +143,9 @@ def kp_compare(
     a verified lag witness counts as a positive certificate, an invariant
     mismatch as a negative one, anything else is unknown.
     """
+    from .monoid import _enumerate_monoid, find_unit_isomorphism
+    from .shifteq import SEWitness, invariants_report, se_search, verify_se
+
     if mode == GRADED:
         a = adjacency_matrix(first)
         b = adjacency_matrix(second)

@@ -18,12 +18,14 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .config import DEFAULT_BOUNDS
 from .errors import BudgetExceededError, CapExceededError, FiringError, ParseError
 from .graph import Graph, structure_report
-from .monoid import MonoidTable
+
+if TYPE_CHECKING:
+    from .monoid import MonoidTable
 
 
 @dataclass(frozen=True)
@@ -290,6 +292,8 @@ def sandpile_monoid(g: Graph, *, max_elements: int = DEFAULT_BOUNDS.max_elements
     configuration with its last nonzero count lowered by one, which comes
     earlier in lexicographic order.
     """
+    from .monoid import MonoidTable
+
     rep = structure_report(g)
     if not rep.sandpile:
         raise FiringError("sandpile monoid requires a graph with a unique reachable sink")

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monodyn.cli import load_report_schema, run
-from monodyn.grid import decode_ppm
+import monodyn.cli
+from monodyn.cli import build_parser, load_report_schema, run
+from monodyn.grid import MAX_GRID_CELLS, decode_ppm
 
 from conftest import FOUR_VERTEX_SANDPILE_TEXT
 
@@ -46,6 +53,34 @@ def files(tmp_path):
     write("fib.mat", "2 2\n1 1\n1 0\n")
     paths["dir"] = str(tmp_path)
     return paths
+
+
+# Inputs for the tests that run every subcommand from one directory.
+WORKDIR_INPUTS = {
+    "e.graph": FOUR_VERTEX_SANDPILE_TEXT,
+    "f.graph": GRAPH_F_TEXT,
+    "eightv.cfg": "v 8\n",
+    "x.cfg": "v 1\n",
+    "zero.cfg": "",
+    "bad.cfg": "nowhere 3\n",
+    "two.mat": TWO_MAT,
+    "ones.mat": ONES_MAT,
+    "row.mat": ROW_MAT,
+    "col.mat": COL_MAT,
+    "fib.mat": "2 2\n1 1\n1 0\n",
+    "p.pres": "gens: u v\nu = u+v\nv = u\n",
+    "chain.json": json.dumps({"matrices": [[[2]], [[1, 1], [1, 1]]], "witnesses": [{"r": [[1, 1]], "s": [[1], [1]]}]}),
+    "bounds.txt": "firing_budget = 50\n",
+    "bad-bounds.txt": "firing_budget = -1\n",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_workdir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("cli")
+    for name, text in WORKDIR_INPUTS.items():
+        (workdir / name).write_text(text)
+    return workdir
 
 
 def invoke(capsys, argv):
@@ -253,10 +288,63 @@ def test_unknown_enumeration_stopped_by_max_elements(files, capsys, tmp_path):
     assert code == 1 and report["stopped_by"] == "max_elements"
 
 
-def test_cli_import_does_not_load_numpy():
-    code = "import sys, monodyn.cli, monodyn.grid; assert 'numpy' not in sys.modules"
+def test_cli_import_loads_no_layer():
+    code = (
+        "import json, sys, monodyn.cli; print(json.dumps(sorted(sys.modules)));"
+        "import monodyn.grid; print('numpy' in sys.modules)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    after_cli, after_grid = proc.stdout.splitlines()
+    modules = set(json.loads(after_cli))
+    assert {m for m in modules if m.startswith("monodyn")} == {
+        "monodyn",
+        "monodyn.cli",
+        "monodyn.config",
+        "monodyn.errors",
+    }
+    assert "numpy" not in modules
+    assert after_grid == "False"  # the grid module imports numpy only when it runs
+
+
+# Runs one command through cli.run in a fresh interpreter, then prints the
+# exit code and every module the process has loaded.
+LOADED_MODULES_CHILD = """
+import contextlib, io, json, sys
+from monodyn.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, layer, absent",
+    [
+        (["graph", "check", "e.graph"], "graph", {"monoid", "smith", "sandpile", "shifteq"}),
+        (["shift", "invariants", "two.mat", "ones.mat"], "shifteq", {"graph", "monoid", "sandpile"}),
+        (["sandpile", "stabilize", "e.graph", "eightv.cfg"], "sandpile", {"monoid", "shifteq"}),
+        (["dimgroup", "fib", "1", "0"], "dimension", {"graph", "monoid", "sandpile", "shifteq"}),
+        (["lpa", "matrix-iso", "2", "1", "2", "3"], "lpa", {"monoid", "smith", "sandpile", "shifteq"}),
+        (["sandpile", "grid", "5", "5", "--place", "2,2,20"], "grid", {"monoid", "smith", "shifteq"}),
+        (["sandpile", "render", "2", "2", "zero.cfg", "--out", "z.ppm"], "grid", {"monoid", "shifteq"}),
+    ],
+    ids=["graph-check", "shift-invariants", "sandpile-stabilize", "dimgroup-fib", "lpa-matrix-iso", "grid", "render"],
+)
+def test_command_loads_only_its_layers(cli_workdir, argv, layer, absent):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_CHILD, *argv],
+        capture_output=True,
+        text=True,
+        cwd=cli_workdir,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    layers = {m.split(".")[1] for m in result["modules"] if m.startswith("monodyn.")}
+    assert layer in layers and not layers & absent
+    assert ("numpy" in result["modules"]) == (layer == "grid")
+
 
 def test_talented_window(files, capsys):
     code, out = invoke(capsys, ["talented", "window", files["rose2.graph"], "1"])
@@ -465,7 +553,7 @@ def test_reports_byte_identical(files, capsys):
 
 def test_bounds_file(files, capsys, tmp_path):
     cfg = tmp_path / "monodyn.toml"
-    cfg.write_text("# bounds\nfiring_budget = 50\n")
+    cfg.write_text("# bounds\nfiring_budget = 50\nmax_elements = 20\n")
     cyc = tmp_path / "cyc.graph"
     cyc.write_text("v a\nv b\ne a b\ne b a\n")
     one = tmp_path / "one.cfg"
@@ -475,6 +563,9 @@ def test_bounds_file(files, capsys, tmp_path):
         ["sandpile", "stabilize", str(cyc), str(one), "--bounds-file", str(cfg)],
     )
     assert code == 1 and report["firings"] == 50
+    # The file may set bounds a command does not read; each uses its own.
+    code, report = invoke_json(capsys, ["sandpile", "monoid", files["e.graph"], "--bounds-file", str(cfg)])
+    assert code == 3 and "max_elements 20" in report["message"]
 
 
 def test_console_entry_point():
@@ -485,3 +576,164 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] is True
+
+
+# --- bound flags and the exit-code contract ----------------------------------
+
+# Every subcommand, with inputs from WORKDIR_INPUTS, and the bounds its
+# handler reads.
+COMMAND_BOUNDS = [
+    (["graph", "check", "e.graph"], ()),
+    (["graph", "matrix", "e.graph"], ()),
+    (["sandpile", "stabilize", "e.graph", "eightv.cfg"], ("firing_budget",)),
+    (["sandpile", "add", "f.graph", "x.cfg", "x.cfg"], ("firing_budget",)),
+    (["sandpile", "monoid", "e.graph"], ("max_elements",)),
+    (["sandpile", "grid", "3", "3", "--place", "1,1,8"], ("firing_budget",)),
+    (["sandpile", "render", "2", "2", "zero.cfg", "--out", "z.ppm"], ()),
+    (["monoid", "present", "e.graph"], ()),
+    (["monoid", "equal", "p.pres", "u", "v"], ("search_depth", "node_budget")),
+    (["monoid", "enumerate", "p.pres"], ("max_elements", "node_budget")),
+    (["talented", "window", "e.graph", "1"], ()),
+    (["dimgroup", "equal", "fib.mat", "[1 0]@0", "[1 1]@1"], ()),
+    (["dimgroup", "positive", "fib.mat", "[-1 2]@0"], ("max_power",)),
+    (["dimgroup", "shift", "fib.mat", "[1 0]@0"], ()),
+    (["dimgroup", "fib", "1", "0"], ()),
+    (["shift", "verify-es", "two.mat", "ones.mat", "row.mat", "col.mat"], ()),
+    (["shift", "verify-se", "two.mat", "ones.mat", "row.mat", "col.mat"], ()),
+    (["shift", "verify-chain", "chain.json"], ()),
+    (["shift", "search-sse", "two.mat", "ones.mat"], ("search_depth", "max_inner_dim")),
+    (["shift", "search-se", "two.mat", "ones.mat"], ("max_lag", "coeff_bound")),
+    (["shift", "invariants", "two.mat", "ones.mat"], ()),
+    (["lpa", "simple", "e.graph"], ()),
+    (["lpa", "zorn", "e.graph"], ()),
+    (["lpa", "matrix-iso", "2", "1", "2", "3"], ()),
+    (["lpa", "ht-iso", "2", "1", "2", "3"], ()),
+    (["lpa", "compare", "f.graph", "e.graph"], ("max_elements", "node_budget", "max_lag", "coeff_bound")),
+]
+BOUND_FLAGS = {
+    "search_depth": "--depth",
+    "max_elements": "--max-elements",
+    "max_power": "--max-power",
+    "firing_budget": "--budget",
+    "max_inner_dim": "--inner-dim",
+    "max_lag": "--max-lag",
+    "coeff_bound": "--coeff-bound",
+    "node_budget": "--node-budget",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, reads", COMMAND_BOUNDS, ids=[" ".join(argv[:2]) for argv, _ in COMMAND_BOUNDS]
+)
+def test_bound_flags_follow_their_handlers(cli_workdir, capsys, monkeypatch, argv, reads):
+    monkeypatch.chdir(cli_workdir)
+    parser = build_parser()
+    flags = [(flag, bound in reads, "7") for bound, flag in BOUND_FLAGS.items()]
+    flags.append(("--bounds-file", bool(reads), "bounds.txt"))
+    for flag, accepted, value in flags:
+        if accepted:
+            parser.parse_args(argv + [flag, value])
+            continue
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + [flag, value])
+        assert exc.value.code == 2, flag
+    capsys.readouterr()
+
+    read = set()
+
+    class Recorder:
+        def __init__(self, bounds):
+            self._bounds = bounds
+
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(self._bounds, name)
+
+    resolve = monodyn.cli._resolve_bounds
+    monkeypatch.setattr(monodyn.cli, "_resolve_bounds", lambda args: Recorder(resolve(args)))
+    code, _ = invoke(capsys, argv)
+    assert code in (0, 1) and read == set(reads)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sandpile", "grid", "1", "100000000000000000000"],
+        ["sandpile", "render", "3", "100000000000000000000", "bad.cfg"],
+    ],
+    ids=["grid", "render"],
+)
+def test_oversized_grid_is_refused_up_front(cli_workdir, capsys, monkeypatch, argv):
+    monkeypatch.chdir(cli_workdir)
+    start = time.perf_counter()
+    code, report = invoke_json(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and report["kind"] == "error"
+    assert f"MAX_GRID_CELLS = {MAX_GRID_CELLS}" in report["message"]
+
+
+def run_captured(argv: list[str]) -> tuple[int, bytes]:
+    """cli.run with stdout and stderr captured; usage errors give exit 2."""
+    buf = io.BytesIO()
+    stdout = io.TextIOWrapper(buf, encoding="utf-8", write_through=True)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        stdout.flush()
+    return code, buf.getvalue()
+
+
+GRID_SIDES = st.one_of(st.integers(-2, 6), st.integers(MAX_GRID_CELLS + 1, 10**30)).map(str)
+PLACES = st.one_of(
+    st.tuples(
+        st.integers(-2, 7),
+        st.integers(-2, 7),
+        st.one_of(st.integers(-3, 64), st.integers(0, 10**30)),
+    ).map(lambda t: ",".join(map(str, t))),
+    st.text(alphabet="0123456789,- ab", max_size=10),
+)
+MODES = st.sampled_from(("closed", "open", "torus"))
+# Built once: jsonschema.validate checks the schema itself on every call.
+SCHEMA_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
+@st.composite
+def cli_argv(draw):
+    kind = draw(st.sampled_from(("grid", "render", "bound")))
+    if kind == "grid":
+        places = draw(st.lists(PLACES, max_size=3))
+        # A small budget keeps piles that never settle from running long.
+        return (
+            ["sandpile", "grid", draw(GRID_SIDES), draw(GRID_SIDES), "--mode", draw(MODES)]
+            + [f"--place={p}" for p in places]
+            + ["--budget", str(draw(st.integers(0, 500)))]
+        )
+    if kind == "render":
+        argv = ["sandpile", "render", draw(GRID_SIDES), draw(GRID_SIDES)]
+        argv += [draw(st.sampled_from(("zero.cfg", "bad.cfg", "missing.cfg"))), "--mode", draw(MODES)]
+        return argv + draw(st.sampled_from(([], ["--out", "r.ppm"])))
+    argv, _ = draw(st.sampled_from(COMMAND_BOUNDS))
+    flag = draw(st.sampled_from([*BOUND_FLAGS.values(), "--bounds-file"]))
+    if flag == "--bounds-file":
+        value = draw(st.sampled_from(("bounds.txt", "bad-bounds.txt", "missing.txt")))
+    else:
+        value = str(draw(st.integers(-2, 3)))
+    return argv + [flag, value]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_cli_contract(cli_workdir, argv):
+    old = os.getcwd()
+    os.chdir(cli_workdir)
+    try:
+        code, out = run_captured(argv)
+    finally:
+        os.chdir(old)
+    assert code in (0, 1, 2, 3)
+    if code == 3:
+        report = json.loads(out)
+        SCHEMA_VALIDATOR.validate(report)
+        assert report["kind"] == "error" and report["message"]

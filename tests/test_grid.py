@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodyn.errors import BudgetExceededError, ParseError
+from monodyn.errors import BudgetExceededError, ParseError, ShapeError
 from monodyn.grid import (
     DEFAULT_PALETTE,
+    MAX_GRID_CELLS,
     GridSpec,
     Palette,
     array_to_config,
@@ -259,6 +260,15 @@ def test_grid_config_bounds():
     spec = GridSpec(2, 2, "closed")
     with pytest.raises(Exception):
         grid_config(spec, {(5, 5): 1})
+
+
+def test_grid_cell_limit():
+    GridSpec(401, 401, "open")
+    GridSpec(1, MAX_GRID_CELLS, "closed")
+    GridSpec(1024, 1024, "open")
+    for rows, cols in ((1, MAX_GRID_CELLS + 1), (1025, 1024), (3, 10**20), (10**20, 10**20)):
+        with pytest.raises(ShapeError, match=f"MAX_GRID_CELLS = {MAX_GRID_CELLS}"):
+            GridSpec(rows, cols, "open")
 
 
 # --- stabilize_grid kernel: dtypes, active window, budget failures ----------
