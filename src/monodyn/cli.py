@@ -284,10 +284,12 @@ def _cmd_monoid_equal(args, bounds: Bounds, out: _Out):
     p = parse_presentation(_read(args.presentation))
     x = parse_element(p, args.lhs)
     y = parse_element(p, args.rhs)
-    res = words_equal(p, x, y, bounds.search_depth, node_budget=bounds.node_budget)
+    res = words_equal(p, x, y, node_budget=bounds.node_budget)
     report = {"kind": "word-equal", "verdict": res.verdict}
     if res.path is not None:
         report["path"] = [_format_side(p, v) for v in res.path]
+    if res.stopped_by is not None:
+        report["stopped_by"] = res.stopped_by
     out.report = report
     out.code = 0 if res.verdict == "yes" else 1
 
@@ -566,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--sink-zero", action="store_true")
-    p = sub(mon, "equal", _cmd_monoid_equal, ("search_depth", "node_budget"))
+    p = sub(mon, "equal", _cmd_monoid_equal, ("node_budget",))
     p.add_argument("presentation")
     p.add_argument("lhs")
     p.add_argument("rhs")

@@ -10,7 +10,7 @@ from .errors import ParseError
 
 @dataclass(frozen=True)
 class Bounds:
-    search_depth: int = 6
+    search_depth: int = 6  # SSE search only; named so that bounds files keep parsing
     max_elements: int = 10_000
     max_power: int = 64
     firing_budget: int = 10**9
@@ -18,6 +18,11 @@ class Bounds:
     max_lag: int = 4
     coeff_bound: int = 2
     node_budget: int = 200_000
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ParseError(f"bound {f.name!r} must be nonnegative")
 
 
 DEFAULT_BOUNDS = Bounds()
@@ -41,8 +46,6 @@ def parse_bounds(text: str, base: Bounds = DEFAULT_BOUNDS) -> Bounds:
             parsed = int(value)
         except ValueError:
             raise ParseError(f"bound {key!r} needs an integer, got {value!r}", line=lineno) from None
-        if parsed < 0:
-            raise ParseError(f"bound {key!r} must be nonnegative", line=lineno)
         overrides[key] = parsed
     return replace(base, **overrides)
 

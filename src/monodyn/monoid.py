@@ -6,21 +6,18 @@ of nonnegative integers.  A presentation is a list of relation pairs
 turned into the other by repeatedly replacing an embedded lhs by the matching
 rhs or vice versa, additively in context.
 
-Word equality is decided by bounded bidirectional search and is deliberately
-tri-state: "no" is only ever backed by a certificate, either a fully
-enumerated congruence class that misses the other element, or a difference
-vector outside the lattice spanned by the relation differences.  A bound
-running out yields "unknown", never "no".  Graph monoids can be infinite, so
-the honest third state is unavoidable.
-
-Enumeration works with normal forms instead.  The congruence is membership
-in the pure-difference binomial ideal of the relations, and a Gröbner basis
-of that ideal under the graded reverse lexicographic order, read as rewriting
-rules lead -> tail, sends every vector to the one normal form of its class
-(Eisenbud-Sturmfels, "Binomial ideals", 1996).  The completion that builds it
-is bounded by the node budget.  The monoid is finite exactly when every
-generator has a pure power among the leading terms, so an infinite monoid is
-recognized before any element is listed.
+Word equality and enumeration both use normal forms.  The congruence is
+membership in the pure-difference binomial ideal of the relations, and a
+Gröbner basis of that ideal, read as rewriting rules lead -> tail, sends
+every vector to the one normal form of its class (Eisenbud-Sturmfels,
+"Binomial ideals", 1996).  Relations that orient into coprime leads under
+one term order already are one; others are completed in the graded reverse
+lexicographic order, bounded by the node budget.  Word equality is
+tri-state: "yes" carries a rewrite path that replays in relation steps, "no"
+means different normal forms (or, out of budget, a coset mismatch), and
+"unknown" only that the node budget ran out, in the completion, the
+rewriting or the path.  The monoid is finite exactly when every generator
+has a pure power among the leading terms.
 
 Presentation file format::
 
@@ -34,6 +31,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, ge, sub
 from typing import Sequence
 
 from .config import DEFAULT_BOUNDS
@@ -79,6 +78,7 @@ class MonoidPresentation:
 class WordEquality:
     verdict: str  # "yes" | "no" | "unknown"
     path: tuple[Vector, ...] | None = None
+    stopped_by: str | None = None  # "node_budget" exactly when unknown
 
 
 @dataclass(frozen=True)
@@ -216,16 +216,6 @@ def order_unit(p: MonoidPresentation) -> Vector:
     return (1,) * len(p.generators)
 
 
-def _one_step(w: Vector, relations) -> list[Vector]:
-    out = []
-    for lhs, rhs in relations:
-        if all(a >= b for a, b in zip(w, lhs)):
-            out.append(tuple(a - b + c for a, b, c in zip(w, lhs, rhs)))
-        if all(a >= b for a, b in zip(w, rhs)):
-            out.append(tuple(a - b + c for a, b, c in zip(w, rhs, lhs)))
-    return out
-
-
 def congruent_difference_possible(p: MonoidPresentation, x: Vector, y: Vector) -> bool:
     """Necessary condition for x ~ y: every rewrite step changes the vector
     by some +-(lhs - rhs), so congruent vectors lie in the same coset of the
@@ -241,80 +231,48 @@ def words_equal(
     p: MonoidPresentation,
     x: Sequence[int],
     y: Sequence[int],
-    depth: int = DEFAULT_BOUNDS.search_depth,
     *,
     node_budget: int = DEFAULT_BOUNDS.node_budget,
 ) -> WordEquality:
-    """Bidirectional breadth-first search over one-step rewrites.
+    """Decide x ~ y by normal forms under ``_rewriting_rules``.
 
-    Returns yes (with a replayable rewrite path) when the classes connect
-    within the depth bound.  Returns no on either of two certificates: the
-    difference x - y lies outside the relation-difference lattice, or one
-    side's entire congruence class was enumerated without reaching the
-    other element.  Anything else is unknown.
+    Equal normal forms give yes with the loop-erased path x -> nf(x) = nf(y)
+    <- y in single relation steps, checked by ``replay_path``; different ones
+    give a certified no.  The completion, the rewriting and the path all
+    spend ``node_budget``: every rule examined and every path step costs one
+    unit.  When it runs out, a coset mismatch still certifies no; otherwise
+    the verdict is unknown, stopped by the budget.
     """
     x = p.validate_element(x)
     y = p.validate_element(y)
     if x == y:
         return WordEquality(YES, (x,))
+    budget = [node_budget]
+    rules = _rewriting_rules(p, budget)
+    if rules is not None:
+        # Rewrite what x and y do not share first, so the loop erasure cuts
+        # the rest; a monoid need not cancel, so if that fails, rewrite all
+        # of both.
+        for shared in dict.fromkeys((tuple(map(min, x, y)), (0,) * len(x))):
+            x_steps, y_steps = [], []
+            x_nf = _normal_form(tuple(map(sub, x, shared)), rules, budget, x_steps)
+            y_nf = _normal_form(tuple(map(sub, y, shared)), rules, budget, y_steps)
+            if x_nf is None or y_nf is None:
+                break
+            if x_nf == y_nf:
+                back = [(pth[::-1], q) for pth, q in reversed(y_steps)]
+                path = _walk(x, x_steps + back, budget)
+                if path is None:
+                    break
+                if path[-1] != y or not replay_path(p, path):
+                    raise AssertionError("rewrite path does not replay from x to y")
+                return WordEquality(YES, tuple(path))
+        else:
+            return WordEquality(NO)
+    # The budget ran out.
     if not congruent_difference_possible(p, x, y):
         return WordEquality(NO)
-    relations = p.relations
-    parents: tuple[dict[Vector, Vector | None], dict[Vector, Vector | None]] = (
-        {x: None},
-        {y: None},
-    )
-    frontiers: list[list[Vector]] = [[x], [y]]
-    steps = [0, 0]
-    exhausted = [False, False]
-    nodes = 2
-
-    def build_path(meet: Vector) -> tuple[Vector, ...]:
-        # Chain from x to meet, then meet to y; the meet vector exists in
-        # both parent maps once the frontiers touch.
-        left: list[Vector] = []
-        v: Vector | None = meet
-        while v is not None:
-            left.append(v)
-            v = parents[0][v]
-        left.reverse()
-        right: list[Vector] = []
-        v = parents[1][meet]
-        while v is not None:
-            right.append(v)
-            v = parents[1][v]
-        return tuple(left + right)
-
-    while True:
-        expandable = [
-            s for s in (0, 1) if not exhausted[s] and steps[s] < depth and frontiers[s]
-        ]
-        if not expandable:
-            if exhausted[0] or exhausted[1]:
-                return WordEquality(NO)
-            return WordEquality(UNKNOWN)
-        side = min(expandable, key=lambda s: len(frontiers[s]))
-        own, other = parents[side], parents[1 - side]
-        new_frontier: list[Vector] = []
-        for w in frontiers[side]:
-            for w2 in _one_step(w, relations):
-                if w2 in own:
-                    continue
-                own[w2] = w
-                if w2 in other:
-                    return WordEquality(YES, build_path(w2))
-                new_frontier.append(w2)
-                nodes += 1
-                if nodes > node_budget:
-                    return WordEquality(UNKNOWN)
-        frontiers[side] = new_frontier
-        steps[side] += 1
-        if not new_frontier:
-            exhausted[side] = True
-
-
-class _OutOfBudget(Exception):
-    pass
+    return WordEquality(UNKNOWN, stopped_by="node_budget")
 
 
 def _grevlex_key(v: Vector) -> tuple:
@@ -323,79 +281,166 @@ def _grevlex_key(v: Vector) -> tuple:
     return sum(v), tuple(-x for x in reversed(v))
 
 
-def _rule(lead: Vector, tail: Vector) -> tuple:
+def _rule(lead: Vector, tail: Vector, path) -> tuple:
     """Rewriting rule lead -> tail with the lead's support and the sparse
-    difference tail - lead precomputed for ``_normal_form``."""
+    difference tail - lead precomputed for ``_normal_form``, and a path from
+    lead to tail in single relation steps."""
     support = tuple((i, c) for i, c in enumerate(lead) if c)
     delta = tuple((i, t - l) for i, (l, t) in enumerate(zip(lead, tail)) if t != l)
-    return lead, tail, support, delta
+    return lead, tail, support, delta, path
 
 
-def _normal_form(v: Vector, rules, budget: list[int] | None = None) -> Vector:
+def _normal_form(v: Vector, rules, budget: list[int] | None = None, steps: list | None = None) -> Vector | None:
     """Rewrite v until no rule's lead embeds in it, each rule as often as it
-    fits at once.  When ``budget`` is given, every rule examined costs one
-    unit of ``budget[0]``."""
+    fits at once, appending (the rule's path, q) to ``steps`` for q copies.
+    With ``budget``, every rule examined costs one unit of ``budget[0]``, and
+    the result is None once it runs out."""
     w = list(v)
     changed = True
     while changed:
         if budget is not None:
             budget[0] -= len(rules)
             if budget[0] < 0:
-                raise _OutOfBudget
+                return None
         changed = False
-        for _, _, support, delta in rules:
+        for _, _, support, delta, path in rules:
+            i, c = support[0]
+            if w[i] < c:
+                continue
             q = min([w[i] // c for i, c in support])
             if q:
                 for i, d in delta:
                     w[i] += q * d
                 changed = True
+                if steps is not None:
+                    steps.append((path, q))
     return tuple(w)
 
 
-def _groebner_rules(p: MonoidPresentation, node_budget: int) -> list[tuple] | None:
+def _walk(v: Vector, steps: list, budget: list[int]) -> list[Vector] | None:
+    """The loop-erased walk from v that follows each (path, q) of ``steps``
+    q times, shifted to where it is applied, or None when its steps (counted
+    before the loop erasure) exceed ``budget[0]``, which pays for them."""
+    budget[0] -= sum(q * (len(path) - 1) for path, q in steps)
+    if budget[0] < 0:
+        return None
+    walk, index = [v], {v: 0}  # index may keep vectors cut from the walk
+    for path, q in steps:
+        shifts = [tuple(map(sub, u, path[0])) for u in path[1:]]
+        for _ in range(q):
+            w = walk[-1]
+            for s in shifts:
+                u = tuple(map(add, w, s))
+                i = index.get(u, len(walk))
+                if i < len(walk) and walk[i] == u:
+                    del walk[i + 1:]
+                else:
+                    index[u] = len(walk)
+                    walk.append(u)
+    return walk
+
+
+def _rewriting_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple] | None:
+    """Rules ``_rule(lead, tail, path)`` whose normal forms decide the
+    congruence, or None when the completion runs out of ``budget[0]``.
+
+    Say every relation has a single-generator side, its head (the left one
+    when both are), and no generator heads two relations.  If the digraph
+    from each head to the generators of its tail (the other side) is
+    acyclic, each lead exceeds its tail lexicographically when heads come
+    before their tails' generators; if instead each lead is the larger side
+    in grevlex, it exceeds its tail in that order.  Either way the leads are
+    powers of distinct generators under one term order: coprime, so already
+    a Gröbner basis (Buchberger's first criterion), and no completion runs.
+    Acyclic rules come in topological order, so one ``_normal_form`` pass
+    rewrites.  Otherwise ``_groebner_rules`` completes the relations."""
+    n = len(p.generators)
+    heads: dict[int, tuple[Vector, Vector]] = {}
+    uses: dict[int, list[int]] = {}  # the generators of each head's tail
+    for lhs, rhs in p.relations:
+        lead, tail = (lhs, rhs) if lhs.count(0) == n - 1 else (rhs, lhs)
+        if lead.count(0) != n - 1:
+            return _groebner_rules(p, budget)
+        head = next(compress(range(n), lead))
+        if head in heads:
+            return _groebner_rules(p, budget)
+        heads[head] = lead, tail
+        uses[head] = list(compress(range(n), tail))
+    # Kahn's algorithm: waiting[h] counts the tails of heads that hold h.
+    waiting = dict.fromkeys(heads, 0)
+    for h in heads:
+        for g in uses[h]:
+            if g in waiting:
+                waiting[g] += 1
+    order = [h for h, k in waiting.items() if k == 0]
+    for h in order:  # ``order`` grows as it runs
+        for g in uses[h]:
+            if g in waiting:
+                waiting[g] -= 1
+                if waiting[g] == 0:
+                    order.append(g)
+    if len(order) < len(heads):  # a cycle; grevlex may still orient every relation
+        if not all(_grevlex_key(lead) > _grevlex_key(tail) for lead, tail in heads.values()):
+            return _groebner_rules(p, budget)
+        order = list(heads)
+    rules = []
+    for h in order:  # as ``_rule`` builds them, but from the sparse tail
+        lead, tail = heads[h]
+        delta = ((h, -lead[h]), *[(g, tail[g]) for g in uses[h]])  # h may come twice
+        rules.append((lead, tail, ((h, lead[h]),), delta, (lead, tail)))
+    return rules
+
+
+def _groebner_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple] | None:
     """Binomial Gröbner completion of the relations in the graded reverse
     lexicographic order, as rewriting rules, or None when the budget runs out.
 
     Pairs are taken lowest lcm degree first and skipped when their leads are
     coprime; a new rule sends every rule whose lead it divides back to the
-    queue of equations.  Every rule examined during a reduction and every
-    pair formed costs one unit of ``node_budget``."""
-    budget = [node_budget]
+    queue of equations.  Every rule examined during a reduction, every pair
+    formed and every step of a rule's path costs one unit of ``budget[0]``.
+    Each equation a = b carries steps from a to b (a relation, the S-pair
+    a <- lcm -> b, or the path of a rule sent back); with both reductions
+    they give the new rule's path."""
     rules: dict[int, tuple] = {}
-    equations = deque(p.relations)
+    equations = deque((lhs, rhs, [((lhs, rhs), 1)]) for lhs, rhs in p.relations)
     pairs: list[tuple[int, int, int]] = []  # (lcm degree, newer rule id, older rule id)
     next_id = 0
-    try:
-        while equations or pairs:
-            if equations:
-                a, b = equations.popleft()
-            else:
-                _, i, j = heapq.heappop(pairs)
-                if i not in rules or j not in rules:
-                    continue
-                (l1, t1, _, _), (l2, t2, _, _) = rules[i], rules[j]
-                lcm = tuple(map(max, l1, l2))
-                a = tuple(m - x + y for m, x, y in zip(lcm, l1, t1))
-                b = tuple(m - x + y for m, x, y in zip(lcm, l2, t2))
-            a = _normal_form(a, rules.values(), budget)
-            b = _normal_form(b, rules.values(), budget)
-            if a == b:
+    while equations or pairs:
+        if equations:
+            a, b, steps = equations.popleft()
+        else:
+            _, i, j = heapq.heappop(pairs)
+            if i not in rules or j not in rules:
                 continue
-            lead, tail = (a, b) if _grevlex_key(a) > _grevlex_key(b) else (b, a)
-            for rid, (l, t, _, _) in list(rules.items()):
-                if all(x >= y for x, y in zip(l, lead)):
-                    del rules[rid]
-                    equations.append((l, t))
-            for rid, (l, _, _, _) in rules.items():
-                if any(x and y for x, y in zip(l, lead)):
-                    budget[0] -= 1
-                    heapq.heappush(pairs, (sum(map(max, l, lead)), next_id, rid))
-            if budget[0] < 0:
-                return None
-            rules[next_id] = _rule(lead, tail)
-            next_id += 1
-    except _OutOfBudget:
-        return None
+            (l1, t1, _, _, p1), (l2, t2, _, _, p2) = rules[i], rules[j]
+            lcm = tuple(map(max, l1, l2))
+            a = tuple(m - x + y for m, x, y in zip(lcm, l1, t1))
+            b = tuple(m - x + y for m, x, y in zip(lcm, l2, t2))
+            steps = [(p1[::-1], 1), (p2, 1)]
+        a_steps, b_steps = [], []
+        a = _normal_form(a, rules.values(), budget, a_steps)
+        b = _normal_form(b, rules.values(), budget, b_steps)
+        if a is None or b is None:
+            return None
+        if a == b:
+            continue
+        path = _walk(a, [(pth[::-1], q) for pth, q in reversed(a_steps)] + steps + b_steps, budget)
+        if path is None:
+            return None
+        lead, tail = (a, b) if _grevlex_key(a) > _grevlex_key(b) else (b, a)
+        for rid, (l, t, _, _, pth) in list(rules.items()):
+            if all(x >= y for x, y in zip(l, lead)):
+                del rules[rid]
+                equations.append((l, t, [(pth, 1)]))
+        for rid, (l, _, _, _, _) in rules.items():
+            if any(x and y for x, y in zip(l, lead)):
+                budget[0] -= 1
+                heapq.heappush(pairs, (sum(map(max, l, lead)), next_id, rid))
+        if budget[0] < 0:
+            return None
+        rules[next_id] = _rule(lead, tail, path if lead == a else path[::-1])
+        next_id += 1
     return list(rules.values())
 
 
@@ -422,11 +467,11 @@ def _enumerate_monoid(
     """``enumerate_monoid``'s table, or None and why enumeration stopped:
     ``"node_budget"``, ``"infinite"`` or ``"max_elements"``."""
     k = len(p.generators)
-    rules = _groebner_rules(p, node_budget)
+    rules = _rewriting_rules(p, [node_budget])
     if rules is None:
         return None, "node_budget"
     # Finite exactly when every generator has a pure-power leading term.
-    if len({support[0][0] for _, _, support, _ in rules if len(support) == 1}) < k:
+    if len({support[0][0] for _, _, support, _, _ in rules if len(support) == 1}) < k:
         return None, "infinite"
     zero: Vector = (0,) * k
     # Walks go from the first vector discovered in a class (anchors); the
@@ -473,27 +518,17 @@ def _enumerate_monoid(
 
 def replay_path(p: MonoidPresentation, path: Sequence[Vector]) -> bool:
     """Check that consecutive path entries differ by one relation application."""
-    diffs = set()
+    by_step: dict[Vector, list[tuple[Vector, Vector]]] = {}  # rhs - lhs -> relations
     for lhs, rhs in p.relations:
-        d = tuple(a - b for a, b in zip(rhs, lhs))
-        diffs.add(d)
-        diffs.add(tuple(-x for x in d))
+        by_step.setdefault(tuple(map(sub, rhs, lhs)), []).append((lhs, rhs))
     for a, b in zip(path, path[1:]):
-        step = tuple(y - x for x, y in zip(a, b))
-        if step not in diffs:
-            return False
+        forward = by_step.get(tuple(map(sub, b, a)), ())
+        backward = by_step.get(tuple(map(sub, a, b)), ())
         # The replaced side must actually be embedded in the source vector.
-        ok = False
-        for lhs, rhs in p.relations:
-            if step == tuple(r - l for l, r in zip(lhs, rhs)) and all(
-                x >= l for x, l in zip(a, lhs)
-            ):
-                ok = True
-            if step == tuple(l - r for l, r in zip(lhs, rhs)) and all(
-                x >= r for x, r in zip(a, rhs)
-            ):
-                ok = True
-        if not ok:
+        if not (
+            any(all(map(ge, a, lhs)) for lhs, _ in forward)
+            or any(all(map(ge, a, rhs)) for _, rhs in backward)
+        ):
             return False
     return True
 

@@ -18,6 +18,8 @@ from monodyn.grid import MAX_GRID_CELLS, decode_ppm
 from conftest import FOUR_VERTEX_SANDPILE_TEXT
 
 SCHEMA = load_report_schema()
+# Built once: jsonschema.validate checks the schema itself on every call.
+SCHEMA_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 GRAPH_F_TEXT = "v u\nv v\nv s\ne u u\ne u v\ne v u\ne v s\n"
 ROSE2_TEXT = "v v\ne v v 2\n"
@@ -92,7 +94,7 @@ def invoke(capsys, argv):
 def invoke_json(capsys, argv):
     code, out = invoke(capsys, argv)
     report = json.loads(out)
-    jsonschema.validate(report, SCHEMA)
+    SCHEMA_VALIDATOR.validate(report)
     return code, report
 
 
@@ -228,7 +230,34 @@ def test_monoid_equal(files, capsys, tmp_path):
     assert report["verdict"] == "yes"
     assert report["path"][0] == "u" and report["path"][-1] == "v"
     code, report = invoke_json(capsys, ["monoid", "equal", str(pres), "0", "u"])
-    assert code == 1 and report["verdict"] == "no"
+    assert code == 1 and report["verdict"] == "no" and "stopped_by" not in report
+
+
+def test_monoid_equal_unknown_names_node_budget(capsys, tmp_path):
+    pres = tmp_path / "p.pres"
+    pres.write_text("gens: u v\nu = u+v\nv = u\n")
+    code, report = invoke_json(capsys, ["monoid", "equal", str(pres), "u", "v", "--node-budget", "1"])
+    assert code == 1 and report == {"kind": "word-equal", "verdict": "unknown", "stopped_by": "node_budget"}
+    code, report = invoke_json(capsys, ["monoid", "equal", str(pres), "u", "v"])
+    assert code == 0 and report == {"kind": "word-equal", "verdict": "yes", "path": ["u", "v"]}
+
+
+@pytest.mark.parametrize(
+    "relations, lhs, rhs",
+    [
+        # No completion; equal normal forms, but the path has 5*10^11 steps.
+        ("2a = b", "1000000000000a", "500000000000b"),
+        # The completion's own reduction of 10^12 a walks 10^12 steps.
+        ("1000000000000a = b\nb = a", "a", "b"),
+    ],
+)
+def test_monoid_equal_huge_coefficients_stay_in_budget(capsys, tmp_path, relations, lhs, rhs):
+    pres = tmp_path / "p.pres"
+    pres.write_text(f"gens: a b\n{relations}\n")
+    start = time.perf_counter()
+    code, report = invoke_json(capsys, ["monoid", "equal", str(pres), lhs, rhs])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and report == {"kind": "word-equal", "verdict": "unknown", "stopped_by": "node_budget"}
 
 
 def test_monoid_enumerate(files, capsys, tmp_path):
@@ -264,14 +293,20 @@ def test_unknown_enumeration_stopped_by_infinite(capsys, tmp_path):
 
 
 def test_unknown_enumeration_stopped_by_node_budget(capsys, tmp_path):
+    # u is in its own tail and u < u+v in grevlex: this needs a completion.
+    pres = tmp_path / "p.pres"
+    pres.write_text("gens: u v\nu = u+v\nv = u\n")
+    code, report = invoke_json(capsys, ["monoid", "enumerate", str(pres), "--node-budget", "1"])
+    assert code == 1 and report["stopped_by"] == "node_budget"
+    # A window's relations already are a Gröbner basis: no budget is spent,
+    # and the free last stage makes the monoid infinite.
     graph = tmp_path / "window.graph"
     graph.write_text("v v1\nv v2\nv v3\nv s\ne v1 v2 2\ne v1 s\ne v2 v2\ne v2 v3 2\ne v3 v3\ne v3 s\n")
     code, window = invoke(capsys, ["talented", "window", str(graph), "2"])
     assert code == 0
-    pres = tmp_path / "window.pres"
     pres.write_text(window)
-    code, report = invoke_json(capsys, ["monoid", "enumerate", str(pres), "--node-budget", "1"])
-    assert code == 1 and report["stopped_by"] == "node_budget"
+    code, report = invoke_json(capsys, ["monoid", "enumerate", str(pres), "--node-budget", "0"])
+    assert code == 1 and report["stopped_by"] == "infinite"
 
 
 def test_unknown_enumeration_stopped_by_max_elements(files, capsys, tmp_path):
@@ -591,7 +626,7 @@ COMMAND_BOUNDS = [
     (["sandpile", "grid", "3", "3", "--place", "1,1,8"], ("firing_budget",)),
     (["sandpile", "render", "2", "2", "zero.cfg", "--out", "z.ppm"], ()),
     (["monoid", "present", "e.graph"], ()),
-    (["monoid", "equal", "p.pres", "u", "v"], ("search_depth", "node_budget")),
+    (["monoid", "equal", "p.pres", "u", "v"], ("node_budget",)),
     (["monoid", "enumerate", "p.pres"], ("max_elements", "node_budget")),
     (["talented", "window", "e.graph", "1"], ()),
     (["dimgroup", "equal", "fib.mat", "[1 0]@0", "[1 1]@1"], ()),
@@ -656,6 +691,20 @@ def test_bound_flags_follow_their_handlers(cli_workdir, capsys, monkeypatch, arg
 
 
 @pytest.mark.parametrize(
+    "argv, flag, bound",
+    [(argv, BOUND_FLAGS[bound], bound) for argv, reads in COMMAND_BOUNDS for bound in reads],
+    ids=[f"{' '.join(argv[:2])} {BOUND_FLAGS[bound]}" for argv, reads in COMMAND_BOUNDS for bound in reads],
+)
+def test_negative_bound_flag_is_refused(cli_workdir, capsys, monkeypatch, argv, flag, bound):
+    # The same check refuses a negative bound from a flag and from a file.
+    monkeypatch.chdir(cli_workdir)
+    code, report = invoke_json(capsys, argv + [flag, "-1"])
+    assert code == 3 and report == {"kind": "error", "message": f"bound {bound!r} must be nonnegative"}
+    code, report = invoke_json(capsys, argv + ["--bounds-file", "bad-bounds.txt"])
+    assert code == 3 and report["message"] == "bound 'firing_budget' must be nonnegative"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sandpile", "grid", "1", "100000000000000000000"],
@@ -695,8 +744,6 @@ PLACES = st.one_of(
     st.text(alphabet="0123456789,- ab", max_size=10),
 )
 MODES = st.sampled_from(("closed", "open", "torus"))
-# Built once: jsonschema.validate checks the schema itself on every call.
-SCHEMA_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
 @st.composite

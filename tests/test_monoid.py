@@ -27,6 +27,7 @@ from monodyn.monoid import (
     replay_path,
     serialize_presentation,
     words_equal,
+    _rewriting_rules,
 )
 from monodyn.sandpile import ChipConfig, sandpile_monoid, stabilize
 
@@ -93,27 +94,57 @@ def test_words_equal_zero_vs_u_is_no():
 
 
 def test_words_equal_unknown_on_bound():
-    # Distinct infinite classes cannot be separated by exhaustion.
     p = MonoidPresentation(("a",), (((1,), (2,)),))
     # class of a is {a, 2a, 3a, ...}; 0 is alone, so that's still a no:
     assert words_equal(p, (0,), (1,)).verdict == "no"
-    # two relations making two separate infinite chains
+    # Two separate infinite chains a = 2a and b = 2b: the normal forms a and
+    # b differ, a certified no that no bounded search could give.
     p2 = MonoidPresentation(("a", "b"), (((1, 0), (2, 0)), ((0, 1), (0, 2))))
-    assert words_equal(p2, (1, 0), (0, 1), depth=4).verdict == "unknown"
+    res = words_equal(p2, (1, 0), (0, 1))
+    assert res.verdict == "no" and res.stopped_by is None
+    # Running out of node budget is the one source of unknown.  a = a+b and
+    # b = a need a completion (a is in its own tail, and a < a+b in grevlex),
+    # which does not fit in a budget of 1.  a - b is a relation difference,
+    # so the coset certificate cannot answer; c is outside the lattice, so 0
+    # against c is still a certified no.
+    p3 = MonoidPresentation(("a", "b", "c"), (((1, 0, 0), (1, 1, 0)), ((0, 1, 0), (1, 0, 0))))
+    res = words_equal(p3, (1, 0, 0), (0, 1, 0), node_budget=1)
+    assert res.verdict == "unknown" and res.stopped_by == "node_budget" and res.path is None
+    res = words_equal(p3, (0, 0, 0), (0, 0, 1), node_budget=1)
+    assert res.verdict == "no" and res.stopped_by is None
+    assert words_equal(p3, (1, 0, 0), (0, 1, 0)).verdict == "yes"
 
 
-def test_words_equal_monotone_in_depth():
+def test_words_equal_budget_pays_for_the_path():
+    # 2a = b is its own basis, and 10^12 a and 5*10^11 b have the same normal
+    # form, but the path between them has 5*10^11 steps: unknown, at once.
+    p = MonoidPresentation(("a", "b"), (((2, 0), (0, 1)),))
+    start = time.perf_counter()
+    res = words_equal(p, (10**12, 0), (0, 5 * 10**11))
+    assert time.perf_counter() - start < 1
+    assert res.verdict == "unknown" and res.stopped_by == "node_budget"
+    # Rewriting 8a and 4b examines the one rule 3 times; with the 4 steps of
+    # the path that is a budget of 7.
+    res = words_equal(p, (8, 0), (0, 4), node_budget=7)
+    assert res.verdict == "yes" and len(res.path) == 5 and replay_path(p, res.path)
+    assert words_equal(p, (8, 0), (0, 4), node_budget=6).verdict == "unknown"
+
+
+def test_words_equal_monotone_in_node_budget():
+    # The relations of the two-cycle need a completion, and their differences
+    # span all of Z^2, so no coset certificate answers before it finishes.
     p = two_cycle_presentation()
     rng = random.Random(3)
     for _ in range(40):
         x = tuple(rng.randint(0, 3) for _ in range(2))
         y = tuple(rng.randint(0, 3) for _ in range(2))
-        shallow = words_equal(p, x, y, depth=2).verdict
-        deep = words_equal(p, x, y, depth=8).verdict
-        if shallow == "yes":
-            assert deep == "yes"
-        if shallow == "no":
-            assert deep == "no"
+        verdicts = [words_equal(p, x, y, node_budget=b).verdict for b in (0, 2, 5, 10, 100, 200_000)]
+        decided = [v for v in verdicts if v != "unknown"]
+        # Once decided, a larger budget gives the same verdict; the default
+        # budget always decides.
+        assert verdicts[-1] != "unknown"
+        assert decided == [verdicts[-1]] * len(decided)
+        assert verdicts[len(verdicts) - len(decided):] == decided
 
 
 def test_words_equal_translation_invariance():
@@ -238,6 +269,29 @@ def test_unit_isomorphism_rejects_size_mismatch(graph_two_cycle_loop, two_cycle_
     assert find_unit_isomorphism(p1, t1, t2) is None
 
 
+def test_radius_two_window_decided_without_completion():
+    # The window's relations already are a Gröbner basis, so the rules
+    # builder runs no completion and spends no node budget; a query's budget
+    # then pays only for its rewriting and its path.
+    p = radius_two_window()
+    budget = [0]
+    assert _rewriting_rules(p, budget) is not None and budget == [0]
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(60):
+        x = tuple(rng.randint(0, 1) for _ in p.generators)
+        lhs, rhs = rng.choice(p.relations)
+        for y in (tuple(a + l - r for a, l, r in zip(x, rhs, lhs)), tuple(rng.randint(0, 1) for _ in x)):
+            if min(y) < 0:
+                continue
+            res = words_equal(p, x, y)
+            assert res.verdict != "unknown"
+            if res.verdict == "yes":
+                assert res.path[0] == x and res.path[-1] == y and replay_path(p, res.path)
+            seen.add(res.verdict)
+    assert seen == {"yes", "no"}
+
+
 def test_words_equal_does_not_keep_presentation_alive():
     p = MonoidPresentation(("a", "b"), (((2, 0), (0, 1)),))
     ref = weakref.ref(p)
@@ -320,6 +374,62 @@ def test_enumerate_size_matches_sympy_groebner(p):
     assert (table.size if table is not None else None) == expected
     if table is not None:
         table.check_laws()
+
+
+@st.composite
+def acyclic_presentations(draw):
+    """Relations d*h = tail with distinct heads h and each tail supported
+    below its head in a drawn order: oriented, they already are a Gröbner
+    basis.  A tail that is not a single generator may stand on the left."""
+    k = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(k)))
+    relations = []
+    for h in draw(st.lists(st.integers(0, k - 1), unique=True, min_size=1, max_size=k)):
+        lead = tuple(draw(st.integers(1, 3)) if g == h else 0 for g in range(k))
+        below = order[order.index(h) + 1:]
+        tail = tuple(draw(st.integers(0, 2)) if g in below else 0 for g in range(k))
+        swap = tail.count(0) != k - 1 and draw(st.booleans())
+        relations.append((tail, lead) if swap else (lead, tail))
+    return MonoidPresentation(tuple("abc"[:k]), tuple(relations))
+
+
+def _sympy_congruent(p, x, y):
+    """Whether the binomial of x and y lies in the ideal of the relations,
+    by sympy's Gröbner basis."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{len(p.generators)}")
+
+    def monomial(v):
+        return sympy.Mul(*[s**e for s, e in zip(xs, v)])
+
+    basis = sympy.groebner([monomial(l) - monomial(r) for l, r in p.relations], *xs, order="grevlex")
+    return basis.contains(monomial(x) - monomial(y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_words_equal_matches_sympy_groebner(data):
+    acyclic = data.draw(st.booleans())
+    p = data.draw(acyclic_presentations() if acyclic else presentations())
+    k = len(p.generators)
+    x = data.draw(st.tuples(*[st.integers(0, 3)] * k))
+    if data.draw(st.booleans()):
+        y = data.draw(st.tuples(*[st.integers(0, 3)] * k))
+    else:  # a walk of relation steps from x
+        y = x
+        for _ in range(data.draw(st.integers(1, 4))):
+            lhs, rhs = data.draw(st.sampled_from(p.relations))
+            if data.draw(st.booleans()):
+                lhs, rhs = rhs, lhs
+            if all(a >= b for a, b in zip(y, lhs)):
+                y = tuple(a - b + c for a, b, c in zip(y, lhs, rhs))
+    res = words_equal(p, x, y)
+    assert res.verdict == ("yes" if _sympy_congruent(p, x, y) else "no")
+    if res.verdict == "yes":
+        assert res.path[0] == x and res.path[-1] == y and replay_path(p, res.path)
+    if acyclic:  # no completion runs, so the rules cost no budget
+        budget = [0]
+        assert _rewriting_rules(p, budget) is not None and budget == [0]
 
 
 def _sympy_lattice_shape(rows):
