@@ -20,7 +20,7 @@ from .errors import BudgetExceededError, MonodynError, ParseError
 if TYPE_CHECKING:
     from .matrix import IntMatrix
     from .sandpile import ChipConfig
-    from .shifteq import SSEChain
+    from .shifteq import SearchExhausted, SSEChain
 
 
 def load_report_schema() -> dict:
@@ -49,6 +49,15 @@ def _invariants_json(rep) -> dict:
         "charpoly_core_b": list(rep.charpoly_core_b),
         "verdict": rep.verdict,
     }
+
+
+def _not_found_json(kind: str, result: SearchExhausted) -> dict:
+    """Report of a search that found nothing, with its invariant obstruction
+    when there is one."""
+    report = {"kind": kind, "outcome": "not_found", "bounds": result.bounds}
+    if result.obstruction is not None:
+        report["obstruction"] = _invariants_json(result.obstruction)
+    return report
 
 
 def _chain_json(chain: SSEChain) -> dict:
@@ -396,7 +405,7 @@ def _cmd_shift_search_sse(args, bounds: Bounds, out: _Out):
         out.report = {"kind": "sse-search", "outcome": "found", "chain": _chain_json(result)}
         return
     out.code = 1
-    out.report = {"kind": "sse-search", "outcome": "not_found", "bounds": result.bounds}
+    out.report = _not_found_json("sse-search", result)
 
 
 def _cmd_shift_search_se(args, bounds: Bounds, out: _Out):
@@ -413,10 +422,7 @@ def _cmd_shift_search_se(args, bounds: Bounds, out: _Out):
         }
         return
     out.code = 1
-    report = {"kind": "se-search", "outcome": "not_found", "bounds": result.bounds}
-    if result.obstruction is not None:
-        report["obstruction"] = _invariants_json(result.obstruction)
-    out.report = report
+    out.report = _not_found_json("se-search", result)
 
 
 def _cmd_shift_invariants(args, bounds: Bounds, out: _Out):

@@ -47,15 +47,13 @@ def sandpile_corpus(
     max_outdegree: int = 3,
     *,
     distinct: bool = True,
-    max_attempts: int | None = None,
 ) -> Iterator[Graph]:
     """Deterministic stream of random sandpile graphs, distinct by default."""
     rng = Random(seed)
     seen: set[tuple] = set()
     produced = 0
     attempts = 0
-    cap = max_attempts if max_attempts is not None else 100 * count
-    while produced < count and attempts < cap:
+    while produced < count and attempts < 100 * count:
         attempts += 1
         g = random_sandpile_graph(rng, max_vertices, max_outdegree)
         key = (g.vertices, g.edges)

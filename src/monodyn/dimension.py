@@ -175,11 +175,6 @@ class TalentedWindow:
     def stage_count(self) -> int:
         return 2 * self.radius + 1
 
-    def generator_index(self, vertex: str, stage: int) -> int:
-        if abs(stage) > self.radius:
-            raise ShapeError(f"stage {stage} outside window radius {self.radius}")
-        return self.graph.index[vertex] * self.stage_count() + (stage + self.radius)
-
     def shift(self, vec: Vector, n: int = 1) -> Vector:
         """Shift every stage by n; raises when support would leave the window."""
         vec = self.presentation.validate_element(vec)
@@ -197,28 +192,20 @@ class TalentedWindow:
 
 
 def talented_window(g: Graph, radius: int) -> TalentedWindow:
-    from .monoid import MonoidPresentation
+    """The window's presentation is the graph monoid of the stage graph: one
+    vertex ``v(i)`` per vertex v and stage i, and for every edge v -> w of
+    g an edge ``v(i)`` -> ``w(i+1)`` of the same multiplicity."""
+    from .graph import Graph
+    from .monoid import graph_monoid_presentation
 
     if radius < 0:
         raise ShapeError("window radius must be nonnegative")
-    width = 2 * radius + 1
-    gens = tuple(
-        f"{v}({i})" for v in g.vertices for i in range(-radius, radius + 1)
+    stages = range(-radius, radius + 1)
+    stage_graph = Graph.build(
+        [f"{v}({i})" for v in g.vertices for i in stages],
+        [(f"{v}({i})", f"{w}({i + 1})", mult) for v, w, mult in g.edges for i in stages[:-1]],
     )
-    pos = {(v, i): g.index[v] * width + (i + radius) for v in g.vertices for i in range(-radius, radius + 1)}
-    relations = []
-    for v in g.vertices:
-        if g.is_sink(v):
-            continue
-        for i in range(-radius, radius):
-            lhs = [0] * len(gens)
-            lhs[pos[(v, i)]] = 1
-            rhs = [0] * len(gens)
-            for dst, mult in g.out_adj[v]:
-                rhs[pos[(dst, i + 1)]] += mult
-            if tuple(lhs) != tuple(rhs):
-                relations.append((tuple(lhs), tuple(rhs)))
-    return TalentedWindow(g, radius, MonoidPresentation(gens, tuple(relations)))
+    return TalentedWindow(g, radius, graph_monoid_presentation(stage_graph))
 
 
 def parse_dim_element(matrix: IntMatrix, text: str) -> DimElement:

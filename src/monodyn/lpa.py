@@ -139,35 +139,33 @@ def kp_compare(
 
     Plain mode enumerates the requested vertex-monoid presentations and, when
     both are finite, searches exhaustively for an order-unit-preserving
-    isomorphism of the tables.  Graded mode works on the adjacency matrices:
-    a verified lag witness counts as a positive certificate, an invariant
-    mismatch as a negative one, anything else is unknown.
+    isomorphism of the tables.  Graded mode maps ``se_search`` on the
+    adjacency matrices to a verdict: its verified lag witness counts as a
+    positive certificate, its invariant obstruction as a negative one,
+    anything else is unknown.
     """
     from .monoid import _enumerate_monoid, find_unit_isomorphism
-    from .shifteq import SEWitness, invariants_report, se_search, verify_se
+    from .shifteq import SEWitness, se_search
 
     if mode == GRADED:
         a = adjacency_matrix(first)
         b = adjacency_matrix(second)
-        report = invariants_report(a, b)
-        if report.verdict == "obstruction":
+        found = se_search(a, b, max_lag=max_lag, coeff_bound=coeff_bound)
+        if isinstance(found, SEWitness):
+            return CompareVerdict(
+                "iso_witness", f"lag-{found.lag} witness", se_witness=found
+            )
+        if found.obstruction is not None:
             return CompareVerdict(
                 "not_iso",
                 "invariant obstruction on adjacency matrices",
-                invariants=report,
-            )
-        found = se_search(a, b, max_lag=max_lag, coeff_bound=coeff_bound)
-        if isinstance(found, SEWitness):
-            if not verify_se(a, b, found):
-                raise AssertionError("search returned a witness that does not verify")
-            return CompareVerdict(
-                "iso_witness", f"lag-{found.lag} witness", se_witness=found
+                invariants=found.obstruction,
             )
         return CompareVerdict(
             "unknown",
             "no witness within bounds and no invariant obstruction",
             bounds=found.bounds,
-            invariants=report,
+            invariants=found.invariants,
         )
 
     if mode != PLAIN:

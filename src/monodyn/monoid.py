@@ -140,9 +140,6 @@ class MonoidTable:
     def size(self) -> int:
         return len(self.elements)
 
-    def add_classes(self, i: int, j: int) -> int:
-        return self.add[i][j]
-
     def unit_class(self) -> int:
         """Class of the sum of all generators (the order unit)."""
         acc = self.identity
@@ -605,11 +602,9 @@ def find_unit_isomorphism(
     p1: MonoidPresentation,
     t1: MonoidTable,
     t2: MonoidTable,
-    *,
-    require_unit: bool = True,
 ) -> tuple[int, ...] | None:
     """Exhaustive search for a monoid isomorphism t1 -> t2 determined by
-    generator images, optionally required to match the order units.
+    generator images that matches the order units.
 
     A tuple of images defines a well-defined homomorphism exactly when the
     presentation relations of t1 hold among the images; additivity is then
@@ -647,7 +642,7 @@ def find_unit_isomorphism(
             mapped = [sum_of(images, rep) for rep in t1.elements]
             if len(set(mapped)) != t1.size:
                 return None
-            if require_unit and mapped[unit1] != unit2:
+            if mapped[unit1] != unit2:
                 return None
             return tuple(images)
         for img in range(t2.size):

@@ -1,17 +1,21 @@
 """Certificates, bounded searches, and invariants for shift equivalence of
 nonnegative integer matrices.
 
-The verifiers are exact.  The searches are bounded and report the exhausted
-bounds on failure; a failed search never claims non-equivalence.  Definite
-negative verdicts come only from the invariant layer: the cokernel of I - A
-(its invariant factors plus free rank) and the characteristic polynomial with
-all factors of t stripped are both preserved by every chain of elementary
-moves, so a mismatch is a genuine obstruction.
+The verifiers are exact.  Both searches check the invariants first and stop
+at once on an obstruction; otherwise they are bounded, report the exhausted
+bounds on failure and never claim non-equivalence.  Each re-verifies its
+witness or chain with the exact verifier before returning it (a failure is a
+bug, raised as ``AssertionError``).  Definite negative verdicts come only from
+the invariant layer: the cokernel of I - A (its invariant factors plus free
+rank) and the characteristic polynomial with all factors of t stripped are
+both preserved by every chain of elementary moves, so a mismatch is a genuine
+obstruction.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .config import DEFAULT_BOUNDS
@@ -58,10 +62,16 @@ class SSEChain:
 
 @dataclass
 class SearchExhausted:
-    """Outcome of a bounded search that found nothing within its bounds."""
+    """Outcome of a bounded search that found nothing within its bounds,
+    with the invariants report the search checked first."""
 
     bounds: dict[str, int]
-    obstruction: "InvariantReport | None" = None
+    invariants: "InvariantReport"
+
+    @property
+    def obstruction(self) -> "InvariantReport | None":
+        """The report when it separates the two matrices, else None."""
+        return self.invariants if self.invariants.verdict == "obstruction" else None
 
 
 @dataclass(frozen=True)
@@ -179,58 +189,52 @@ def _permutation_matrix(perm: tuple[int, ...]) -> IntMatrix:
     return IntMatrix(n, n, tuple(1 if j == perm[i] else 0 for i in range(n) for j in range(n)))
 
 
+def _row_solutions(r: tuple[int, ...], v: int, bound: int):
+    """All s in [0, bound]^len(r) with r . s = v, for a nonnegative row r, in
+    lexicographic order."""
+    if not 0 <= v <= bound * sum(r):
+        return
+    if not r:
+        yield ()
+        return
+    c = r[0]
+    for x in range((min(bound, v // c) if c else bound) + 1):
+        for rest in _row_solutions(r[1:], v - c * x, bound):
+            yield (x,) + rest
+
+
 def _factorizations(m: IntMatrix, inner_dim: int):
     """All pairs (R, S) of nonnegative matrices with R S = m, R of shape
     n x inner_dim, entries bounded by max(m), in lexicographic order of R
-    then of S's columns."""
+    then of S's columns.  Row i of R must reach every entry of row i of m;
+    column j of S is a solution of row 0's equation that the other rows'
+    equations keep."""
     n = m.rows
     bound = max(m.max_entry(), 0)
-    cols_m = [[m.at(i, j) for i in range(n)] for j in range(n)]
-
-    def solve_column(r_rows, target):
-        # All s in [0, bound]^d with sum_k r_rows[i][k] * s[k] = target[i].
-        d = inner_dim
-        solutions = []
-        s = [0] * d
-
-        def rec(k, partial):
-            if k == d:
-                if partial == target:
-                    solutions.append(tuple(s))
-                return
-            # Remaining capacity check per row.
-            for val in range(bound + 1):
-                nxt = [partial[i] + r_rows[i][k] * val for i in range(n)]
-                if any(nxt[i] > target[i] for i in range(n)):
-                    break  # larger val only grows the overshoot
-                rest = [
-                    sum(r_rows[i][kk] for kk in range(k + 1, d)) * bound for i in range(n)
-                ]
-                if any(nxt[i] + rest[i] < target[i] for i in range(n)):
-                    continue
-                s[k] = val
-                rec(k + 1, nxt)
-            s[k] = 0
-
-        rec(0, [0] * n)
-        return solutions
-
-    for flat in itertools.product(range(bound + 1), repeat=n * inner_dim):
-        r_rows = [list(flat[i * inner_dim : (i + 1) * inner_dim]) for i in range(n)]
-        per_column = []
-        feasible = True
+    rows_m = m.to_rows()
+    kept = [
+        [
+            r
+            for r in itertools.product(range(bound + 1), repeat=inner_dim)
+            if all(next(_row_solutions(r, v, bound), None) is not None for v in row)
+        ]
+        for row in rows_m
+    ]
+    for r_rows in itertools.product(*kept):
+        columns = []
         for j in range(n):
-            sols = solve_column(r_rows, cols_m[j])
+            sols = [
+                s
+                for s in _row_solutions(r_rows[0], rows_m[0][j], bound)
+                if all(sum(map(operator.mul, r_rows[i], s)) == rows_m[i][j] for i in range(1, n))
+            ]
             if not sols:
-                feasible = False
                 break
-            per_column.append(sols)
-        if not feasible:
-            continue
-        r = IntMatrix.from_rows(r_rows)
-        for combo in itertools.product(*per_column):
-            s_rows = [[combo[j][k] for j in range(n)] for k in range(inner_dim)]
-            yield r, IntMatrix.from_rows(s_rows)
+            columns.append(sols)
+        else:
+            r = IntMatrix.from_rows(r_rows)
+            for combo in itertools.product(*columns):
+                yield r, IntMatrix.from_rows(list(zip(*combo)))
 
 
 def sse_search(
@@ -241,10 +245,12 @@ def sse_search(
 ) -> SSEChain | SearchExhausted:
     """Breadth-first search over elementary moves from A toward B.
 
-    Frontier matrices are deduplicated up to simultaneous row/column
-    permutation, which preserves both the equivalence class and
-    nonnegativity; a hit on a permuted copy of B is completed by one extra
-    permutation link so the returned chain always verifies exactly.
+    The invariants are checked first: on an obstruction the search returns
+    at once, since no chain can exist past one.  Frontier matrices are
+    deduplicated up to simultaneous row/column permutation, which preserves
+    both the equivalence class and nonnegativity; a hit on a permuted copy
+    of B is completed by one extra permutation link.  A chain is checked
+    with ``verify_sse_chain``, and against A and B, before it is returned.
     """
     _check_nonneg(a, b)
     if not (a.is_square and b.is_square):
@@ -252,18 +258,17 @@ def sse_search(
     bounds = {"max_depth": max_depth, "max_inner_dim": max_inner_dim}
     if a == b:
         return SSEChain((a,), ())
-    canon_b, _ = permutation_canonical(b)
+    report = invariants_report(a, b)
+    if report.verdict == "obstruction":
+        return SearchExhausted(bounds, report)
 
-    def perm_link(m: IntMatrix) -> tuple[IntMatrix, ESWitness] | None:
-        # One elementary move m -> b via a permutation: m = (m P^T) P and
-        # P m P^T = b.
-        for perm in itertools.permutations(range(m.rows)):
-            if apply_permutation(m, perm) == b:
-                p = _permutation_matrix(perm)
-                r = m @ p.transpose()
-                return b, ESWitness(r, p)
-        return None
+    def verified(mats: tuple[IntMatrix, ...], wits: tuple[ESWitness, ...]) -> SSEChain:
+        chain = SSEChain(mats, wits)
+        if not (verify_sse_chain(chain)[0] and mats[0] == a and mats[-1] == b):
+            raise AssertionError("search built a chain that does not verify")
+        return chain
 
+    canon_b, perm_b = permutation_canonical(b)
     start_key, _ = permutation_canonical(a)
     visited = {(a.rows, start_key)}
     frontier: list[tuple[IntMatrix, tuple[IntMatrix, ...], tuple[ESWitness, ...]]] = [
@@ -277,21 +282,22 @@ def sse_search(
                     succ = s @ r
                     witness = ESWitness(r, s)
                     if succ == b:
-                        return SSEChain(mats + (succ,), wits + (witness,))
-                    key_tuple, _ = permutation_canonical(succ)
+                        return verified(mats + (succ,), wits + (witness,))
+                    key_tuple, perm_succ = permutation_canonical(succ)
                     key = (succ.rows, key_tuple)
                     if key == (b.rows, canon_b) and depth + 1 <= max_depth:
-                        link = perm_link(succ)
-                        if link is not None:
-                            final, pw = link
-                            return SSEChain(
-                                mats + (succ, final), wits + (witness, pw)
-                            )
+                        # P sending perm_b[i] to perm_succ[i] gives
+                        # P succ P^T = b: one more move, succ = (succ P^T) P.
+                        p = _permutation_matrix(
+                            tuple(perm_succ[perm_b.index(i)] for i in range(b.rows))
+                        )
+                        link = ESWitness(succ @ p.transpose(), p)
+                        return verified(mats + (succ, b), wits + (witness, link))
                     if key not in visited:
                         visited.add(key)
                         next_frontier.append((succ, mats + (succ,), wits + (witness,)))
         frontier = next_frontier
-    return SearchExhausted(bounds=bounds)
+    return SearchExhausted(bounds, report)
 
 
 def se_search(
@@ -306,7 +312,8 @@ def se_search(
     The kernel of the linear map R -> A R - R B is computed exactly; R and S
     candidates are integer combinations of kernel basis vectors with
     coefficients bounded by coeff_bound.  An invariant obstruction short
-    circuits the search, since no witness can exist past one.
+    circuits the search, since no witness can exist past one.  A witness is
+    checked with ``verify_se`` before it is returned.
     """
     _check_nonneg(a, b)
     if not (a.is_square and b.is_square):
@@ -314,9 +321,15 @@ def se_search(
     bounds = {"max_lag": max_lag, "coeff_bound": coeff_bound}
     report = invariants_report(a, b)
     if report.verdict == "obstruction":
-        return SearchExhausted(bounds=bounds, obstruction=report)
+        return SearchExhausted(bounds, report)
+
+    def verified(w: SEWitness) -> SEWitness:
+        if not verify_se(a, b, w):
+            raise AssertionError("search built a witness that does not verify")
+        return w
+
     if a == b:
-        return SEWitness(r=a, s=IntMatrix.identity(a.rows), lag=1)
+        return verified(SEWitness(r=a, s=IntMatrix.identity(a.rows), lag=1))
     n, m = a.rows, b.rows
 
     def nonneg_candidates(kernel_map: IntMatrix, rows: int, cols: int) -> list[IntMatrix]:
@@ -353,5 +366,5 @@ def se_search(
         for r in rs:
             for s in ss:
                 if r @ s == a_pow and s @ r == b_pow:
-                    return SEWitness(r=r, s=s, lag=lag)
-    return SearchExhausted(bounds=bounds)
+                    return verified(SEWitness(r=r, s=s, lag=lag))
+    return SearchExhausted(bounds, report)

@@ -6,9 +6,12 @@ extended by an edge into a sink.
 
 Every test runs under a wall-clock limit (``TEST_TIME_LIMIT_S``), so a
 regression that makes a bounded procedure run away fails its test instead of
-hanging the suite.
+hanging the suite.  A test stuck in one long C call never returns to the
+interpreter loop that delivers the alarm, so a watchdog thread dumps every
+thread's traceback to the terminal and ends the run 30 s after the limit.
 """
 
+import faulthandler
 import os
 import signal
 from pathlib import Path
@@ -26,6 +29,17 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 TEST_TIME_LIMIT_S = 60
 
+# A copy of the terminal's stderr: pytest captures fd 2 while a test runs.
+STDERR_COPY = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[STDERR_COPY] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[STDERR_COPY])
+
 
 class TimeLimitExceeded(BaseException):
     """Not an ``Exception``, so hypothesis does not catch it and shrink, which
@@ -33,22 +47,27 @@ class TimeLimitExceeded(BaseException):
 
 
 @pytest.fixture(autouse=True)
-def time_limit():
-    """Fail the running test once it has taken ``TEST_TIME_LIMIT_S`` seconds."""
-    if not hasattr(signal, "setitimer"):  # no interval timers on this platform
-        yield
-        return
+def time_limit(request):
+    """Fail the running test once it has taken ``TEST_TIME_LIMIT_S`` seconds,
+    and end the run if the test ignores that for another 30 s."""
 
     def expire(signum, frame):
         raise TimeLimitExceeded(f"test ran longer than {TEST_TIME_LIMIT_S} s")
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    faulthandler.dump_traceback_later(
+        TEST_TIME_LIMIT_S + 30, exit=True, file=request.config.stash[STDERR_COPY]
+    )
+    timers = hasattr(signal, "setitimer")  # no interval timers on some platforms
+    if timers:
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        faulthandler.cancel_dump_traceback_later()
+        if timers:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -464,6 +464,21 @@ def test_shift_search_sse_not_found(files, capsys, tmp_path):
     assert report["bounds"] == {"max_depth": 1, "max_inner_dim": 2}
 
 
+@pytest.mark.parametrize("entry", [10**6, 10**23])
+def test_shift_search_sse_stops_on_obstruction(capsys, tmp_path, entry):
+    # Bowen-Franks separates [entry] from [6]; the search must not enumerate
+    # factorizations with entries up to `entry` first.
+    big = tmp_path / "big.mat"
+    big.write_text(f"1 1\n{entry}\n")
+    six = tmp_path / "six.mat"
+    six.write_text("1 1\n6\n")
+    start = time.perf_counter()
+    code, report = invoke_json(capsys, ["shift", "search-sse", str(big), str(six)])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and report["outcome"] == "not_found"
+    assert report["obstruction"]["verdict"] == "obstruction"
+
+
 def test_shift_search_se(files, capsys, tmp_path):
     code, report = invoke_json(capsys, ["shift", "search-se", files["two.mat"], files["ones.mat"]])
     assert code == 0 and report["outcome"] == "found" and report["lag"] == 1

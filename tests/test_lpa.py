@@ -198,3 +198,28 @@ def test_kp_compare_graded_witness_verifies(graph_two_cycle_loop):
     verdict = kp_compare(g, g, mode="graded")
     assert verdict.kind == "iso_witness"
     assert verify_se(a, a, verdict.se_witness)
+
+
+def test_kp_compare_graded_computes_invariants_once(monkeypatch):
+    import monodyn.shifteq as shifteq
+    from monodyn.graph import graph_from_matrix
+    from monodyn.matrix import IntMatrix
+
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    original = shifteq.invariants_report
+    monkeypatch.setattr(shifteq, "invariants_report", counted)
+    for left, right, kind in (
+        ([[2]], [[3]], "not_iso"),
+        ([[1, 1], [1, 0]], [[1, 1], [1, 0]], "iso_witness"),
+        ([[3, 0], [0, 0]], [[0, 0], [0, 3]], "unknown"),
+    ):
+        calls.clear()
+        first = graph_from_matrix(IntMatrix.from_rows(left))
+        second = graph_from_matrix(IntMatrix.from_rows(right))
+        assert kp_compare(first, second, mode="graded").kind == kind
+        assert len(calls) == 1

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monodyn.errors import ShapeError
 from monodyn.matrix import IntMatrix
@@ -9,6 +12,7 @@ from monodyn.shifteq import (
     SEWitness,
     SSEChain,
     SearchExhausted,
+    _factorizations,
     apply_permutation,
     bowen_franks,
     invariants_report,
@@ -205,3 +209,35 @@ def test_search_soundness_random_es_pairs():
         se_found = se_search(a, b, max_lag=2, coeff_bound=2)
         if isinstance(se_found, SEWitness):
             assert verify_se(a, b, se_found)
+
+
+def brute_factorizations(m: IntMatrix, d: int) -> list:
+    """Every R in [0, max(m)]^(n x d) in lexicographic order and, for each,
+    every S whose columns solve R s = m's columns, each column filtered from
+    the whole box in lexicographic order."""
+    n = m.rows
+    bound = max(m.max_entry(), 0)
+    box = [IntMatrix(d, 1, s) for s in itertools.product(range(bound + 1), repeat=d)]
+    targets = [IntMatrix(n, 1, tuple(col)) for col in m.transpose().to_rows()]
+    out = []
+    for flat in itertools.product(range(bound + 1), repeat=n * d):
+        r = IntMatrix(n, d, flat)
+        columns = [[s.entries for s in box if r @ s == target] for target in targets]
+        for combo in itertools.product(*columns):
+            out.append((r, IntMatrix.from_rows(list(zip(*combo)))))
+    return out
+
+
+@st.composite
+def small_square(draw):
+    n = draw(st.integers(1, 2))
+    return IntMatrix(n, n, tuple(draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_square(), st.integers(1, 3))
+@example(IntMatrix(1, 1, (0,)), 3)
+@example(IntMatrix(2, 2, (0, 0, 0, 0)), 2)
+@example(IntMatrix(2, 2, (0, 0, 0, 0)), 3)
+def test_factorizations_match_brute_force(m, d):
+    assert list(_factorizations(m, d)) == brute_factorizations(m, d)
