@@ -1,7 +1,10 @@
 """Exact integer matrices.
 
 All arithmetic uses Python's arbitrary-precision integers, so powers of
-adjacency matrices and determinant computations never overflow.  The file
+adjacency matrices and determinant computations never overflow.  Entries are
+one row-major tuple; products, transposes and traces read whole rows and
+columns from it as slices (``entries[j::cols]`` is column j) rather than
+entry by entry.  The file
 format is a header line ``<rows> <cols>`` followed by one whitespace-separated
 row per line; ``#`` starts a comment.
 """
@@ -9,6 +12,8 @@ row per line; ``#`` starts a comment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 from typing import Sequence
 
 from .errors import ParseError, ShapeError
@@ -42,7 +47,8 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        # A one and n zeros, repeated, put the ones n + 1 entries apart.
+        return IntMatrix(n, n, ((1,) + (0,) * n) * (n - 1) + (1,))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -71,14 +77,11 @@ class IntMatrix:
     def trace(self) -> int:
         if not self.is_square:
             raise ShapeError("trace of a non-square matrix")
-        return sum(self.at(i, i) for i in range(self.rows))
+        return sum(self.entries[:: self.cols + 1])
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        e, c = self.entries, self.cols
+        return IntMatrix(c, self.rows, tuple(chain.from_iterable(e[j::c] for j in range(c))))
 
     def add(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -98,12 +101,11 @@ class IntMatrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
+        rows = [self.row(i) for i in range(self.rows)]
+        return IntMatrix(
+            self.rows, other.cols, tuple(sum(map(mul, row, column)) for row in rows for column in columns)
+        )
 
     def pow(self, k: int) -> "IntMatrix":
         if not self.is_square:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 
 from .config import DEFAULT_BOUNDS
-from .errors import ShapeError
+from .errors import MonodynError, ShapeError
 from .matrix import IntMatrix, charpoly, kron
 from .smith import integer_kernel_basis, invariant_factors
 
@@ -167,11 +168,11 @@ def permutation_canonical(m: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...
     row/column permutations P, together with one permutation realizing it."""
     if not m.is_square:
         raise ShapeError("square matrix required")
-    n = m.rows
+    rows = m.to_rows()
     best = None
     best_perm = None
-    for perm in itertools.permutations(range(n)):
-        candidate = tuple(m.at(perm[i], perm[j]) for i in range(n) for j in range(n))
+    for perm in itertools.permutations(range(m.rows)):
+        candidate = tuple([rows[i][j] for i in perm for j in perm])
         if best is None or candidate < best:
             best = candidate
             best_perm = perm
@@ -180,8 +181,8 @@ def permutation_canonical(m: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...
 
 def apply_permutation(m: IntMatrix, perm: tuple[int, ...]) -> IntMatrix:
     """P m P^T where row i of the result is row perm[i] of m."""
-    n = m.rows
-    return IntMatrix(n, n, tuple(m.at(perm[i], perm[j]) for i in range(n) for j in range(n)))
+    rows = m.to_rows()
+    return IntMatrix(m.rows, m.rows, tuple([rows[i][j] for i in perm for j in perm]))
 
 
 def _permutation_matrix(perm: tuple[int, ...]) -> IntMatrix:
@@ -208,9 +209,18 @@ def _factorizations(m: IntMatrix, inner_dim: int):
     n x inner_dim, entries bounded by max(m), in lexicographic order of R
     then of S's columns.  Row i of R must reach every entry of row i of m;
     column j of S is a solution of row 0's equation that the other rows'
-    equations keep."""
+    equations keep.
+
+    Raises ``MonodynError`` when the entry range [0, max(m)] has more values
+    than a ``range`` can count on this platform (``sys.maxsize``), since
+    ``itertools.product`` must take its length."""
     n = m.rows
     bound = max(m.max_entry(), 0)
+    if bound >= sys.maxsize:
+        raise MonodynError(
+            f"cannot enumerate factorizations of a matrix with entry {bound}: "
+            f"the entry range [0, {bound}] holds more than sys.maxsize = {sys.maxsize} values"
+        )
     rows_m = m.to_rows()
     kept = [
         [
@@ -251,6 +261,8 @@ def sse_search(
     both the equivalence class and nonnegativity; a hit on a permuted copy
     of B is completed by one extra permutation link.  A chain is checked
     with ``verify_sse_chain``, and against A and B, before it is returned.
+    A frontier matrix with an entry of ``sys.maxsize`` or more cannot have
+    its factorizations enumerated, and the search raises ``MonodynError``.
     """
     _check_nonneg(a, b)
     if not (a.is_square and b.is_square):

@@ -3,7 +3,10 @@ kernels, integer solves and lattice membership.
 
 All of them run through one elimination, ``_echelon``, which brings a list of
 rows to echelon form in place by Euclid steps and can repeat every row
-operation on a transform.
+operation on a transform.  Each row carries its transform row through the
+elimination, so one list operation updates both, and an operation rewrites
+only the entries from the column it clears on: the rows it touches are zero
+to the left of that column.
 
 ``smith_normal_form(M)`` returns ``(U, D, V)`` with ``U @ M @ V == D``,
 ``|det U| == |det V| == 1``, ``D`` diagonal with nonnegative entries, and each
@@ -33,11 +36,21 @@ def _echelon(rows: list[list[int]], t: list[list[int]] | None = None) -> int:
     entry in the column becomes the pivot and reduces the rows under it by
     floor division.  The remainders are smaller than the pivot, so repeating
     clears the column (Euclid's algorithm).  When ``t`` is given, every row
-    operation is repeated on it.
+    operation is repeated on it: each row carries its transform row while the
+    elimination runs, and ``t`` gets the results back at the end.
+
+    Rows are updated in place: the lists in ``rows`` are the ones written to,
+    so callers pass lists nothing else holds.  Rows at or below the rank are
+    zero left of the column being cleared, so an operation rewrites only the
+    entries from that column on.
     """
     n = len(rows)
+    width = len(rows[0]) if rows else 0
+    if t is not None:
+        for r, tr in zip(rows, t):
+            r += tr
     rank = 0
-    for col in range(len(rows[0]) if rows else 0):
+    for col in range(width):
         while True:
             piv, best = None, 0
             for i in range(rank, n):
@@ -48,24 +61,26 @@ def _echelon(rows: list[list[int]], t: list[list[int]] | None = None) -> int:
                 break
             if piv != rank:
                 rows[rank], rows[piv] = rows[piv], rows[rank]
-                if t is not None:
-                    t[rank], t[piv] = t[piv], t[rank]
             top = rows[rank]
             p = top[col]
+            tail = top[col:]
             clear = True
             for i in range(rank + 1, n):
                 r = rows[i]
-                if r[col]:
-                    q = r[col] // p
-                    rows[i] = r = [a - q * b for a, b in zip(r, top)]
-                    if t is not None:
-                        t[i] = [a - q * b for a, b in zip(t[i], t[rank])]
+                x = r[col]
+                if x:
+                    q = x // p
+                    r[col:] = [a - q * b for a, b in zip(r[col:], tail)]
                     clear = clear and not r[col]
             if clear:
                 rank += 1
                 break
         if rank == n:
             break
+    if t is not None:
+        for i, r in enumerate(rows):
+            t[i] = r[width:]
+            del r[width:]
     return rank
 
 

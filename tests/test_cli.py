@@ -479,6 +479,20 @@ def test_shift_search_sse_stops_on_obstruction(capsys, tmp_path, entry):
     assert report["obstruction"]["verdict"] == "obstruction"
 
 
+def test_shift_search_sse_refuses_an_entry_range_it_cannot_count(capsys, tmp_path):
+    # Equal Bowen-Franks groups and charpoly cores pass the invariants gate,
+    # and the factorization box of 10^23 holds more than sys.maxsize values.
+    a = tmp_path / "a.mat"
+    a.write_text(f"2 2\n{10**23} 0\n0 0\n")
+    b = tmp_path / "b.mat"
+    b.write_text(f"1 1\n{10**23}\n")
+    start = time.perf_counter()
+    code, report = invoke_json(capsys, ["shift", "search-sse", str(a), str(b)])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and report["kind"] == "error"
+    assert "sys.maxsize" in report["message"]
+
+
 def test_shift_search_se(files, capsys, tmp_path):
     code, report = invoke_json(capsys, ["shift", "search-se", files["two.mat"], files["ones.mat"]])
     assert code == 0 and report["outcome"] == "found" and report["lag"] == 1
@@ -761,9 +775,48 @@ PLACES = st.one_of(
 MODES = st.sampled_from(("closed", "open", "torus"))
 
 
+# Matrix entries stay at most 9 or at least 2^63: mid-size entries send the
+# unbudgeted factorization enumeration of search-sse into minutes.  The two
+# searches get squares of side 1 or 2 only: a 3x3 pair that passes the
+# invariants gate can take over 10 s (search-sse at inner dim 2) or 3 s
+# (search-se, whose candidate box fills its cap) on entries up to 9.
+SMALL_ENTRIES = st.integers(0, 9)
+BIG_ENTRIES = st.one_of(SMALL_ENTRIES, st.integers(2**63, 2**70))
+MALFORMED_MATRICES = ("", "2\n", "0 3\n", "2 2\n1 2 3\n", "1 1\nx\n", "1 1\n-4\n", "1 2\n1 2\n3\n")
+
+
 @st.composite
-def cli_argv(draw):
-    kind = draw(st.sampled_from(("grid", "render", "bound")))
+def matrix_text(draw, max_side: int) -> str:
+    kind = draw(st.sampled_from(("small", "big", "non-square", "malformed")))
+    if kind == "malformed":
+        return draw(st.sampled_from(MALFORMED_MATRICES))
+    if kind == "non-square":
+        rows, cols = draw(st.sampled_from(((1, 2), (2, 1), (2, 3), (3, 2))))
+    else:
+        rows = cols = draw(st.integers(1, max_side))
+    entries = draw(st.lists(BIG_ENTRIES if kind == "big" else SMALL_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    body = "".join(" ".join(map(str, entries[i * cols : (i + 1) * cols])) + "\n" for i in range(rows))
+    return f"{rows} {cols}\n{body}"
+
+
+@st.composite
+def shift_case(draw) -> tuple[list[str], dict[str, str]]:
+    command = draw(st.sampled_from(("invariants", "verify-es", "search-se", "search-sse")))
+    side = 3 if command in ("invariants", "verify-es") else 2
+    names = ["a.gen.mat", "b.gen.mat"] + (["r.gen.mat", "s.gen.mat"] if command == "verify-es" else [])
+    files = {name: draw(matrix_text(side)) for name in names}
+    argv = ["shift", command, *names]
+    if command == "search-sse":
+        argv += ["--depth", "1", "--inner-dim", draw(st.sampled_from(("1", "2")))]
+    return argv, files
+
+
+@st.composite
+def cli_case(draw) -> tuple[list[str], dict[str, str]]:
+    """An argv and the generated files it reads, by name in the work dir."""
+    kind = draw(st.sampled_from(("grid", "render", "bound", "shift")))
+    if kind == "shift":
+        return draw(shift_case())
     if kind == "grid":
         places = draw(st.lists(PLACES, max_size=3))
         # A small budget keeps piles that never settle from running long.
@@ -771,23 +824,26 @@ def cli_argv(draw):
             ["sandpile", "grid", draw(GRID_SIDES), draw(GRID_SIDES), "--mode", draw(MODES)]
             + [f"--place={p}" for p in places]
             + ["--budget", str(draw(st.integers(0, 500)))]
-        )
+        ), {}
     if kind == "render":
         argv = ["sandpile", "render", draw(GRID_SIDES), draw(GRID_SIDES)]
         argv += [draw(st.sampled_from(("zero.cfg", "bad.cfg", "missing.cfg"))), "--mode", draw(MODES)]
-        return argv + draw(st.sampled_from(([], ["--out", "r.ppm"])))
+        return argv + draw(st.sampled_from(([], ["--out", "r.ppm"]))), {}
     argv, _ = draw(st.sampled_from(COMMAND_BOUNDS))
     flag = draw(st.sampled_from([*BOUND_FLAGS.values(), "--bounds-file"]))
     if flag == "--bounds-file":
         value = draw(st.sampled_from(("bounds.txt", "bad-bounds.txt", "missing.txt")))
     else:
         value = str(draw(st.integers(-2, 3)))
-    return argv + [flag, value]
+    return argv + [flag, value], {}
 
 
-@settings(max_examples=300, deadline=None)
-@given(argv=cli_argv())
-def test_cli_contract(cli_workdir, argv):
+@settings(max_examples=400, deadline=None)
+@given(case=cli_case())
+def test_cli_contract(cli_workdir, case):
+    argv, files = case
+    for name, text in files.items():
+        (cli_workdir / name).write_text(text)
     old = os.getcwd()
     os.chdir(cli_workdir)
     try:

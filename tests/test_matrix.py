@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monodyn.errors import ParseError, ShapeError
 from monodyn.matrix import (
@@ -134,3 +136,69 @@ def test_parse_comments_and_errors():
         parse_matrix("1 1\nx\n")
     with pytest.raises(ParseError):
         parse_matrix("")
+
+
+# --- the slice-based products, transposes and traces against per-entry sums ---
+
+ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+SIDES = st.integers(1, 7)
+
+
+def matrices(rows, cols):
+    return st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols).map(
+        lambda e: IntMatrix(rows, cols, tuple(e))
+    )
+
+
+@st.composite
+def matrix_pair(draw):
+    """An l x m and an m x n matrix; a third of the draws make l or n one."""
+    l, m, n = draw(SIDES), draw(SIDES), draw(SIDES)
+    thin = draw(st.sampled_from((None, "row", "column")))
+    if thin == "row":
+        l = 1
+    elif thin == "column":
+        n = 1
+    return draw(matrices(l, m)), draw(matrices(m, n))
+
+
+def naive_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return IntMatrix(
+        a.rows,
+        b.cols,
+        tuple(sum(a.at(i, k) * b.at(k, j) for k in range(a.cols)) for i in range(a.rows) for j in range(b.cols)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pair())
+@example((IntMatrix(1, 3, (1, 2, 3)), IntMatrix(3, 1, (4, 5, 6))))
+@example((IntMatrix(3, 1, (1, 2, 3)), IntMatrix(1, 3, (4, 5, 6))))
+def test_matmul_matches_per_entry_sums(pair):
+    a, b = pair
+    assert a @ b == naive_matmul(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(SIDES, SIDES).flatmap(lambda shape: matrices(*shape)))
+@example(IntMatrix(1, 4, (1, 2, 3, 4)))
+@example(IntMatrix(4, 1, (1, 2, 3, 4)))
+def test_transpose_and_trace_match_per_entry_reads(m):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert t.entries == tuple(m.at(i, j) for j in range(m.cols) for i in range(m.rows))
+    if m.is_square:
+        assert m.trace() == sum(m.at(i, i) for i in range(m.rows))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_identity_matches_kronecker_delta(n):
+    assert IntMatrix.identity(n).entries == tuple(int(i == j) for i in range(n) for j in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: matrices(n, n)))
+def test_charpoly_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    expected = sympy.Matrix(m.to_rows()).charpoly().all_coeffs()
+    assert charpoly(m) == tuple(int(c) for c in expected)

@@ -241,3 +241,32 @@ def small_square(draw):
 @example(IntMatrix(2, 2, (0, 0, 0, 0)), 3)
 def test_factorizations_match_brute_force(m, d):
     assert list(_factorizations(m, d)) == brute_factorizations(m, d)
+
+
+def naive_apply_permutation(m: IntMatrix, perm: tuple[int, ...]) -> IntMatrix:
+    n = m.rows
+    return IntMatrix(n, n, tuple(m.at(perm[i], perm[j]) for i in range(n) for j in range(n)))
+
+
+def naive_permutation_canonical(m: IntMatrix):
+    """First permutation, in itertools order, with the least permuted entries."""
+    return min(
+        (naive_apply_permutation(m, perm).entries, perm) for perm in itertools.permutations(range(m.rows))
+    )
+
+
+@st.composite
+def square_and_permutation(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(0, 3), st.integers(0, 10**30))
+    m = IntMatrix(n, n, tuple(draw(st.lists(entries, min_size=n * n, max_size=n * n))))
+    return m, tuple(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_and_permutation())
+@example((IntMatrix(3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 1)), (2, 0, 1)))
+def test_permutations_match_per_entry_reads(case):
+    m, perm = case
+    assert apply_permutation(m, perm) == naive_apply_permutation(m, perm)
+    assert permutation_canonical(m) == naive_permutation_canonical(m)

@@ -1,11 +1,14 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodyn.matrix import IntMatrix, det
+from monodyn.matrix import IntMatrix, charpoly, det
 from monodyn.smith import (
     integer_kernel_basis,
     invariant_factors,
@@ -233,3 +236,69 @@ def test_kernel_basis_spans_the_kernel(m, low_rank):
     assert len(basis) == m.cols - rational_rank(m.to_rows())
     if basis:
         assert rational_rank(basis) == len(basis)
+
+
+def kernel_corpus() -> list[IntMatrix]:
+    """Seeded square, rectangular, singular, zero and 10^30-entry matrices up
+    to 32x32."""
+    rng = random.Random(1979)
+
+    def rand(rows, cols, bound):
+        return IntMatrix(rows, cols, tuple(rng.randint(-bound, bound) for _ in range(rows * cols)))
+
+    out = [rand(n, n, 9) for n in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32)]
+    out += [rand(r, c, 9) for r, c in ((1, 7), (7, 1), (3, 8), (8, 3), (5, 11), (13, 6), (20, 32), (32, 20))]
+    out += [rand(n, k, 5) @ rand(k, n, 5) for n, k in ((4, 2), (8, 5), (16, 9), (32, 20))]
+    out += [IntMatrix.zeros(3, 5), IntMatrix.zeros(4, 4)]
+    big = ((1, 1), (2, 2), (3, 5), (5, 3), (6, 6), (9, 9), (1, 9), (9, 1), (16, 16), (12, 32))
+    out += [rand(r, c, 10**30) for r, c in big]
+    out.append(rand(6, 3, 10**30) @ rand(3, 6, 10**30))
+    return out
+
+
+KERNEL_CORPUS = kernel_corpus()
+_rng = random.Random(7)
+COLUMNS = [tuple(_rng.randint(-5, 5) for _ in range(m.cols)) for m in KERNEL_CORPUS]
+ROWS = [tuple(_rng.randint(-5, 5) for _ in range(m.rows)) for m in KERNEL_CORPUS]
+
+
+def _row_combinations(i, m):
+    """A combination of the rows of m, and the same nudged in its first entry."""
+    v = (IntMatrix(1, m.rows, ROWS[i]) @ m).entries
+    return v, (v[0] + 1,) + v[1:]
+
+
+KERNEL_OUTPUTS = {
+    "smith_normal_form": lambda i, m: [list(x.entries) for x in smith_normal_form(m)],
+    "invariant_factors": lambda i, m: invariant_factors(m),
+    "integer_kernel_basis": lambda i, m: integer_kernel_basis(m),
+    # One solvable right-hand side and one drawn at random.
+    "solve_integer_column": lambda i, m: [
+        solve_integer_column(m, (m @ IntMatrix(m.cols, 1, COLUMNS[i])).entries),
+        solve_integer_column(m, ROWS[i]),
+    ],
+    "lattice_contains": lambda i, m: [lattice_contains(m.to_rows(), v) for v in _row_combinations(i, m)],
+    "charpoly": lambda i, m: charpoly(m) if m.is_square else None,
+    "matmul": lambda i, m: [(m @ m.transpose()).entries, (m.transpose() @ m).entries],
+}
+
+# Digests of the outputs above over KERNEL_CORPUS, as the elimination that
+# rebuilt both full rows on every operation and the per-entry product gave.
+KERNEL_DIGESTS = {
+    "smith_normal_form": "e5250ea5b49428b4dee776d25c7e66369c127f1ad32e1fe1cbabfac76f25869a",
+    "invariant_factors": "653bece41b3b59deb832ba7415ba73ff2bb5c061117dbbfea06857942d9a9057",
+    "integer_kernel_basis": "ac29971d09a0c2824536c46c42e843b8f4b54f72f1e495c682f4519ef77cbd6c",
+    "solve_integer_column": "4c595b5725a7aea6be85c8aae961065721c96151bc7f5ec44660557d5492958f",
+    "lattice_contains": "3e4389c90f1eafae7cfbd8ff33ef95b53dcc617e1b4840f9ee1245cf4362b9d9",
+    "charpoly": "f06ce35f18f89e8e712fe6e71c0b5be46a20cb34741e5c3bdfb2fa6bcb6612fa",
+    "matmul": "2b7faa79eaa5464689921a252d1ff36adabaa8c0465154a1839347d2b86e9bc8",
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_DIGESTS)
+def test_integer_kernels_are_pinned(name):
+    # Bit-identical U, D, V, kernels, solutions, memberships, characteristic
+    # polynomials and products, not just equally valid ones: se_search builds
+    # its candidates from the kernel bases.
+    payload = json.dumps([KERNEL_OUTPUTS[name](i, m) for i, m in enumerate(KERNEL_CORPUS)])
+    assert hashlib.sha256(payload.encode()).hexdigest() == KERNEL_DIGESTS[name]
