@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
-from .errors import ParseError, ShapeError
+from .errors import MonodynError, ParseError, ShapeError
 from .matrix import IntMatrix, vec_mat_mul
 from .smith import solve_integer_column
 
@@ -31,6 +31,11 @@ NO = "no"
 
 FORWARD = "forward"
 BACKWARD = "backward"
+
+# The largest talented window radius.  The window's presentation stores each
+# of its relations as a dense vector over every stage's vertices, so its size
+# grows with radius^2; a larger radius is refused before anything is built.
+MAX_WINDOW_RADIUS = 100
 
 
 @dataclass(frozen=True)
@@ -56,14 +61,17 @@ def _require_same_matrix(x: DimElement, y: DimElement):
 
 
 def _common_stage(x: DimElement, y: DimElement) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Both vectors pushed to the later of the two stages, and that stage."""
+    """Both vectors pushed to the later of the two stages, and that stage.
+    The earlier vector is multiplied by the matrix power of the stage gap,
+    which raises ``MonodynError`` when its entries need more than
+    ``matrix.MAX_POWER_BITS`` bits."""
     _require_same_matrix(x, y)
     stage = max(x.stage, y.stage)
     vecs = []
     for e in (x, y):
         v = e.vec
-        for _ in range(stage - e.stage):
-            v = vec_mat_mul(v, e.matrix)
+        if e.stage < stage:
+            v = vec_mat_mul(v, e.matrix.pow(stage - e.stage, bounded=True))
         vecs.append(v)
     return vecs[0], vecs[1], stage
 
@@ -194,12 +202,15 @@ class TalentedWindow:
 def talented_window(g: Graph, radius: int) -> TalentedWindow:
     """The window's presentation is the graph monoid of the stage graph: one
     vertex ``v(i)`` per vertex v and stage i, and for every edge v -> w of
-    g an edge ``v(i)`` -> ``w(i+1)`` of the same multiplicity."""
+    g an edge ``v(i)`` -> ``w(i+1)`` of the same multiplicity.  A radius
+    above ``MAX_WINDOW_RADIUS`` raises ``MonodynError``."""
     from .graph import Graph
     from .monoid import graph_monoid_presentation
 
     if radius < 0:
         raise ShapeError("window radius must be nonnegative")
+    if radius > MAX_WINDOW_RADIUS:
+        raise MonodynError(f"window radius {radius} is over MAX_WINDOW_RADIUS = {MAX_WINDOW_RADIUS}")
     stages = range(-radius, radius + 1)
     stage_graph = Graph.build(
         [f"{v}({i})" for v in g.vertices for i in stages],

@@ -8,10 +8,17 @@ missing neighbors, which makes every cell's threshold exactly 4.
 ``stabilize_grid`` is a flat-array stabilizer that topples every unstable
 cell in bulk per sweep; by order independence its final configuration and
 odometer are identical to the generic graph stabilizer's, which the test
-suite checks cell for cell.  It works in place on a padded array of the
-narrowest integer type that provably cannot overflow, and each sweep covers
-only the band of rows around the unstable cells.  Images are binary PPM
-(P6), one pixel per cell.
+suite checks cell for cell.  One kernel serves both modes: each sweep takes
+the topplings by a shift, as if every degree were 4, redoes them on a closed
+grid's edge cells by dividing each grid edge by its degrees, takes the shed
+chips off the counts, and adds the topplings to the odometer and to the four
+neighbours.  The counts sit in a padded array with a ring around the grid;
+the top and bottom ring rows are written and never read.  A sweep is 8
+array calls on an open grid and at most 13 on a closed one.  The firings are summed only once the sweeps done and the next few
+could pass the firing budget, since a sweep fires at most once per chip.
+The arrays use the narrowest integer type that provably cannot overflow,
+and each sweep covers only the band of rows around the unstable cells.
+Images are binary PPM (P6), one pixel per cell.
 
 numpy is imported inside the functions that use it, so importing this module
 does not load numpy.  A grid has at most ``MAX_GRID_CELLS`` cells;
@@ -101,28 +108,36 @@ def make_grid(spec: GridSpec) -> Graph:
 
 def grid_config(spec: GridSpec, placements: dict[tuple[int, int], int]) -> ChipConfig:
     """Configuration from (row, col) -> chips placements, summed exactly."""
-    import numpy as np
-
-    counts = np.zeros((spec.rows, spec.cols), dtype=object)
+    counts = [0] * (spec.rows * spec.cols)
     for (r, c), n in placements.items():
         if not (0 <= r < spec.rows and 0 <= c < spec.cols):
             raise ShapeError(f"placement ({r},{c}) outside {spec.rows}x{spec.cols} grid")
         if n < 0:
             raise ParseError("negative placement")
-        counts[r, c] += n
-    return array_to_config(spec, counts)
+        counts[r * spec.cols + c] += n
+    return _chip_config(spec, counts)
+
+
+def _lone_sink(spec: GridSpec) -> bool:
+    """A 1x1 closed grid is a lone sink: it carries no counts, and its chips
+    count as absorbed."""
+    return spec.mode == CLOSED and spec.rows * spec.cols == 1
+
+
+def _chip_config(spec: GridSpec, counts: list[int], absorbed: int = 0) -> ChipConfig:
+    """The configuration of row-major grid counts."""
+    if _lone_sink(spec):
+        return ChipConfig((), absorbed + counts[0])
+    return ChipConfig(tuple(counts), absorbed)
 
 
 def config_to_array(spec: GridSpec, c: ChipConfig, dtype=None) -> np.ndarray:
-    """Counts as a rows x cols array.  A 1x1 closed grid is a lone sink and
-    carries no counts, so the array is all zeros there.  The array is int64
-    unless ``dtype`` says otherwise or a count does not fit, in which case it
-    holds exact Python integers (dtype object)."""
+    """Counts as a rows x cols array, all zeros on a lone sink.  The array
+    is int64 unless ``dtype`` says otherwise or a count does not fit, in
+    which case it holds exact Python integers (dtype object)."""
     import numpy as np
 
-    expected = spec.rows * spec.cols
-    if spec.mode == CLOSED and expected == 1:
-        expected = 0
+    expected = 0 if _lone_sink(spec) else spec.rows * spec.cols
     if len(c.counts) != expected:
         raise ShapeError(
             f"config has {len(c.counts)} counts, grid expects {expected}"
@@ -136,9 +151,7 @@ def config_to_array(spec: GridSpec, c: ChipConfig, dtype=None) -> np.ndarray:
 
 
 def array_to_config(spec: GridSpec, arr: np.ndarray, absorbed: int = 0) -> ChipConfig:
-    if spec.mode == CLOSED and spec.rows * spec.cols == 1:
-        return ChipConfig((), int(absorbed) + int(arr.sum()))
-    return ChipConfig(tuple(arr.reshape(-1).tolist()), int(absorbed))
+    return _chip_config(spec, arr.reshape(-1).tolist(), int(absorbed))
 
 
 def _narrowest_dtype(bound: int):
@@ -156,9 +169,10 @@ def _stabilizer_dtype(spec: GridSpec, c: ChipConfig, budget: int):
     or object (exact Python integers) for both when either needs it.
 
     Counts stay nonnegative, so every count and every sum over cells is at
-    most the number of chips on the grid.  A cell of the padding ring holds
-    at most one sweep's topplings of its one grid neighbour, no more than
-    the chips, since the stabilizer clears the ring after every sweep.
+    most the number of chips on the grid.  A cell of the ring column holds
+    at most one sweep's topplings of its two grid neighbours, no more than
+    the chips, since the stabilizer clears it after every sweep; the top and
+    bottom ring rows are never read, so they may wrap.
 
     Each odometer entry is at most the number of firings, which the budget
     caps.  On an open grid, with phi(x) the expected number of steps a
@@ -181,23 +195,45 @@ def stabilize_grid(
 ) -> tuple[ChipConfig, Odometer]:
     """Bulk-toppling stabilizer over flat arrays.
 
-    Each sweep topples every unstable cell floor(count / threshold) times at
-    once; the abelian property guarantees the result matches single firings.
+    Each sweep topples every unstable cell floor(count / degree) times at
+    once (a Jacobi sweep); the abelian property guarantees the result
+    matches single firings.  A cell's degree is 4, less its missing
+    neighbours on a closed grid.
 
-    The counts live row-major inside a (rows + 2) x (cols + 2) array with a
-    one-cell ring, so a band of whole grid rows is one contiguous slice of
-    the flattened array and its four neighbour slices are that slice shifted
-    by one cell and by one row.  A sweep updates the array in place through
-    those slices.  Chips pushed into the ring are cleared after every sweep:
-    on a closed grid no chip leaves (a boundary cell loses only its degree
-    per firing), and on an open grid they are the sink's, whose total
-    follows from the odometer at the end.
+    The counts live row-major in a (rows + 2) x (cols + 1) array: the grid
+    rows sit between a top and a bottom ring row, and one ring column ends
+    each grid row, so a row's last cell and the next row's first cell share
+    their ring neighbour.  A band of whole grid rows is then one contiguous
+    slice of the flattened array, and its four neighbour slices are that
+    slice shifted by one cell and by one row.  An open-grid sweep is 8
+    array calls:
+    - the topple counts, by a shift;
+    - ``&= 3``;
+    - the odometer add;
+    - the four neighbour adds;
+    - one fill that clears the band's part of the ring column.
+    A closed-grid sweep adds, for each grid edge in the band (at most 4),
+    a ``floor_divide`` by the edge's degrees that overwrites its topple
+    counts after the shift, so every cell topples floor(count / degree)
+    times, and in place of the mask it subtracts topple * degree: 13 calls
+    at most.  The edges are separate 1-d slices, since a 2-d view of both
+    columns costs more per call than the two columns.
+    The top and bottom ring rows are never read, so nothing clears them.
+    Chips pushed into the ring are the sink's on an open grid and fall off
+    a closed one, whose cells lose only their degree a firing; the open
+    grid's absorbed total follows from the odometer at the end.  Scalar
+    operands are 0-d arrays of the count type, so numpy does not convert a
+    Python integer on every call.
 
     Every ``_WINDOW`` sweeps the band shrinks to the rows of the unstable
     cells grown by ``_WINDOW`` rows each way, which holds every cell that
-    can topple until the next recomputation.  A sweep's firings are counted
-    only while the next ``_WINDOW`` sweeps could overrun the budget;
-    otherwise a stable grid shows at the next recomputation, after at most
+    can topple until the next recomputation.  After the first window step,
+    only the band's rows and one row each side of it can have changed, so
+    only they are searched for unstable cells.  A sweep fires at most once
+    per chip, so the odometer is summed only once ``(sweeps + _WINDOW) *
+    chips`` passes the budget.  From then on, while the next ``_WINDOW``
+    sweeps could overrun the budget, each sweep's firings are counted.
+    Otherwise a stable grid shows at the next recomputation, after at most
     ``_WINDOW - 1`` sweeps that topple nothing.  So the sweep sequence, the
     result, the odometer and any ``BudgetExceededError`` are those of
     sweeping the whole grid.  The error carries the state after the last
@@ -216,83 +252,86 @@ def stabilize_grid(
     rows, cols = spec.rows, spec.cols
     count_dtype, odo_dtype = _stabilizer_dtype(spec, c, budget)
     start = config_to_array(spec, c, count_dtype)
-    if spec.mode == CLOSED and rows * cols == 1:
+    if _lone_sink(spec):
         return array_to_config(spec, start, c.absorbed), Odometer(())
 
-    width = cols + 2
+    width = cols + 1
     padded = np.zeros((rows + 2, width), dtype=count_dtype)
-    padded[1:-1, 1:-1] = start
+    padded[1:-1, :-1] = start
     flat = padded.reshape(-1)
-    odo = np.zeros((rows, width), dtype=odo_dtype)  # ring columns stay 0
-    open_mode = spec.mode == OPEN
-    if open_mode:
-        thresh = 4
-    else:
-        # Grid degrees: 4 inside, 3 on an edge, 2 in a corner; 1 on the
-        # ring, whose cells hold no chips when a sweep starts.
-        thresh = np.ones((rows, width), dtype=count_dtype)
-        thresh[:, 1:-1] = 4
-        thresh[0, 1:-1] -= 1
-        thresh[-1, 1:-1] -= 1
-        thresh[:, 1] -= 1
-        thresh[:, -2] -= 1
+    odo = np.zeros((rows, width), dtype=odo_dtype)  # the ring column stays 0
     buf = np.zeros(rows * width, dtype=count_dtype)
+    shed_buf = np.zeros(rows * width, dtype=count_dtype)
+    two, three = (np.array(k, dtype=count_dtype) for k in (2, 3))
+    right_shift, bitwise_and, add = np.right_shift, np.bitwise_and, np.add
+    floor_divide, multiply, subtract = np.floor_divide, np.multiply, np.subtract
+    open_mode = spec.mode == OPEN
+    # The firing thresholds; 1 on the ring column, whose cells hold no chips
+    # when a sweep starts.
+    degree = np.full((rows, width), 4, dtype=count_dtype)
+    if not open_mode:
+        degree[0] -= 1
+        degree[-1] -= 1
+        degree[:, 0] -= 1
+        degree[:, cols - 1] -= 1
+    degree[:, -1] = 1
 
     def result() -> tuple[ChipConfig, Odometer]:
-        firings = odo[:, 1:-1]
+        firings = odo[:, :-1]
         absorbed = c.absorbed
         if open_mode:
             # A cell sheds one chip per firing for each side on the boundary.
             sides = (firings[0], firings[-1], firings[:, 0], firings[:, -1])
             absorbed += sum(int(side.sum()) for side in sides)
         return (
-            array_to_config(spec, padded[1:-1, 1:-1], absorbed),
+            array_to_config(spec, padded[1:-1, :-1], absorbed),
             Odometer(tuple(firings.reshape(-1).tolist())),
         )
 
-    chips = sum(c.counts)
+    chips = c.total()
     sweeps = 0
+    exact = False
+    r0, r1 = 0, rows
     while True:
         if sweeps % _WINDOW == 0:
-            hit = np.flatnonzero((padded[1:-1] >= thresh).any(axis=1))
+            # After the first step, only the band and the rows next to it
+            # can have changed.
+            t0, t1 = (0, rows) if sweeps == 0 else (max(r0 - 1, 0), min(r1 + 1, rows))
+            hit = np.flatnonzero((padded[t0 + 1 : t1 + 1] >= degree[t0:t1]).any(axis=1))
             if not hit.size:
                 break
             # A sweep fires at most once per chip.
-            fired = int(odo.sum())
-            exact = fired + _WINDOW * chips > budget
-            r0 = max(int(hit[0]) - _WINDOW, 0)
-            r1 = min(int(hit[-1]) + 1 + _WINDOW, rows)
+            if not exact and (sweeps + _WINDOW) * chips > budget:
+                fired = int(odo.sum())
+                exact = fired + _WINDOW * chips > budget
+            r0 = max(t0 + int(hit[0]) - _WINDOW, 0)
+            r1 = min(t0 + int(hit[-1]) + 1 + _WINDOW, rows)
             lo, hi = (r0 + 1) * width, (r1 + 1) * width
             band = flat[lo:hi]
-            neighbours = (
-                flat[lo - width : hi - width],
-                flat[lo + width : hi + width],
-                flat[lo - 1 : hi - 1],
-                flat[lo + 1 : hi + 1],
-            )
-            # The ring cells those slices reach with nonzero topplings.
-            ring = [padded[r0 + 1 : r1 + 1, :: width - 1]]
-            if r0 == 0:
-                ring.append(padded[0])
-            if r1 == rows:
-                ring.append(padded[-1])
+            up, down = flat[lo - width : hi - width], flat[lo + width : hi + width]
+            left, right = flat[lo - 1 : hi - 1], flat[lo + 1 : hi + 1]
+            # The ring column cells those slices reach with nonzero topplings.
+            ring = padded[r0 : r1 + 1, -1]
             odo_band = odo.reshape(-1)[r0 * width : r1 * width]
-            topple = buf[: hi - lo]
+            degree_band = degree.reshape(-1)[r0 * width : r1 * width]
+            topple, shed = buf[: hi - lo], shed_buf[: hi - lo]
+            edges = []
             if not open_mode:
-                thresh_band = thresh[r0:r1].reshape(-1)
-                # The cells whose threshold is not 4: the band's edge columns
-                # and the first and last grid rows when the band holds them.
-                grids = (band.reshape(-1, width), thresh[r0:r1], topple.reshape(-1, width))
-                edges = [tuple(a[:, 1] for a in grids), tuple(a[:, -2] for a in grids)]
+                # The band's cells of degree below 4, in disjoint slices: its
+                # first and last column, and the rest of the first and last
+                # grid row when the band holds them.
+                grids = [a.reshape(-1, width) for a in (band, degree_band, topple)]
+                edges = [[a[:, 0] for a in grids]]
+                if cols > 1:
+                    edges.append([a[:, cols - 1] for a in grids])
                 if r0 == 0:
-                    edges.append(tuple(a[0] for a in grids))
-                if r1 == rows:
-                    edges.append(tuple(a[-1] for a in grids))
+                    edges.append([a[0, 1 : cols - 1] for a in grids])
+                if r1 == rows and rows > 1:
+                    edges.append([a[-1, 1 : cols - 1] for a in grids])
 
-        np.right_shift(band, 2, out=topple)
-        if not open_mode:
-            for edge_counts, edge_thresh, edge_topple in edges:
-                np.floor_divide(edge_counts, edge_thresh, out=edge_topple)
+        right_shift(band, two, out=topple)
+        for edge, edge_degree, edge_topple in edges:
+            floor_divide(edge, edge_degree, out=edge_topple)
         if exact:
             total = int(topple.sum())
             if total == 0:
@@ -306,15 +345,16 @@ def stabilize_grid(
                     fired=fired,
                 )
             fired += total
-        odo_band += topple
         if open_mode:
-            band &= 3
+            bitwise_and(band, three, out=band)
         else:
-            band -= topple * thresh_band
-        for view in neighbours:
-            view += topple
-        for view in ring:
-            view.fill(0)
+            subtract(band, multiply(topple, degree_band, out=shed), out=band)
+        add(odo_band, topple, out=odo_band)
+        add(up, topple, out=up)
+        add(down, topple, out=down)
+        add(left, topple, out=left)
+        add(right, topple, out=right)
+        ring.fill(0)
         sweeps += 1
 
     return result()

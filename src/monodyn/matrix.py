@@ -16,7 +16,11 @@ from itertools import chain
 from operator import mul
 from typing import Sequence
 
-from .errors import ParseError, ShapeError
+from .errors import MonodynError, ParseError, ShapeError
+
+# The most bits an entry of a power may need when IntMatrix.pow is asked to
+# bound it; a power whose entries grow past this is refused rather than run.
+MAX_POWER_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,19 +111,35 @@ class IntMatrix:
             self.rows, other.cols, tuple(sum(map(mul, row, column)) for row in rows for column in columns)
         )
 
-    def pow(self, k: int) -> "IntMatrix":
+    def pow(self, k: int, *, bounded: bool = False) -> "IntMatrix":
+        """self^k by repeated squaring.  With ``bounded``, raises
+        ``MonodynError`` as soon as an entry of a power it computes needs
+        more than ``MAX_POWER_BITS`` bits: a power whose entries grow is
+        refused after a few squarings, and one whose entries stay small (an
+        identity, a permutation, a nilpotent matrix) is computed at any k."""
         if not self.is_square:
             raise ShapeError("power of a non-square matrix")
         if k < 0:
             raise ShapeError("negative matrix power")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
+
+        def checked(m: IntMatrix) -> IntMatrix:
+            if bounded and max(map(int.bit_length, m.entries)) > MAX_POWER_BITS:
+                raise MonodynError(
+                    f"an entry of the power {k} of a {self.rows}x{self.cols} matrix "
+                    f"needs more than MAX_POWER_BITS = {MAX_POWER_BITS} bits"
+                )
+            return m
+
+        result = None
+        base = checked(self)
+        n = k
+        while n:
+            if n & 1:
+                result = base if result is None else checked(result @ base)
+            n >>= 1
+            if n:
+                base = checked(base @ base)
+        return IntMatrix.identity(self.rows) if result is None else result
 
     def __str__(self) -> str:
         return serialize_matrix(self)

@@ -40,7 +40,7 @@ class ChipConfig:
     absorbed: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts):
+        if self.counts and min(self.counts) < 0:
             raise FiringError("negative chip count")
 
     @staticmethod

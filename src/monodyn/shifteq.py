@@ -113,7 +113,9 @@ def verify_sse_chain(chain: SSEChain) -> tuple[bool, int | None]:
 
 
 def verify_se(a: IntMatrix, b: IntMatrix, w: SEWitness) -> bool:
-    """True iff all four lag-l equations hold."""
+    """True iff all four lag-l equations hold.  Raises ``MonodynError`` when
+    an entry of A^lag or B^lag, or of a power squared on the way, needs more
+    than ``MAX_POWER_BITS`` bits."""
     _check_nonneg(a, b, w.r, w.s)
     if w.lag < 1:
         raise ShapeError("lag must be >= 1")
@@ -122,8 +124,8 @@ def verify_se(a: IntMatrix, b: IntMatrix, w: SEWitness) -> bool:
     if w.s.rows != b.rows or w.s.cols != a.cols:
         raise ShapeError("witness S must be |B| x |A|")
     return (
-        a.pow(w.lag) == w.r @ w.s
-        and b.pow(w.lag) == w.s @ w.r
+        a.pow(w.lag, bounded=True) == w.r @ w.s
+        and b.pow(w.lag, bounded=True) == w.s @ w.r
         and a @ w.r == w.r @ b
         and w.s @ a == b @ w.s
     )

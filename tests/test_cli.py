@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import monodyn.cli
 from monodyn.cli import build_parser, load_report_schema, run
+from monodyn.dimension import MAX_WINDOW_RADIUS
 from monodyn.grid import MAX_GRID_CELLS, decode_ppm
+from monodyn.matrix import MAX_POWER_BITS
 
 from conftest import FOUR_VERTEX_SANDPILE_TEXT
 
@@ -750,6 +752,26 @@ def test_oversized_grid_is_refused_up_front(cli_workdir, capsys, monkeypatch, ar
     assert f"MAX_GRID_CELLS = {MAX_GRID_CELLS}" in report["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["shift", "verify-se", "two.mat", "two.mat", "two.mat", "two.mat", "--lag", "100000000000"], f"MAX_POWER_BITS = {MAX_POWER_BITS}"),
+        (["dimgroup", "equal", "two.mat", "[1]@100000000000000000000", "[1]@0"], f"MAX_POWER_BITS = {MAX_POWER_BITS}"),
+        (["talented", "window", "e.graph", "5000"], f"MAX_WINDOW_RADIUS = {MAX_WINDOW_RADIUS}"),
+    ],
+    ids=["verify-se-lag", "dimgroup-stage-gap", "window-radius"],
+)
+def test_named_limit_is_refused_up_front(cli_workdir, capsys, monkeypatch, argv, limit):
+    # Without its limit each runs for minutes: [2]^lag and [2]^gap by
+    # squaring, and a presentation that grows with radius^2.
+    monkeypatch.chdir(cli_workdir)
+    start = time.perf_counter()
+    code, report = invoke_json(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and report["kind"] == "error"
+    assert limit in report["message"]
+
+
 def run_captured(argv: list[str]) -> tuple[int, bytes]:
     """cli.run with stdout and stderr captured; usage errors give exit 2."""
     buf = io.BytesIO()
@@ -785,6 +807,14 @@ BIG_ENTRIES = st.one_of(SMALL_ENTRIES, st.integers(2**63, 2**70))
 MALFORMED_MATRICES = ("", "2\n", "0 3\n", "2 2\n1 2 3\n", "1 1\nx\n", "1 1\n-4\n", "1 2\n1 2\n3\n")
 
 
+def sized_matrix_text(rows: int, cols: int, entries=SMALL_ENTRIES) -> st.SearchStrategy[str]:
+    def text(values: list[int]) -> str:
+        body = "".join(" ".join(map(str, values[i * cols : (i + 1) * cols])) + "\n" for i in range(rows))
+        return f"{rows} {cols}\n{body}"
+
+    return st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(text)
+
+
 @st.composite
 def matrix_text(draw, max_side: int) -> str:
     kind = draw(st.sampled_from(("small", "big", "non-square", "malformed")))
@@ -794,9 +824,7 @@ def matrix_text(draw, max_side: int) -> str:
         rows, cols = draw(st.sampled_from(((1, 2), (2, 1), (2, 3), (3, 2))))
     else:
         rows = cols = draw(st.integers(1, max_side))
-    entries = draw(st.lists(BIG_ENTRIES if kind == "big" else SMALL_ENTRIES, min_size=rows * cols, max_size=rows * cols))
-    body = "".join(" ".join(map(str, entries[i * cols : (i + 1) * cols])) + "\n" for i in range(rows))
-    return f"{rows} {cols}\n{body}"
+    return draw(sized_matrix_text(rows, cols, BIG_ENTRIES if kind == "big" else SMALL_ENTRIES))
 
 
 @st.composite
@@ -811,12 +839,66 @@ def shift_case(draw) -> tuple[list[str], dict[str, str]]:
     return argv, files
 
 
+MALFORMED_GRAPHS = ("", "e a b\n", "v a\nv a\n", "v a\ne a a 0\n", "v a\ne a b\n", "x y\n")
+
+
+@st.composite
+def graph_text(draw) -> str:
+    """A graph on one to three vertices with edge multiplicities up to 3, or a
+    malformed graph text."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return draw(st.sampled_from(MALFORMED_GRAPHS))
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    lines = [f"v {v}\n" for v in names]
+    for src in names:
+        for dst in names:
+            mult = draw(st.integers(0, 3))
+            if mult:
+                lines.append(f"e {src} {dst} {mult}\n")
+    return "".join(lines)
+
+
+def near(limit: int) -> st.SearchStrategy[int]:
+    """Small values, values at the limit, and values far past it."""
+    return st.one_of(st.integers(-2, 3), st.integers(limit - 2, limit + 2), st.integers(limit + 3, 10**20))
+
+
+@st.composite
+def limit_case(draw) -> tuple[list[str], dict[str, str]]:
+    """The commands with a named size limit, on generated files, with radii,
+    stages and lags up to and past the limits."""
+    command = draw(st.sampled_from(("window", "equal", "verify-se")))
+    if command == "window":
+        return ["talented", "window", "g.gen.graph", str(draw(near(MAX_WINDOW_RADIUS)))], {"g.gen.graph": draw(graph_text())}
+    # Mostly shapes that fit together, at times one file of any shape.
+    any_shape = st.sampled_from((False,) * 7 + (True,))
+    if command == "equal":
+        side = draw(st.integers(1, 3))
+        matrix = draw(matrix_text(3) if draw(any_shape) else sized_matrix_text(side, side, BIG_ENTRIES))
+        elements = []
+        for _ in range(2):
+            length = draw(st.integers(0, 3)) if draw(any_shape) else side
+            vec = " ".join(map(str, draw(st.lists(st.integers(-9, 9), min_size=length, max_size=length))))
+            elements.append(f"[{vec}]@{draw(near(MAX_POWER_BITS))}")
+        return ["dimgroup", "equal", "m.gen.mat", *elements], {"m.gen.mat": matrix}
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    shapes = {"a.gen.mat": (n, n), "b.gen.mat": (m, m), "r.gen.mat": (n, m), "s.gen.mat": (m, n)}
+    files = {
+        name: draw(matrix_text(2) if draw(any_shape) else sized_matrix_text(*shape, BIG_ENTRIES))
+        for name, shape in shapes.items()
+    }
+    lag = draw(st.one_of(near(MAX_POWER_BITS), st.integers(4, MAX_POWER_BITS)))
+    return ["shift", "verify-se", *files, "--lag", str(lag)], files
+
+
 @st.composite
 def cli_case(draw) -> tuple[list[str], dict[str, str]]:
     """An argv and the generated files it reads, by name in the work dir."""
-    kind = draw(st.sampled_from(("grid", "render", "bound", "shift")))
+    kind = draw(st.sampled_from(("grid", "render", "bound", "shift", "limit")))
     if kind == "shift":
         return draw(shift_case())
+    if kind == "limit":
+        return draw(limit_case())
     if kind == "grid":
         places = draw(st.lists(PLACES, max_size=3))
         # A small budget keeps piles that never settle from running long.
@@ -838,7 +920,7 @@ def cli_case(draw) -> tuple[list[str], dict[str, str]]:
     return argv + [flag, value], {}
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(case=cli_case())
 def test_cli_contract(cli_workdir, case):
     argv, files = case

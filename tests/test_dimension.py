@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monodyn.dimension import (
+    MAX_WINDOW_RADIUS,
     DimElement,
     delta_shift,
     dim_add,
@@ -16,9 +17,9 @@ from monodyn.dimension import (
     parse_dim_element,
     talented_window,
 )
-from monodyn.errors import ParseError, ShapeError
+from monodyn.errors import MonodynError, ParseError, ShapeError
 from monodyn.graph import Graph
-from monodyn.matrix import IntMatrix, det, vec_mat_mul
+from monodyn.matrix import MAX_POWER_BITS, IntMatrix, det, vec_mat_mul
 from monodyn.monoid import words_equal
 
 from conftest import rose_graph
@@ -91,6 +92,24 @@ def test_dim_equal_errors():
         dim_equal(DimElement(FIB, (1, 0), 0), DimElement(other, (1,), 0))
     with pytest.raises(ShapeError):
         DimElement(FIB, (1,), 0)
+
+
+def test_stage_gap_power_bit_limit():
+    # The push across a gap multiplies by [2]^gap, whose entry has gap + 1 bits.
+    two = IntMatrix.from_rows([[2]])
+    far = DimElement(two, (1,), -5)
+    gap = MAX_POWER_BITS - 1
+    assert dim_equal(far, DimElement(two, (2**gap,), gap - 5)) == "yes"
+    for stage in (gap - 4, 10**20):
+        with pytest.raises(MonodynError, match=f"MAX_POWER_BITS = {MAX_POWER_BITS}"):
+            dim_equal(far, DimElement(two, (1,), stage))
+        with pytest.raises(MonodynError, match="MAX_POWER_BITS"):
+            dim_add(DimElement(two, (1,), stage), far)
+    # A matrix whose powers stay small pushes across any gap.
+    one = IntMatrix.from_rows([[1]])
+    assert dim_equal(DimElement(one, (3,), 0), DimElement(one, (3,), 10**20)) == "yes"
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    assert dim_add(DimElement(swap, (1, 2), 0), DimElement(swap, (0, 5), 10**20 + 1)).vec == (2, 6)
 
 
 def test_dim_positive_explicit_powers():
@@ -195,6 +214,13 @@ def test_talented_window_sink_and_radius_zero(graph_two_cycle_loop):
     w = talented_window(graph_two_cycle_loop, 0)
     assert w.presentation.generators == ("u(0)", "v(0)")
     assert w.presentation.relations == ()
+
+
+def test_window_radius_limit():
+    w = talented_window(rose_graph(1), MAX_WINDOW_RADIUS)
+    assert w.stage_count() == 2 * MAX_WINDOW_RADIUS + 1
+    with pytest.raises(MonodynError, match=f"MAX_WINDOW_RADIUS = {MAX_WINDOW_RADIUS}"):
+        talented_window(rose_graph(1), MAX_WINDOW_RADIUS + 1)
 
 
 def test_window_relations_certify_doubling():

@@ -262,6 +262,30 @@ def test_grid_config_bounds():
         grid_config(spec, {(5, 5): 1})
 
 
+@pytest.mark.parametrize(
+    "spec, placements, error",
+    [
+        (GridSpec(2, 3, "open"), {(0, 3): 1}, ShapeError),
+        (GridSpec(2, 3, "open"), {(2, 0): 1}, ShapeError),
+        (GridSpec(2, 3, "closed"), {(-1, 0): 1}, ShapeError),
+        (GridSpec(2, 3, "closed"), {(1, 2): -1}, ParseError),
+        (GridSpec(2, 3, "open"), {(0, 0): 1, (1, -1): 0}, ShapeError),
+    ],
+)
+def test_grid_config_refuses_bad_placements(spec, placements, error):
+    with pytest.raises(error):
+        grid_config(spec, placements)
+
+
+def test_grid_config_sums_row_major():
+    spec = GridSpec(2, 3, "open")
+    c = grid_config(spec, {(0, 0): 1, (1, 2): 2**70, (0, 2): 5})
+    assert c.counts == (1, 0, 5, 0, 0, 2**70) and c.absorbed == 0
+    # A 1x1 closed grid is a lone sink: its chips count as absorbed.
+    lone = grid_config(GridSpec(1, 1, "closed"), {(0, 0): 7})
+    assert lone.counts == () and lone.absorbed == 7
+
+
 def test_grid_cell_limit():
     GridSpec(401, 401, "open")
     GridSpec(1, MAX_GRID_CELLS, "closed")
@@ -371,6 +395,8 @@ def test_stabilizer_dtype_choice(rows, cols, mode, chips, budget, expected):
         (GridSpec(4, 5, "closed"), {(1, 1): 2**40, (3, 4): 7}, 10**5),
         (GridSpec(4, 4, "closed"), {(0, 3): 2**70}, 10**5),
         (GridSpec(30, 30, "closed"), {(3, 3): 2000}, 4000),
+        # At the edge of int16 on a 1-wide closed grid.
+        (GridSpec(1, 5, "closed"), {(0, 2): 2**15 - 2}, 10**4),
     ],
 )
 def test_budget_failure_partial_state_obeys_odometer(spec, placements, budget):
@@ -414,3 +440,74 @@ def test_loose_multi_drop_pile_is_pinned():
     spec = GridSpec(60, 60, "open")
     digest = pile_digest(spec, {(12, 17): 3000, (45, 40): 2500, (20, 50): 1234})
     assert digest == "4fad772cec8a0a05f35ef5e878611c1ffacec1975b9855e7821dc0e3c372f672"
+
+
+def background_pile(rows, cols, seed, drop, chips):
+    rng = random.Random(seed)
+    placements = {(r, c): rng.randint(0, 3) for r in range(rows) for c in range(cols)}
+    placements[drop] += chips
+    return placements
+
+
+@pytest.mark.parametrize(
+    "spec, placements, digest",
+    [
+        (GridSpec(30, 30, "closed"), {(15, 15): 1500}, "aee64a62b33ce92e055fdf090aa0a527061140874716bd282fefe8b6edb94b8c"),
+        (GridSpec(1, 40, "closed"), {(0, 7): 30}, "711df7cb3a4d7632cffb126a3861ac6965c1d9cb20a451dbe2a251efe20a8c7f"),
+        (GridSpec(40, 1, "closed"), {(31, 0): 30}, "6057003b5d40d1b78639ea53cbf925daa5a88808f36025067e71dbbbef0a3502"),
+        (GridSpec(2, 30, "closed"), {(1, 4): 50, (0, 22): 30}, "c580381e988d3ebc5369bdd63893eab53f1e06a1751436ca2800f919794d130e"),
+        (
+            GridSpec(48, 48, "closed"),
+            background_pile(48, 48, 11, (20, 30), 500),
+            "36f1215ebcf041057de8582d5e30c6c90b656345b5d69130898e4ba5a9f90337",
+        ),
+    ],
+    ids=["30x30-drop", "1x40", "40x1", "2x30", "48x48-background"],
+)
+def test_closed_pile_is_pinned(spec, placements, digest):
+    # Counts, absorbed chips and odometer as the floor(count / degree)
+    # sweeps with a separate threshold array gave.
+    assert pile_digest(spec, placements) == digest
+
+
+def failure_digest(spec, placements, budget):
+    with pytest.raises(BudgetExceededError) as err:
+        stabilize_grid(spec, grid_config(spec, placements), budget=budget)
+    partial, odometer = err.value.config, err.value.odometer
+    payload = json.dumps([list(partial.counts), partial.absorbed, list(odometer.firings), err.value.fired])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, placements, budget, digest",
+    [
+        (GridSpec(21, 21, "open"), {(10, 10): 2000}, 5000, "e3796af7bc4d12345280fe3449e0468d8eb02a8355eb86eceecf5dad374a64af"),
+        (GridSpec(21, 21, "open"), {(10, 10): 2000}, 40000, "ab3f815cea9ab1c61193f72d42079e6633b5808a1a19129151062cb3e854b7ad"),
+        (
+            GridSpec(21, 17, "open"),
+            {(2, 3): 3000, (18, 14): 800},
+            12345,
+            "e66036425a3b5562ef55e5b06882f2cb350d1ecb08b33cf09628f0f840e4c303",
+        ),
+        (GridSpec(5, 5, "open"), {(2, 2): 2**70}, 10**6, "ca1dcf7f183c7c552a386115171460585dd783d7a9554c73a8e185264fde2217"),
+        (GridSpec(6, 6, "closed"), {(1, 1): 80}, 1000, "b1a0354e4bffb263c7c6e4cec989cb26089e42e9a35950f89a89b083f3431146"),
+        (
+            GridSpec(4, 5, "closed"),
+            {(1, 1): 2**40, (3, 4): 7},
+            10**5,
+            "127a155ca7c670c88d7401787ee8045b4b315920a36739f64e5ec383a5b8f7c1",
+        ),
+        (GridSpec(4, 4, "closed"), {(0, 3): 2**70}, 10**5, "c0c6828bdf127697cb3bcfba1c54f04c22ee6c64f5c8ce91049fdd4ec21eb476"),
+        (GridSpec(30, 30, "closed"), {(3, 3): 2000}, 4000, "64fe918801e3fe8fa025953b54fd40fabb8abce5dde84747d7aee7fcb2968356"),
+        (GridSpec(1, 5, "closed"), {(0, 2): 2**15 - 2}, 10**4, "cce66d157210e1cf15cbbc13da0ebcfa2a1afc27ce447e76a7903b6d70e9c775"),
+        # Fewer chips than edges, so the game ends, but past the budget; edge
+        # cells come to hold at least twice their degree before it runs out.
+        (GridSpec(30, 30, "closed"), {(0, 10): 1500}, 20000, "882886c0d54eff6f759dc0e047796bd212e6d40e0bd2b2fefa3a0c68c1c9d8d8"),
+        (GridSpec(1, 40, "closed"), {(0, 0): 30}, 50, "bb5d531ce5e396b2a4cfbb0d20d5614df996be5ab4d20276824fcb02110f5ffb"),
+        (GridSpec(12, 1, "closed"), {(11, 0): 10}, 20, "316050ff837846706f77d4350d58d8d80a4b6ac1232c7a7e66f04260e81eaf94"),
+    ],
+)
+def test_budget_failure_is_pinned(spec, placements, budget, digest):
+    # The partial configuration, odometer and firings of each failure as the
+    # floor(count / threshold) sweeps gave, closed edge cells included.
+    assert failure_digest(spec, placements, budget) == digest

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monodyn.errors import ShapeError
-from monodyn.matrix import IntMatrix
+from monodyn.errors import MonodynError, ShapeError
+from monodyn.matrix import MAX_POWER_BITS, IntMatrix
 from monodyn.shifteq import (
     ESWitness,
     SEWitness,
@@ -42,6 +42,25 @@ def test_verify_elementary_shape_errors():
         verify_elementary(TWO, ONES, ESWitness(COL, ROW))
     with pytest.raises(ShapeError):
         verify_elementary(TWO, ONES, ESWitness(ROW, IntMatrix.from_rows([[-1], [1]])))
+
+
+def test_verify_se_power_bit_limit():
+    # [2]^lag has lag + 1 bits.
+    lag = MAX_POWER_BITS - 1
+    assert verify_se(TWO, TWO, SEWitness(IntMatrix.from_rows([[2**lag]]), IntMatrix.from_rows([[1]]), lag))
+    with pytest.raises(MonodynError, match=f"MAX_POWER_BITS = {MAX_POWER_BITS}"):
+        verify_se(TWO, TWO, SEWitness(TWO, TWO, lag + 1))
+    # Powers whose entries stay small are checked at any lag.
+    one, identity = IntMatrix.from_rows([[1]]), IntMatrix.identity(2)
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    assert verify_se(one, one, SEWitness(one, one, 10**20))
+    assert verify_se(identity, identity, SEWitness(identity, identity, 70000))
+    assert verify_se(swap, swap, SEWitness(swap, identity, 10**20 + 1))
+    # The entries of [[2, 2], [2, 2]]^k have 2k bits.
+    twos = IntMatrix.from_rows([[2, 2], [2, 2]])
+    assert not verify_se(twos, TWO, SEWitness(COL, ROW, MAX_POWER_BITS // 2))
+    with pytest.raises(MonodynError, match="MAX_POWER_BITS"):
+        verify_se(twos, TWO, SEWitness(COL, ROW, MAX_POWER_BITS // 2 + 1))
 
 
 def test_verify_sse_chain():
