@@ -523,45 +523,43 @@ _BOUND_FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="monodyn", description=__doc__)
-    top = parser.add_subparsers(dest="group", required=True)
+def _command(group, name, handler, bounds=(), **kwargs):
+    p = group.add_parser(name, **kwargs)
+    p.add_argument("--json", action="store_true", help="compact single-line JSON output")
+    if bounds:
+        p.add_argument("--bounds-file", metavar="FILE", help="key/value bounds overrides")
+    for bound in bounds:
+        p.add_argument(_BOUND_FLAGS[bound], dest=f"bound_{bound}", type=int, default=None)
+    p.set_defaults(handler=handler, bound_names=bounds)
+    return p
 
-    def sub(group, name, handler, bounds=(), **kwargs):
-        p = group.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true", help="compact single-line JSON output")
-        if bounds:
-            p.add_argument("--bounds-file", metavar="FILE", help="key/value bounds overrides")
-        for bound in bounds:
-            p.add_argument(_BOUND_FLAGS[bound], dest=f"bound_{bound}", type=int, default=None)
-        p.set_defaults(handler=handler, bound_names=bounds)
-        return p
 
-    graph = top.add_parser("graph").add_subparsers(dest="command", required=True)
-    p = sub(graph, "check", _cmd_graph_check, help="structural report")
+def _graph_commands(group) -> None:
+    p = _command(group, "check", _cmd_graph_check, help="structural report")
     p.add_argument("graph")
-    p = sub(graph, "matrix", _cmd_graph_matrix, help="adjacency matrix")
+    p = _command(group, "matrix", _cmd_graph_matrix, help="adjacency matrix")
     p.add_argument("graph")
     p.add_argument("--out", help="also write the matrix file format here")
 
-    sp = top.add_parser("sandpile").add_subparsers(dest="command", required=True)
-    p = sub(sp, "stabilize", _cmd_sandpile_stabilize, ("firing_budget",))
+
+def _sandpile_commands(group) -> None:
+    p = _command(group, "stabilize", _cmd_sandpile_stabilize, ("firing_budget",))
     p.add_argument("graph")
     p.add_argument("config")
     p.add_argument("--trace", action="store_true", help="print the firing trace as plain text")
-    p = sub(sp, "add", _cmd_sandpile_add, ("firing_budget",))
+    p = _command(group, "add", _cmd_sandpile_add, ("firing_budget",))
     p.add_argument("graph")
     p.add_argument("config_a")
     p.add_argument("config_b")
-    p = sub(sp, "monoid", _cmd_sandpile_monoid, ("max_elements",))
+    p = _command(group, "monoid", _cmd_sandpile_monoid, ("max_elements",))
     p.add_argument("graph")
-    p = sub(sp, "grid", _cmd_sandpile_grid, ("firing_budget",))
+    p = _command(group, "grid", _cmd_sandpile_grid, ("firing_budget",))
     p.add_argument("rows", type=int)
     p.add_argument("cols", type=int)
     p.add_argument("--mode", choices=("closed", "open"), default="closed")
     p.add_argument("--place", action="append", default=[], metavar="R,C,N")
     p.add_argument("--save-config", metavar="FILE")
-    p = sub(sp, "render", _cmd_sandpile_render)
+    p = _command(group, "render", _cmd_sandpile_render)
     p.add_argument("rows", type=int)
     p.add_argument("cols", type=int)
     p.add_argument("config")
@@ -569,72 +567,77 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--palette", metavar="R,G,B;...x4")
     p.add_argument("--out", help="write the PPM here instead of stdout")
 
-    mon = top.add_parser("monoid").add_subparsers(dest="command", required=True)
-    p = sub(mon, "present", _cmd_monoid_present)
+
+def _monoid_commands(group) -> None:
+    p = _command(group, "present", _cmd_monoid_present)
     p.add_argument("graph")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--sink-zero", action="store_true")
-    p = sub(mon, "equal", _cmd_monoid_equal, ("node_budget",))
+    p = _command(group, "equal", _cmd_monoid_equal, ("node_budget",))
     p.add_argument("presentation")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p = sub(mon, "enumerate", _cmd_monoid_enumerate, ("max_elements", "node_budget"))
+    p = _command(group, "enumerate", _cmd_monoid_enumerate, ("max_elements", "node_budget"))
     p.add_argument("presentation")
 
-    tal = top.add_parser("talented").add_subparsers(dest="command", required=True)
-    p = sub(tal, "window", _cmd_talented_window)
+
+def _talented_commands(group) -> None:
+    p = _command(group, "window", _cmd_talented_window)
     p.add_argument("graph")
     p.add_argument("radius", type=int)
 
-    dim = top.add_parser("dimgroup").add_subparsers(dest="command", required=True)
-    p = sub(dim, "equal", _cmd_dim_equal)
+
+def _dimgroup_commands(group) -> None:
+    p = _command(group, "equal", _cmd_dim_equal)
     p.add_argument("matrix")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p = sub(dim, "positive", _cmd_dim_positive, ("max_power",))
+    p = _command(group, "positive", _cmd_dim_positive, ("max_power",))
     p.add_argument("matrix")
     p.add_argument("element")
-    p = sub(dim, "shift", _cmd_dim_shift)
+    p = _command(group, "shift", _cmd_dim_shift)
     p.add_argument("matrix")
     p.add_argument("element")
     p.add_argument("--direction", choices=("forward", "backward"), default="forward")
-    p = sub(dim, "fib", _cmd_dim_fib)
+    p = _command(group, "fib", _cmd_dim_fib)
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
 
-    sh = top.add_parser("shift").add_subparsers(dest="command", required=True)
-    p = sub(sh, "verify-es", _cmd_shift_verify_es)
+
+def _shift_commands(group) -> None:
+    p = _command(group, "verify-es", _cmd_shift_verify_es)
     for name in ("a", "b", "r", "s"):
         p.add_argument(name)
-    p = sub(sh, "verify-se", _cmd_shift_verify_se)
+    p = _command(group, "verify-se", _cmd_shift_verify_se)
     for name in ("a", "b", "r", "s"):
         p.add_argument(name)
     p.add_argument("--lag", type=int, default=1)
-    p = sub(sh, "verify-chain", _cmd_shift_verify_chain)
+    p = _command(group, "verify-chain", _cmd_shift_verify_chain)
     p.add_argument("chain", help="JSON chain document")
-    p = sub(sh, "search-sse", _cmd_shift_search_sse, ("search_depth", "max_inner_dim"))
+    p = _command(group, "search-sse", _cmd_shift_search_sse, ("search_depth", "max_inner_dim"))
     p.add_argument("a")
     p.add_argument("b")
-    p = sub(sh, "search-se", _cmd_shift_search_se, ("max_lag", "coeff_bound"))
+    p = _command(group, "search-se", _cmd_shift_search_se, ("max_lag", "coeff_bound"))
     p.add_argument("a")
     p.add_argument("b")
-    p = sub(sh, "invariants", _cmd_shift_invariants)
+    p = _command(group, "invariants", _cmd_shift_invariants)
     p.add_argument("a")
     p.add_argument("b")
 
-    lpa = top.add_parser("lpa").add_subparsers(dest="command", required=True)
-    p = sub(lpa, "simple", _cmd_lpa_simple)
+
+def _lpa_commands(group) -> None:
+    p = _command(group, "simple", _cmd_lpa_simple)
     p.add_argument("graph")
-    p = sub(lpa, "zorn", _cmd_lpa_zorn)
+    p = _command(group, "zorn", _cmd_lpa_zorn)
     p.add_argument("graph")
-    p = sub(lpa, "matrix-iso", _cmd_lpa_matrix_iso)
+    p = _command(group, "matrix-iso", _cmd_lpa_matrix_iso)
     for name in ("n", "r", "m", "s"):
         p.add_argument(name, type=int)
-    p = sub(lpa, "ht-iso", _cmd_lpa_ht_iso)
+    p = _command(group, "ht-iso", _cmd_lpa_ht_iso)
     for name in ("n", "r", "m", "s"):
         p.add_argument(name, type=int)
-    p = sub(
-        lpa,
+    p = _command(
+        group,
         "compare",
         _cmd_lpa_compare,
         ("max_elements", "node_budget", "max_lag", "coeff_bound"),
@@ -648,6 +651,29 @@ def build_parser() -> argparse.ArgumentParser:
         default="unweighted",
     )
 
+
+_GROUPS = {
+    "graph": _graph_commands,
+    "sandpile": _sandpile_commands,
+    "monoid": _monoid_commands,
+    "talented": _talented_commands,
+    "dimgroup": _dimgroup_commands,
+    "shift": _shift_commands,
+    "lpa": _lpa_commands,
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  With ``only``, the name of a group, the
+    other groups get no subcommands: a command of that group parses, and
+    fails, exactly as with the whole tree, which costs several times more
+    to build."""
+    parser = argparse.ArgumentParser(prog="monodyn", description=__doc__)
+    top = parser.add_subparsers(dest="group", required=True)
+    for name, add_commands in _GROUPS.items():
+        group = top.add_parser(name).add_subparsers(dest="command", required=True)
+        if only in (None, name):
+            add_commands(group)
     return parser
 
 
@@ -668,7 +694,7 @@ def _resolve_bounds(args) -> Bounds:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in _GROUPS else None)
     args = parser.parse_args(argv)
     out = _Out()
     try:

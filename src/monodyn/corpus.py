@@ -6,7 +6,7 @@ from __future__ import annotations
 from random import Random
 from typing import Iterator
 
-from .graph import Graph, structure_report
+from .graph import Graph
 
 
 def random_sandpile_graph(
@@ -36,7 +36,7 @@ def random_sandpile_graph(
         edges.append((src, dst, 1))
         outdeg[src] += 1
     g = Graph.build(names, edges)
-    assert structure_report(g).sandpile
+    assert g.sandpile_sink is not None
     return g
 
 

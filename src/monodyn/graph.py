@@ -99,6 +99,26 @@ class Graph:
     def nonsink_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self.is_sink(v))
 
+    @cached_property
+    def sandpile_sink(self) -> str | None:
+        """The unique sink when every vertex has a directed path to it (the
+        graph is then a sandpile graph), else None."""
+        if len(self.sinks) != 1:
+            return None
+        (s,) = self.sinks
+        # Reverse reachability: all vertices must have a directed path to s.
+        incoming: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for src, dst, _ in self.edges:
+            incoming[dst].append(src)
+        back = {s}
+        frontier = [s]
+        while frontier:
+            for src in incoming[frontier.pop()]:
+                if src not in back:
+                    back.add(src)
+                    frontier.append(src)
+        return s if len(back) == len(self.vertices) else None
+
     def vertex_weight(self, v: str) -> int:
         """Declared weight, defaulting to the outdegree (vertex weighting)."""
         if self.weights is not None:
@@ -278,32 +298,12 @@ def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
 
 def structure_report(g: Graph) -> StructureReport:
     sccs = strongly_connected_components(g)
-    sinks = g.sinks
-    sandpile = False
-    sink_name = None
-    if len(sinks) == 1:
-        s = sinks[0]
-        # Reverse reachability: all vertices must have a directed path to s.
-        back = {s}
-        frontier = [s]
-        incoming: dict[str, list[str]] = {v: [] for v in g.vertices}
-        for src, dst, _ in g.edges:
-            incoming[dst].append(src)
-        while frontier:
-            v = frontier.pop()
-            for src in incoming[v]:
-                if src not in back:
-                    back.add(src)
-                    frontier.append(src)
-        if len(back) == len(g.vertices):
-            sandpile = True
-            sink_name = s
     return StructureReport(
-        sinks=sinks,
+        sinks=g.sinks,
         strongly_connected=len(sccs) == 1,
         scc_partition=sccs,
-        sandpile=sandpile,
-        sink_name=sink_name,
+        sandpile=g.sandpile_sink is not None,
+        sink_name=g.sandpile_sink,
         outdegrees=tuple(g.outdegree(v) for v in g.vertices),
         indegrees=tuple(g.indegree(v) for v in g.vertices),
     )

@@ -6,7 +6,7 @@ of nonnegative integers.  A presentation is a list of relation pairs
 turned into the other by repeatedly replacing an embedded lhs by the matching
 rhs or vice versa, additively in context.
 
-Word equality and enumeration both use normal forms.  The congruence is
+Word equality is decided by normal forms.  The congruence is
 membership in the pure-difference binomial ideal of the relations, and a
 Gröbner basis of that ideal, read as rewriting rules lead -> tail, sends
 every vector to the one normal form of its class (Eisenbud-Sturmfels,
@@ -19,6 +19,18 @@ means different normal forms (or, out of budget, a coset mismatch), and
 rewriting or the path.  The monoid is finite exactly when every generator
 has a pure power among the leading terms.
 
+Enumeration calls ``_normal_form`` only for a basis with a mixed lead, one
+of two or more generators.  The classes are the standard monomials, the
+vectors no lead divides, so when the leads are exactly one pure power c_g g
+per generator they are the box of vectors with v_g < c_g.  ``_box_action``
+builds the generator action on that box for the presentation and for the
+sandpile monoid, whose stable configurations are the same box (c_g the
+outdegree): an index step below each threshold, and at a threshold a fold
+of the rule's tail through the table being built.  The fold ends because
+one term order orients the basis, and a tail coefficient m costs at most
+about min(m, table size) lookups, since a repeated threshold crossing skips
+whole periods of the generator's orbit.
+
 Presentation file format::
 
     gens: a b c
@@ -29,15 +41,16 @@ Presentation file format::
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
-from operator import add, ge, sub
+from itertools import compress, repeat
+from operator import add, ge, itemgetter, sub
 from typing import Sequence
 
 from .config import DEFAULT_BOUNDS
 from .errors import ParseError, ShapeError
-from .graph import Graph, structure_report
+from .graph import Graph
 from .smith import lattice_contains
 
 Vector = tuple[int, ...]
@@ -100,25 +113,26 @@ class MonoidTable:
     def from_generator_action(
         generators: Sequence[str],
         elements: Sequence[Vector],
-        gen_add: Sequence[Sequence[int]],
+        action: Sequence[Sequence[int]],
         identity: int,
         parents: Sequence[tuple[int, int] | None],
     ) -> "MonoidTable":
         """Cayley table of a monoid generated by ``generators``, from the
         action of the generators alone.
 
-        ``gen_add[c][g]`` is the class of element c plus generator g, and
-        ``parents[j] = (p, g)`` records that class j is class p plus generator
-        g, with p < j; the identity's entry is None.  Then
-        ``add[i][j] = gen_add[add[i][p]][g]``, so each entry costs one lookup:
-        column j is column p pushed through generator g's column of gen_add.
+        ``action[g][c]`` is the class of element c plus generator g (one
+        column per generator), and ``parents[j] = (p, g)`` records that class
+        j is class p plus generator g, with p < j; the identity's entry is
+        None.  Then ``add[i][j] = action[g][add[i][p]]``, so each entry costs
+        one lookup: column j is column p pushed through generator g's column.
+        The monoid is commutative, so column j is row j as well.
         """
         n = len(elements)
-        if len(gen_add) != n or len(parents) != n:
-            raise ValueError("elements, gen_add and parents must have one entry per class")
-        by_generator = list(zip(*gen_add))
-        cols: list[list[int]] = [[]] * n
-        cols[identity] = list(range(n))
+        if len(parents) != n or any(len(col) != n for col in action):
+            raise ValueError("elements, action columns and parents must have one entry per class")
+        action = [tuple(col) for col in action]
+        cols: list[tuple[int, ...]] = [()] * n
+        cols[identity] = tuple(range(n))
         for j, link in enumerate(parents):
             if j == identity:
                 if link is not None:
@@ -127,13 +141,13 @@ class MonoidTable:
             if link is None or not 0 <= link[0] < j:
                 raise ValueError(f"parent of class {j} must be a class below it")
             p, g = link
-            cols[j] = list(map(by_generator[g].__getitem__, cols[p]))
+            cols[j] = itemgetter(*cols[p])(action[g])  # n >= 2 items, so a tuple
         return MonoidTable(
             generators=tuple(generators),
             elements=tuple(elements),
-            add=tuple(zip(*cols)),
+            add=tuple(cols),
             identity=identity,
-            generator_classes=tuple(gen_add[identity]),
+            generator_classes=tuple(col[identity] for col in action),
         )
 
     @property
@@ -185,8 +199,7 @@ def graph_monoid_presentation(
     which requires the graph to be a sandpile graph.
     """
     if sink_zero:
-        rep = structure_report(g)
-        if not rep.sandpile:
+        if g.sandpile_sink is None:
             raise ParseError("sink elimination requires a unique sink reachable from every vertex")
         gens = g.nonsink_vertices
     else:
@@ -441,14 +454,105 @@ def _groebner_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple] | N
     return list(rules.values())
 
 
+def _box_action(
+    radix: Sequence[int], tails: Sequence[Sequence[tuple[int, int]]]
+) -> tuple[list[list[int]], list[tuple[int, int] | None]]:
+    """Generator action and parents of the monoid whose elements are the box
+    of vectors v with 0 <= v_g < radix[g], listed in lexicographic
+    (mixed-radix) order, where radix[g] copies of generator g rewrite to the
+    sum of ``tails[g]``, (generator, multiplicity) pairs.
+
+    These are the standard monomials of a basis whose leads are exactly one
+    pure power c_g g per generator: the sandpile monoid's stable
+    configurations (c_g the outdegree) and any such Gröbner basis.  Column g
+    of the action is index + stride[g], the index of the vector one copy of
+    g higher, except on g's threshold, where v_g = c_g - 1.  There the sum
+    rewrites to b = v - (c_g - 1) e_g plus the tail, and its class is b with
+    the tail added by index steps and lookups ``action[t][y]`` into the
+    table being built.  The parent of a nonzero vector lowers its last
+    nonzero entry by one.
+
+    A lookup that is still missing is another threshold entry.  It is
+    pushed on an explicit stack and resolved first, and the entry below
+    resumes where it stopped.  The stack never meets an entry in progress.
+    One term order puts every lead above its tail: the basis's own order, or
+    on a sandpile graph the weights x = L^-1 1 > 0 refined by lex, since
+    L x = 1 > 0 for the reduced Laplacian L = D - A, a nonsingular M-matrix,
+    says that d_k x_k outweighs the tail.  An entry stands for the vector
+    v + e_g it resolves.  The rewrite lowers it, every lookup and every
+    skipped period lowers it further (counting the chips set aside for
+    later), and a term order has u <= u + w.  So each entry above another
+    stands for a strictly smaller vector, and none repeats.
+
+    A tail multiplicity m does not cost m lookups: the room below t's
+    threshold is added by one index step, and each crossing of the
+    threshold, one lookup, is recorded; when one repeats, the chips since
+    then are a whole period of t's orbit and are dropped.  So adding m
+    copies takes at most min(m, size / c_t) + 1 lookups.
+    """
+    k = len(radix)
+    size = math.prod(radix)
+    stride = [math.prod(radix[g + 1:]) for g in range(k)]
+    action: list[list] = []
+    parents: list[tuple[int, int] | None] = [None] * size
+    for g, (r, s) in enumerate(zip(radix, stride)):
+        block = r * s  # index ranges over which only v_g and later entries change
+        col = list(range(s, size + s))
+        for b in range(block - s, size, block):  # g's threshold, v_g = r - 1
+            col[b:b + s] = repeat(None, s)
+        action.append(col)
+        for j in range(1, r):
+            parents[j * s::block] = zip(range((j - 1) * s, size, block), repeat(g))
+    for h, (r, s) in enumerate(zip(radix, stride)):
+        for b in range((r - 1) * s, size, r * s):
+            for x in range(b, b + s):
+                if action[h][x] is not None:  # resolved on an earlier stack
+                    continue
+                # Frames (entry, generator, partial sum, tail position, copies
+                # of that tail generator still to add, threshold crossings).
+                stack = [(x, h, x - (r - 1) * s, 0, None, None)]
+                while stack:
+                    e, g, y, pos, left, seen = stack.pop()
+                    tail = tails[g]
+                    while pos < len(tail):
+                        t, m = tail[pos]
+                        if left is None:
+                            left, seen = m, None
+                        st, rt = stride[t], radix[t]
+                        while left > (room := rt - 1 - y // st % rt):
+                            y += room * st  # now on t's threshold
+                            left -= room
+                            z = action[t][y]
+                            if z is None:
+                                break
+                            if seen is None:
+                                seen = {}
+                            elif y in seen:  # a whole period of t's orbit
+                                left %= seen[y] - left
+                                if not left:
+                                    continue
+                            seen[y] = left
+                            y, left = z, left - 1
+                        else:
+                            y += left * st
+                            pos, left = pos + 1, None
+                            continue
+                        stack.append((e, g, y, pos, left, seen))
+                        stack.append((y, t, y - (rt - 1) * st, 0, None, None))
+                        break
+                    else:
+                        action[g][e] = y
+    return action, parents
+
+
 def enumerate_monoid(
     p: MonoidPresentation,
     max_elements: int = DEFAULT_BOUNDS.max_elements,
     *,
     node_budget: int = DEFAULT_BOUNDS.node_budget,
 ) -> MonoidTable | None:
-    """Breadth-first generation from 0 by adding generators, classifying
-    each vector by its Gröbner normal form.
+    """Breadth-first generation from 0 by adding generators, one class per
+    Gröbner normal form.
 
     Returns None (unknown) when the completion runs out of ``node_budget``,
     when some generator has no pure-power leading term (the monoid is then
@@ -462,55 +566,70 @@ def _enumerate_monoid(
     p: MonoidPresentation, max_elements: int, node_budget: int
 ) -> tuple[MonoidTable | None, str | None]:
     """``enumerate_monoid``'s table, or None and why enumeration stopped:
-    ``"node_budget"``, ``"infinite"`` or ``"max_elements"``."""
+    ``"node_budget"``, ``"infinite"`` or ``"max_elements"``.
+
+    Classes are numbered in the order a breadth-first search from 0 meets
+    them, adding generators in order; a class's parent is the step that met
+    it first, and its label the lexicographically least vector the search
+    met in it.  When the leads are exactly one pure power c_g g per
+    generator, the normal forms are the box of ``_box_action`` and the
+    search runs over its action; a basis with a mixed lead has no box, and
+    the search classifies each vector by ``_normal_form``."""
     k = len(p.generators)
     rules = _rewriting_rules(p, [node_budget])
     if rules is None:
         return None, "node_budget"
     # Finite exactly when every generator has a pure-power leading term.
-    if len({support[0][0] for _, _, support, _, _ in rules if len(support) == 1}) < k:
+    powers = {
+        support[0][0]: (lead, tail) for lead, tail, support, _, _ in rules if len(support) == 1
+    }
+    if len(powers) < k:
         return None, "infinite"
-    zero: Vector = (0,) * k
-    # Walks go from the first vector discovered in a class (anchors); the
-    # published element label is the lexicographically least vector seen in
-    # the class.
-    anchors: list[Vector] = [zero]
-    labels: list[Vector] = [zero]
-    normal_forms: list[Vector] = [zero]
-    # parents[c] is the (class, generator) step that first produced class c.
+    if len(powers) == len(rules):
+        radix = [powers[g][0][g] for g in range(k)]
+        tails = [[(t, m) for t, m in enumerate(powers[g][1]) if m] for g in range(k)]
+        size = math.prod(radix)
+        if size > max_elements:
+            return None, "max_elements"
+        step = _box_action(radix, tails)[0]
+        keys: list = [0]  # the box index of each class
+    else:
+        size = max_elements
+        step = None
+        keys = [(0,) * k]  # the normal form of each class
+    # Vectors met by the search have entries summing to at most the class
+    # count, so base-(size + 1) digits encode them, ordered as integers in
+    # the lexicographic order of the vectors.
+    units = [(size + 1) ** (k - 1 - g) for g in range(k)]
+    anchors = [0]  # the first vector met in each class
+    labels = [0]  # the least vector met in each class
     parents: list[tuple[int, int] | None] = [None]
-    nf2class: dict[Vector, int] = {zero: 0}
-
-    # Classes enter `pending` once, in index order, so gen_add rows line up
-    # with class indices.  gen_add[c][i] is the class of rep(c) + generator
-    # i; the table follows from this generator action since class addition
-    # is well-defined on the congruence quotient.
-    gen_add: list[list[int]] = []
-    pending = deque([0])
-    while pending:
-        ci = pending.popleft()
-        base, base_nf = anchors[ci], normal_forms[ci]
-        row = []
-        for gi in range(k):
-            y = base[:gi] + (base[gi] + 1,) + base[gi + 1:]
-            nf = _normal_form(base_nf[:gi] + (base_nf[gi] + 1,) + base_nf[gi + 1:], rules)
-            cls = nf2class.get(nf)
+    class_of = {keys[0]: 0}
+    action: list[list[int]] = [[] for _ in range(k)]
+    for ci, key in enumerate(keys):  # ``keys`` grows as it runs
+        base = anchors[ci]
+        for gi, (unit, col) in enumerate(zip(units, action)):
+            y = base + unit
+            if step is not None:
+                found = step[gi][key]
+            else:
+                found = _normal_form(key[:gi] + (key[gi] + 1,) + key[gi + 1:], rules)
+            cls = class_of.get(found)
             if cls is None:
-                cls = len(anchors)
+                cls = len(keys)
                 if cls >= max_elements:
                     return None, "max_elements"
+                keys.append(found)
                 anchors.append(y)
                 labels.append(y)
-                normal_forms.append(nf)
                 parents.append((ci, gi))
-                nf2class[nf] = cls
-                pending.append(cls)
+                class_of[found] = cls
             elif y < labels[cls]:
                 labels[cls] = y
-            row.append(cls)
-        gen_add.append(row)
-
-    return MonoidTable.from_generator_action(p.generators, labels, gen_add, 0, parents), None
+            col.append(cls)
+    digits = [[y // unit % (size + 1) for y in labels] for unit in units]
+    elements = list(zip(*digits)) if k else [()]
+    return MonoidTable.from_generator_action(p.generators, elements, action, 0, parents), None
 
 
 def replay_path(p: MonoidPresentation, path: Sequence[Vector]) -> bool:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from .config import DEFAULT_BOUNDS
 from .errors import BudgetExceededError, CapExceededError, FiringError, ParseError
-from .graph import Graph, structure_report
+from .graph import Graph
 
 if TYPE_CHECKING:
     from .monoid import MonoidTable
@@ -267,35 +267,18 @@ def sandpile_monoid(g: Graph, *, max_elements: int = DEFAULT_BOUNDS.max_elements
 
     The element count is the product of the outdegrees d_k of the non-sink
     vertices; elements are listed in lexicographic count order so index 0 is
-    the zero configuration.  The table is built from the generator action
-    ``gen_add[a][k]``, the class of a + e_k, without calling ``stabilize``.
-    Unless a_k = d_k - 1 the sum is stable and one index step away.  At that
-    threshold, firing k once turns a + e_k into b = a - (d_k - 1) e_k plus one
-    chip on each non-sink out-neighbour of k, counted with multiplicity; b is
-    stable, so by the abelian property the class is b with those chips added
-    one at a time, each a lookup ``gen_add[x][j]`` into the table being built.
-
-    A lookup that is still missing is another threshold entry.  It is pushed
-    on an explicit stack and resolved first, and the entry below it restarts
-    its fold when it is resumed.  The stack never meets an entry that is
-    still in progress.  Each entry above another is reached from it by a
-    nonempty sequence of legal firings, up to chips set aside for later
-    lookups.  So a repeat would give a nonzero firing vector sigma >= 0 whose
-    net effect -L^T sigma on the configuration is nonnegative, for the
-    reduced Laplacian L = D - A.  On a sandpile graph every vertex reaches
-    the sink, so L^T is a nonsingular M-matrix with a nonnegative inverse,
-    and L^T sigma <= 0 forces sigma <= 0, that is sigma = 0.
-
-    Every threshold entry is resolved once with one firing, so the build
+    the zero configuration.  The table comes from the generator action, the
+    class of a + e_k, without calling ``stabilize``: it is the box of
+    ``monoid._box_action`` with radix d_k, since firing k once turns
+    d_k e_k into one chip on each non-sink out-neighbour of k, counted with
+    multiplicity.  The presentation enumeration builds its table with the
+    same builder.  Every threshold entry is resolved once, so the build
     fires at most n times per element (n non-sink vertices) and needs no
-    firing budget.  The parent of a nonzero configuration is the same
-    configuration with its last nonzero count lowered by one, which comes
-    earlier in lexicographic order.
+    firing budget.
     """
-    from .monoid import MonoidTable
+    from .monoid import MonoidTable, _box_action
 
-    rep = structure_report(g)
-    if not rep.sandpile:
+    if g.sandpile_sink is None:
         raise FiringError("sandpile monoid requires a graph with a unique reachable sink")
     nonsink = g.nonsink_vertices
     outdeg = [g.outdegree(v) for v in nonsink]
@@ -305,42 +288,11 @@ def sandpile_monoid(g: Graph, *, max_elements: int = DEFAULT_BOUNDS.max_elements
             f"stable configuration count {size} exceeds max_elements {max_elements}"
         )
     pos = {v: k for k, v in enumerate(nonsink)}
-    # The non-sink vertex of each chip that one firing of k sends out.
-    chips = [
-        [pos[dst] for dst, mult in g.out_adj[v] if dst in pos for _ in range(mult)]
-        for v in nonsink
-    ]
-    elements = [tuple(t) for t in itertools.product(*(range(d) for d in outdeg))]
-    # Index distance between configurations one chip apart at vertex k.
-    stride = [math.prod(outdeg[k + 1 :]) for k in range(len(outdeg))]
-    # Index distance from a threshold configuration to b after firing k.
-    drop = [(d - 1) * s for d, s in zip(outdeg, stride)]
-    gen_add: list[list[int | None]] = []
-    parents: list[tuple[int, int] | None] = []
-    for i, a in enumerate(elements):
-        gen_add.append(
-            [i + stride[k] if count + 1 < outdeg[k] else None for k, count in enumerate(a)]
-        )
-        last = max((k for k, count in enumerate(a) if count), default=None)
-        parents.append(None if last is None else (i - stride[last], last))
-    for i, row in enumerate(gen_add):
-        for k, entry in enumerate(row):
-            if entry is not None:
-                continue
-            stack = [(i, k)]
-            while stack:
-                x, j = stack[-1]
-                y = x - drop[j]
-                for t in chips[j]:
-                    z = gen_add[y][t]
-                    if z is None:
-                        stack.append((y, t))
-                        break
-                    y = z
-                else:
-                    gen_add[x][j] = y
-                    stack.pop()
-    return MonoidTable.from_generator_action(nonsink, elements, gen_add, 0, parents)
+    # The non-sink chips that one firing of k sends out, with multiplicity.
+    chips = [[(pos[dst], mult) for dst, mult in g.out_adj[v] if dst in pos] for v in nonsink]
+    action, parents = _box_action(outdeg, chips)
+    elements = itertools.product(*(range(d) for d in outdeg))
+    return MonoidTable.from_generator_action(nonsink, tuple(elements), action, 0, parents)
 
 
 def format_config_terms(g: Graph, configs: list[ChipConfig]) -> list[str]:

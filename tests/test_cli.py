@@ -736,6 +736,33 @@ def test_negative_bound_flag_is_refused(cli_workdir, capsys, monkeypatch, argv, 
 
 
 @pytest.mark.parametrize(
+    "argv", [argv for argv, _ in COMMAND_BOUNDS], ids=[" ".join(argv[:2]) for argv, _ in COMMAND_BOUNDS]
+)
+def test_one_group_parser_answers_like_the_whole_tree(capsys, argv):
+    # ``run`` builds only the named group's subcommands; parses, help texts
+    # and usage errors must come out as from the whole tree.
+    variants = [
+        argv,
+        argv[:1],
+        argv[:1] + ["-h"],
+        argv[:1] + ["bogus"],
+        argv[:2],
+        argv[:2] + ["-h"],
+        argv + ["--unknown"],
+        argv + ["extra", "--max-elements", "x"],
+    ]
+    for args in variants:
+        answers = []
+        for parser in (build_parser(), build_parser(argv[0])):
+            try:
+                code, parsed = None, vars(parser.parse_args(args))
+            except SystemExit as exc:
+                code, parsed = exc.code, None
+            answers.append((code, parsed, capsys.readouterr()))
+        assert answers[0] == answers[1], args
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sandpile", "grid", "1", "100000000000000000000"],

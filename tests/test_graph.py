@@ -119,6 +119,7 @@ def test_sandpile_flag_matches_bfs():
             g.sinks[0] in g.reachable_from(v) for v in g.vertices
         )
         assert rep.sandpile == expected
+        assert g.sandpile_sink == rep.sink_name == (g.sinks[0] if expected else None)
 
 
 def test_scc_partition():

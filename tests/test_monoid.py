@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodyn.corpus import random_sandpile_graph
+from monodyn.corpus import random_sandpile_graph, sandpile_corpus
 from monodyn.dimension import talented_window
 from monodyn.errors import ParseError
 from monodyn.graph import Graph
+from monodyn.cli import run
 from monodyn.monoid import (
     MonoidPresentation,
+    MonoidTable,
     congruent_difference_possible,
     enumerate_monoid,
     find_unit_isomorphism,
@@ -27,6 +29,8 @@ from monodyn.monoid import (
     replay_path,
     serialize_presentation,
     words_equal,
+    _enumerate_monoid,
+    _normal_form,
     _rewriting_rules,
 )
 from monodyn.sandpile import ChipConfig, sandpile_monoid, stabilize
@@ -490,3 +494,243 @@ def test_enumerate_free_sink_generator_is_infinite(two_cycle_loop_sink):
     elapsed = time.perf_counter() - t0
     assert table is None
     assert elapsed < 3.0, f"infinite enumeration took {elapsed:.2f}s"
+
+
+# --- tables pinned before the threshold-fold builder ------------------------
+# Every digest below was captured from the per-(class, generator) normal-form
+# enumeration and the sandpile-only fold that the shared builder replaced.
+
+
+def _digest(results) -> str:
+    return hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+
+
+def _enumerated(p, max_elements=10_000, node_budget=200_000):
+    """``_enumerate_monoid``'s table as JSON, or why it stopped."""
+    table, stopped_by = _enumerate_monoid(p, max_elements, node_budget)
+    return stopped_by if table is None else table.to_json_dict()
+
+
+def _multigraphs(seed: int, count: int) -> list[Graph]:
+    """Corpus graphs with every edge multiplicity scaled by 1-3."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_sandpile_graph(rng, 5, 3)
+        g = Graph.build(g.vertices, [(s, d, m * rng.randint(1, 3)) for s, d, m in g.edges])
+        if math.prod(g.outdegree(v) for v in g.nonsink_vertices) <= 300:
+            out.append(g)
+    return out
+
+
+def _random_presentation(rng: random.Random) -> MonoidPresentation:
+    k = rng.randint(1, 3)
+    relations = []
+    while len(relations) < rng.randint(1, 3):
+        lhs = tuple(rng.randint(0, 3) for _ in range(k))
+        rhs = tuple(rng.randint(0, 2) for _ in range(k))
+        if lhs != rhs:
+            relations.append((lhs, rhs))
+    return MonoidPresentation(tuple("abc"[:k]), tuple(relations))
+
+
+def _lead_kind(p: MonoidPresentation) -> str:
+    """"pure" when every rule's lead is a pure power, else "mixed"."""
+    rules = _rewriting_rules(p, [200_000])
+    return "pure" if all(len(support) == 1 for _, _, support, _, _ in rules) else "mixed"
+
+
+# 2a = b, a + b = 2c, 3c = a: a finite monoid whose basis has a mixed lead.
+MIXED_LEAD = MonoidPresentation(
+    ("a", "b", "c"), (((2, 0, 0), (0, 1, 0)), ((1, 1, 0), (0, 0, 2)), ((0, 0, 3), (1, 0, 0)))
+)
+
+
+def test_graph_tables_are_pinned():
+    """Sandpile and enumerated tables of 70 corpus graphs, 53 of them with an
+    edge multiplicity above 1: the weighted sink-eliminated presentation
+    (pure-power leads) and the unweighted one (leads of one generator)."""
+    graphs = list(sandpile_corpus(2024, 40, max_vertices=5, max_outdegree=4)) + _multigraphs(7, 30)
+    assert sum(any(m > 1 for *_, m in g.edges) for g in graphs) == 53
+    results = []
+    for g in graphs:
+        results.append(sandpile_monoid(g).to_json_dict())
+        results.append(_enumerated(graph_monoid_presentation(g, weighted=True, sink_zero=True)))
+        results.append(_enumerated(graph_monoid_presentation(g, sink_zero=True)))
+    assert _digest(results) == "b2ca39e54b7ba7e6d08297c2f33daef5b2346b285d57d86191731e1548453d8a"
+
+
+def test_window_verdicts_are_pinned():
+    windows = [
+        _enumerated(talented_window(g, r).presentation, node_budget=20_000)
+        for g in sandpile_corpus(5, 6, max_vertices=4, max_outdegree=3)
+        for r in range(3)
+    ]
+    assert windows == ["infinite"] * 18  # the last stage's generators are free
+    assert _digest(windows) == "e2c47adfecf2721025d230c7931a64e5440fec02aef69a9e8368448e5be4c8de"
+
+
+def test_random_presentation_tables_are_pinned():
+    rng = random.Random(99)
+    presentations = [_random_presentation(rng) for _ in range(300)]
+    kinds = [_lead_kind(p) for p in presentations]
+    results = [_enumerated(p, max_elements=500) for p in presentations]
+    finite = [not isinstance(r, str) for r in results]
+    assert kinds.count("pure") == 152 and kinds.count("mixed") == 148
+    assert sum(f for f, k in zip(finite, kinds) if k == "pure") == 134
+    assert sum(f for f, k in zip(finite, kinds) if k == "mixed") == 11
+    assert _digest(results) == "3267d47ac44d1968b03fd6a85f39248bd63afa273942d7f2a0d599b27a2fbb55"
+
+
+def test_enumeration_stops_are_pinned(four_vertex_sandpile):
+    p27 = graph_monoid_presentation(four_vertex_sandpile, weighted=True, sink_zero=True)
+    cases = [
+        _enumerated(p27, max_elements=26),
+        _enumerated(p27, max_elements=27),
+        _enumerated(MIXED_LEAD, max_elements=2),
+        _enumerated(MonoidPresentation(("a", "b"), ())),
+        _enumerated(MonoidPresentation(("a", "b"), (((2, 0), (0, 1)),))),
+        _enumerated(MIXED_LEAD, node_budget=1),
+        _enumerated(MIXED_LEAD, node_budget=10),
+        _enumerated(MonoidPresentation(("a", "b"), (((2, 0), (0, 1000)), ((0, 2), (0, 0))))),
+        _enumerated(
+            MonoidPresentation(
+                ("a", "b", "c"),
+                (((3, 0, 0), (0, 1, 1)), ((0, 3, 0), (1, 0, 1)), ((0, 0, 3), (1, 1, 0))),
+            )
+        ),
+        _enumerated(MIXED_LEAD),
+    ]
+    sizes = [c if isinstance(c, str) else len(c["elements"]) for c in cases]
+    assert sizes == [
+        "max_elements", 27, "max_elements", "infinite", "infinite",
+        "node_budget", "node_budget", 4, 27, 9,
+    ]
+    assert _lead_kind(MIXED_LEAD) == "mixed"
+    assert _digest(cases) == "9b1aadd3573e887261dd10494c1bb66c543a2e4eddd520f0027ef26367ae1108"
+
+
+# --- the box builder against the normal-form search it replaced ------------
+
+
+def _reference_enumeration(p, max_elements, node_budget):
+    """Breadth-first search from 0 that classifies every (class, generator)
+    step by its Gröbner normal form: the enumeration before the box builder."""
+    k = len(p.generators)
+    rules = _rewriting_rules(p, [node_budget])
+    if rules is None:
+        return None, "node_budget"
+    if len({support[0][0] for _, _, support, _, _ in rules if len(support) == 1}) < k:
+        return None, "infinite"
+    zero = (0,) * k
+    anchors, labels, normal_forms, parents = [zero], [zero], [zero], [None]
+    nf2class = {zero: 0}
+    action = [[] for _ in range(k)]
+    ci = 0
+    while ci < len(anchors):
+        base, base_nf = anchors[ci], normal_forms[ci]
+        for gi in range(k):
+            y = base[:gi] + (base[gi] + 1,) + base[gi + 1:]
+            nf = _normal_form(base_nf[:gi] + (base_nf[gi] + 1,) + base_nf[gi + 1:], rules)
+            cls = nf2class.get(nf)
+            if cls is None:
+                cls = len(anchors)
+                if cls >= max_elements:
+                    return None, "max_elements"
+                anchors.append(y)
+                labels.append(y)
+                normal_forms.append(nf)
+                parents.append((ci, gi))
+                nf2class[nf] = cls
+            elif y < labels[cls]:
+                labels[cls] = y
+            action[gi].append(cls)
+        ci += 1
+    return MonoidTable.from_generator_action(p.generators, labels, action, 0, parents), None
+
+
+@st.composite
+def pure_power_presentations(draw):
+    """One relation c_g g = tail per generator g.  Acyclic: each tail lies
+    below its head in a drawn order, with coefficients up to 10^6.
+    Otherwise the tail has any support and degree at most c_g, so grevlex
+    orients most of them and the rest are completed."""
+    k = draw(st.integers(1, 3))
+    acyclic = draw(st.booleans())
+    order = draw(st.permutations(range(k)))
+    relations = []
+    for h in range(k):
+        c = draw(st.integers(1, 4))
+        lead = tuple(c if g == h else 0 for g in range(k))
+        tail = [0] * k
+        if acyclic:
+            coefficient = st.one_of(st.integers(0, 3), st.integers(0, 10**6))
+            for g in order[order.index(h) + 1:]:
+                tail[g] = draw(coefficient)
+        else:
+            for _ in range(draw(st.integers(0, c))):
+                tail[draw(st.integers(0, k - 1))] += 1
+        if tuple(tail) != lead:
+            relations.append((lead, tuple(tail)))
+    return MonoidPresentation(tuple("abc"[:k]), tuple(relations))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_enumerate_matches_reference_bfs(data):
+    p = data.draw(st.one_of(pure_power_presentations(), presentations()))
+    max_elements = data.draw(st.sampled_from([4, 30, 500]))
+    expected = _reference_enumeration(p, max_elements, 200_000)
+    assert _enumerate_monoid(p, max_elements, 200_000) == expected
+
+
+# 2a = 10^18 b, 2b = 0 is the Klein four-group; a = 10^18 b, b = 0 is trivial.
+LARGE_TAILS = [
+    (
+        MonoidPresentation(("a", "b"), (((2, 0), (0, 10**18)), ((0, 2), (0, 0)))),
+        {
+            "generators": ["a", "b"],
+            "elements": [[0, 0], [1, 0], [0, 1], [1, 1]],
+            "addition": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+            "identity": 0,
+            "generator_classes": [1, 2],
+        },
+    ),
+    (
+        MonoidPresentation(("a", "b"), (((1, 0), (0, 10**18)), ((0, 1), (0, 0)))),
+        {
+            "generators": ["a", "b"],
+            "elements": [[0, 0]],
+            "addition": [[0]],
+            "identity": 0,
+            "generator_classes": [0, 0],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("p, expected", LARGE_TAILS, ids=["klein", "trivial"])
+def test_large_tail_coefficients_answer_quickly(tmp_path, capsys, p, expected):
+    # Adding the 10^18 copies of b one lookup at a time would never end.
+    t0 = time.perf_counter()
+    table = enumerate_monoid(p)
+    elapsed = time.perf_counter() - t0
+    assert table is not None and table.to_json_dict() == expected
+    assert elapsed < 1.0, f"enumeration took {elapsed:.2f}s"
+
+    path = tmp_path / "large.pres"
+    path.write_text(serialize_presentation(p))
+    t0 = time.perf_counter()
+    code = run(["monoid", "enumerate", str(path)])
+    elapsed = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["table"] == expected
+    assert elapsed < 1.0, f"monoid enumerate took {elapsed:.2f}s"
+
+
+def test_lone_sink_tables():
+    # No non-sink vertex: both builders give the one-element monoid.
+    g = Graph.build(["s"], [])
+    expected = MonoidTable((), ((),), ((0,),), 0, ())
+    assert sandpile_monoid(g) == expected
+    assert enumerate_monoid(graph_monoid_presentation(g, weighted=True, sink_zero=True)) == expected

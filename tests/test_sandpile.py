@@ -358,13 +358,13 @@ def test_minimal_ideal_is_the_group_completion(seed, shape):
 def test_from_generator_action_rejects_parent_not_below_child():
     # The three-element monoid 0, x, 2x = 3x on one generator.
     elements = ((0,), (1,), (2,))
-    gen_add = [[1], [2], [2]]
-    t = MonoidTable.from_generator_action(("x",), elements, gen_add, 0, [None, (0, 0), (1, 0)])
+    action = [[1, 2, 2]]  # one column: x sends 0, x, 2x to x, 2x, 2x
+    t = MonoidTable.from_generator_action(("x",), elements, action, 0, [None, (0, 0), (1, 0)])
     assert t.add == ((0, 1, 2), (1, 2, 2), (2, 2, 2))
     t.check_laws()
     for parents in ([None, (2, 0), (1, 0)], [None, (0, 0), (2, 0)], [None, None, (1, 0)]):
         with pytest.raises(ValueError):
-            MonoidTable.from_generator_action(("x",), elements, gen_add, 0, parents)
+            MonoidTable.from_generator_action(("x",), elements, action, 0, parents)
 
 
 def test_monoid_vs_presentation_oracle(two_cycle_loop_sink):
