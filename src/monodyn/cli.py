@@ -687,9 +687,7 @@ def _resolve_bounds(args) -> Bounds:
         if value is not None:
             overrides[name] = value
     if overrides:
-        from dataclasses import replace
-
-        bounds = replace(bounds, **overrides)
+        bounds = bounds.replace(**overrides)
     return bounds
 
 

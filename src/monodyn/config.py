@@ -3,31 +3,60 @@ config file (``key = value`` per line, ``#`` comments)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-
-from .errors import ParseError
+from .errors import Frozen, ParseError
 
 
-@dataclass(frozen=True)
-class Bounds:
-    search_depth: int = 6  # SSE search only; named so that bounds files keep parsing
-    max_elements: int = 10_000
-    max_power: int = 64
-    firing_budget: int = 10**9
-    max_inner_dim: int = 3
-    max_lag: int = 4
-    coeff_bound: int = 2
-    node_budget: int = 200_000
+class Bounds(Frozen):
+    FIELDS = (
+        "search_depth",  # SSE search only; named so that bounds files keep parsing
+        "max_elements",
+        "max_power",
+        "firing_budget",
+        "max_inner_dim",
+        "max_lag",
+        "coeff_bound",
+        "node_budget",
+    )
+    __slots__ = FIELDS
 
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ParseError(f"bound {f.name!r} must be nonnegative")
+    def __init__(
+        self,
+        search_depth: int = 6,
+        max_elements: int = 10_000,
+        max_power: int = 64,
+        firing_budget: int = 10**9,
+        max_inner_dim: int = 3,
+        max_lag: int = 4,
+        coeff_bound: int = 2,
+        node_budget: int = 200_000,
+    ):
+        values = (
+            search_depth, max_elements, max_power, firing_budget,
+            max_inner_dim, max_lag, coeff_bound, node_budget,
+        )
+        for name, value in zip(self.FIELDS, values):
+            if value < 0:
+                raise ParseError(f"bound {name!r} must be nonnegative")
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def replace(self, **changes: int) -> "Bounds":
+        """These bounds with the named fields changed, checked as in
+        ``__init__``."""
+        return Bounds(**dict(zip(self.FIELDS, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 DEFAULT_BOUNDS = Bounds()
-
-_FIELD_NAMES = {f.name for f in fields(Bounds)}
 
 
 def parse_bounds(text: str, base: Bounds = DEFAULT_BOUNDS) -> Bounds:
@@ -40,14 +69,14 @@ def parse_bounds(text: str, base: Bounds = DEFAULT_BOUNDS) -> Bounds:
             raise ParseError("config line must be 'key = value'", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _FIELD_NAMES:
+        if key not in Bounds.FIELDS:
             raise ParseError(f"unknown bound {key!r}", line=lineno)
         try:
             parsed = int(value)
         except ValueError:
             raise ParseError(f"bound {key!r} needs an integer, got {value!r}", line=lineno) from None
         overrides[key] = parsed
-    return replace(base, **overrides)
+    return base.replace(**overrides)
 
 
 def load_bounds(path: str, base: Bounds = DEFAULT_BOUNDS) -> Bounds:

@@ -10,11 +10,10 @@ decision in general needs spectral machinery that is out of scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
-from .errors import MonodynError, ParseError, ShapeError
+from .errors import Frozen, MonodynError, ParseError, ShapeError
 from .matrix import IntMatrix, vec_mat_mul
 from .smith import solve_integer_column
 
@@ -38,21 +37,27 @@ BACKWARD = "backward"
 MAX_WINDOW_RADIUS = 100
 
 
-@dataclass(frozen=True)
-class DimElement:
-    matrix: IntMatrix
-    vec: tuple[int, ...]
-    stage: int = 0
+class DimElement(Frozen):
+    __slots__ = ("matrix", "vec", "stage")
 
-    def __post_init__(self):
-        if not self.matrix.is_square:
+    def __init__(self, matrix: IntMatrix, vec: tuple[int, ...], stage: int = 0):
+        if not matrix.is_square:
             raise ShapeError("stage matrix must be square")
-        if not self.matrix.is_nonnegative:
+        if not matrix.is_nonnegative:
             raise ShapeError("stage matrix must be nonnegative")
-        if len(self.vec) != self.matrix.rows:
-            raise ShapeError(
-                f"vector length {len(self.vec)} does not match matrix size {self.matrix.rows}"
-            )
+        if len(vec) != matrix.rows:
+            raise ShapeError(f"vector length {len(vec)} does not match matrix size {matrix.rows}")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "vec", vec)
+        object.__setattr__(self, "stage", stage)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.matrix, self.vec, self.stage) == (other.matrix, other.vec, other.stage)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.matrix, self.vec, self.stage))
 
 
 def _require_same_matrix(x: DimElement, y: DimElement):
@@ -164,8 +169,7 @@ def fib_cone_member(m: int, n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class TalentedWindow:
+class TalentedWindow(Frozen):
     """Stage-graded presentation of a graph's vertex monoid, truncated to the
     stages -radius..radius.
 
@@ -176,9 +180,22 @@ class TalentedWindow:
     inside the window.
     """
 
-    graph: Graph
-    radius: int
-    presentation: MonoidPresentation
+    __slots__ = ("graph", "radius", "presentation")
+
+    def __init__(self, graph: Graph, radius: int, presentation: MonoidPresentation):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "presentation", presentation)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.radius, self.presentation) == (
+                other.graph, other.radius, other.presentation
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.graph, self.radius, self.presentation))
 
     def stage_count(self) -> int:
         return 2 * self.radius + 1

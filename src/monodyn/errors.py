@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of the immutable value classes, shared
+across the package."""
 
 from __future__ import annotations
 
@@ -41,3 +42,33 @@ class BudgetExceededError(MonodynError):
 
 class CapExceededError(MonodynError):
     """An enumeration would produce more elements than the configured cap."""
+
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``__slots__`` in declaration order, sets
+    them in ``__init__`` through ``object.__setattr__`` and compares and
+    hashes them in its own ``__eq__`` and ``__hash__``.  Once built, an
+    instance refuses every assignment and deletion.  Instances can be weakly
+    referenced, copied and pickled; a copy is built by ``__init__`` from the
+    fields.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> list[str]:
+        return [name for name in self.__slots__ if name != "__dict__"]
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields())

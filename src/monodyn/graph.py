@@ -13,19 +13,39 @@ File format, one record per line, ``#`` starts a comment::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import ParseError, ShapeError
-from .matrix import IntMatrix
+from .errors import Frozen, ParseError, ShapeError
+
+if TYPE_CHECKING:
+    from .matrix import IntMatrix
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, int], ...]  # (source, target, multiplicity), canonical order
-    weights: tuple[int, ...] | None = None
+class Graph(Frozen):
+    # (source, target, multiplicity) edges in canonical order; the instance
+    # dict holds the cached properties.
+    __slots__ = ("vertices", "edges", "weights", "__dict__")
+
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        edges: tuple[tuple[str, str, int], ...],
+        weights: tuple[int, ...] | None = None,
+    ):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertices, self.edges, self.weights) == (
+                other.vertices, other.edges, other.weights
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges, self.weights))
 
     @staticmethod
     def build(
@@ -137,15 +157,43 @@ class Graph:
         return seen
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    sinks: tuple[str, ...]
-    strongly_connected: bool
-    scc_partition: tuple[tuple[str, ...], ...]
-    sandpile: bool
-    sink_name: str | None
-    outdegrees: tuple[int, ...]
-    indegrees: tuple[int, ...]
+class StructureReport(Frozen):
+    __slots__ = (
+        "sinks", "strongly_connected", "scc_partition", "sandpile", "sink_name",
+        "outdegrees", "indegrees",
+    )
+
+    def __init__(
+        self,
+        sinks: tuple[str, ...],
+        strongly_connected: bool,
+        scc_partition: tuple[tuple[str, ...], ...],
+        sandpile: bool,
+        sink_name: str | None,
+        outdegrees: tuple[int, ...],
+        indegrees: tuple[int, ...],
+    ):
+        object.__setattr__(self, "sinks", sinks)
+        object.__setattr__(self, "strongly_connected", strongly_connected)
+        object.__setattr__(self, "scc_partition", scc_partition)
+        object.__setattr__(self, "sandpile", sandpile)
+        object.__setattr__(self, "sink_name", sink_name)
+        object.__setattr__(self, "outdegrees", outdegrees)
+        object.__setattr__(self, "indegrees", indegrees)
+
+    def _values(self) -> tuple:
+        return (
+            self.sinks, self.strongly_connected, self.scc_partition, self.sandpile,
+            self.sink_name, self.outdegrees, self.indegrees,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def parse_graph(text: str) -> Graph:
@@ -216,6 +264,8 @@ def serialize_graph(g: Graph) -> str:
 
 def adjacency_matrix(g: Graph) -> IntMatrix:
     """Entry (i, j) counts edges from vertex i to vertex j, declaration order."""
+    from .matrix import IntMatrix
+
     n = len(g.vertices)
     entries = [0] * (n * n)
     idx = g.index

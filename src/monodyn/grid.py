@@ -27,11 +27,10 @@ does not load numpy.  A grid has at most ``MAX_GRID_CELLS`` cells;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
-from .errors import BudgetExceededError, ParseError, ShapeError
+from .errors import BudgetExceededError, Frozen, ParseError, ShapeError
 from .graph import Graph
 from .sandpile import ChipConfig, Odometer
 
@@ -58,22 +57,29 @@ _WINDOW = 8
 MAX_GRID_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    rows: int
-    cols: int
-    mode: str = CLOSED
+class GridSpec(Frozen):
+    __slots__ = ("rows", "cols", "mode")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, mode: str = CLOSED):
+        if rows < 1 or cols < 1:
             raise ShapeError("grid dimensions must be positive")
-        if self.rows * self.cols > MAX_GRID_CELLS:
+        if rows * cols > MAX_GRID_CELLS:
             raise ShapeError(
-                f"a {self.rows}x{self.cols} grid exceeds the limit of "
-                f"MAX_GRID_CELLS = {MAX_GRID_CELLS} cells"
+                f"a {rows}x{cols} grid exceeds the limit of MAX_GRID_CELLS = {MAX_GRID_CELLS} cells"
             )
-        if self.mode not in (CLOSED, OPEN):
-            raise ParseError(f"grid mode must be 'closed' or 'open', got {self.mode!r}")
+        if mode not in (CLOSED, OPEN):
+            raise ParseError(f"grid mode must be 'closed' or 'open', got {mode!r}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "mode", mode)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.mode) == (other.rows, other.cols, other.mode)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.mode))
 
     def cell_name(self, r: int, c: int) -> str:
         return f"r{r}c{c}"
@@ -360,18 +366,26 @@ def stabilize_grid(
     return result()
 
 
-@dataclass(frozen=True)
-class Palette:
+class Palette(Frozen):
     """RGB triples for chip counts 0..3; larger counts clamp to the last."""
 
-    colors: tuple[tuple[int, int, int], ...]
+    __slots__ = ("colors",)
 
-    def __post_init__(self):
-        if len(self.colors) != 4:
+    def __init__(self, colors: tuple[tuple[int, int, int], ...]):
+        if len(colors) != 4:
             raise ParseError("palette needs exactly four colors")
-        for rgb in self.colors:
+        for rgb in colors:
             if len(rgb) != 3 or any(not (0 <= ch <= 255) for ch in rgb):
                 raise ParseError("palette channels must be in 0..255")
+        object.__setattr__(self, "colors", colors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.colors == other.colors
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.colors,))
 
 
 DEFAULT_PALETTE = Palette(((0, 0, 255), (0, 255, 255), (255, 255, 0), (139, 69, 19)))

@@ -16,11 +16,10 @@ about the algebras themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
-from .errors import ShapeError
+from .errors import Frozen, ShapeError
 from .graph import Graph, adjacency_matrix, every_cycle_has_exit, strongly_connected_components
 
 if TYPE_CHECKING:
@@ -34,24 +33,73 @@ WEIGHTED = "weighted"
 SANDPILE = "sandpile"
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
-    simple: bool
-    failure: str | None = None  # "cofinality" | "exitless_cycle"
-    witness_vertex: str | None = None
-    witness_target: tuple[str, ...] | None = None  # unreached sink or cycle component
-    witness_cycle: tuple[str, ...] | None = None
+class SimplicityVerdict(Frozen):
+    __slots__ = ("simple", "failure", "witness_vertex", "witness_target", "witness_cycle")
+
+    def __init__(
+        self,
+        simple: bool,
+        failure: str | None = None,  # "cofinality" | "exitless_cycle"
+        witness_vertex: str | None = None,
+        witness_target: tuple[str, ...] | None = None,  # unreached sink or cycle component
+        witness_cycle: tuple[str, ...] | None = None,
+    ):
+        object.__setattr__(self, "simple", simple)
+        object.__setattr__(self, "failure", failure)
+        object.__setattr__(self, "witness_vertex", witness_vertex)
+        object.__setattr__(self, "witness_target", witness_target)
+        object.__setattr__(self, "witness_cycle", witness_cycle)
+
+    def _values(self) -> tuple:
+        return (
+            self.simple, self.failure, self.witness_vertex, self.witness_target, self.witness_cycle
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
-@dataclass(frozen=True)
-class CompareVerdict:
-    kind: str  # "iso_witness" | "not_iso" | "unknown"
-    detail: str
-    generator_images: tuple[int, ...] | None = None
-    se_witness: SEWitness | None = None
-    invariants: object | None = None
-    bounds: dict | None = None
-    stopped_by: str | None = None  # why an enumeration stopped, for unknown
+class CompareVerdict(Frozen):
+    __slots__ = (
+        "kind", "detail", "generator_images", "se_witness", "invariants", "bounds", "stopped_by",
+    )
+
+    def __init__(
+        self,
+        kind: str,  # "iso_witness" | "not_iso" | "unknown"
+        detail: str,
+        generator_images: tuple[int, ...] | None = None,
+        se_witness: SEWitness | None = None,
+        invariants: object | None = None,
+        bounds: dict | None = None,
+        stopped_by: str | None = None,  # why an enumeration stopped, for unknown
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "generator_images", generator_images)
+        object.__setattr__(self, "se_witness", se_witness)
+        object.__setattr__(self, "invariants", invariants)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "stopped_by", stopped_by)
+
+    def _values(self) -> tuple:
+        return (
+            self.kind, self.detail, self.generator_images, self.se_witness,
+            self.invariants, self.bounds, self.stopped_by,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def cycle_bearing_components(g: Graph) -> tuple[tuple[str, ...], ...]:

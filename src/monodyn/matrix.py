@@ -11,32 +11,38 @@ row per line; ``#`` starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 from typing import Sequence
 
-from .errors import MonodynError, ParseError, ShapeError
+from .errors import Frozen, MonodynError, ParseError, ShapeError
 
 # The most bits an entry of a power may need when IntMatrix.pow is asked to
 # bound it; a power whose entries grow past this is refused rather than run.
 MAX_POWER_BITS = 1 << 16
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+class IntMatrix(Frozen):
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ShapeError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 1 or cols < 1:
+            raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise ShapeError(
-                f"expected {self.rows * self.cols} entries for a "
-                f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
+                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":

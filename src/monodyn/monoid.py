@@ -43,15 +43,13 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, ge, itemgetter, sub
 from typing import Sequence
 
 from .config import DEFAULT_BOUNDS
-from .errors import ParseError, ShapeError
+from .errors import Frozen, ParseError, ShapeError
 from .graph import Graph
-from .smith import lattice_contains
 
 Vector = tuple[int, ...]
 
@@ -60,22 +58,30 @@ NO = "no"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class MonoidPresentation:
-    generators: tuple[str, ...]
-    relations: tuple[tuple[Vector, Vector], ...]
+class MonoidPresentation(Frozen):
+    __slots__ = ("generators", "relations")
 
-    def __post_init__(self):
-        n = len(self.generators)
-        if len(set(self.generators)) != n:
+    def __init__(self, generators: tuple[str, ...], relations: tuple[tuple[Vector, Vector], ...]):
+        n = len(generators)
+        if len(set(generators)) != n:
             raise ParseError("duplicate generator names")
-        for lhs, rhs in self.relations:
+        for lhs, rhs in relations:
             if len(lhs) != n or len(rhs) != n:
                 raise ShapeError("relation vector length does not match generator count")
             if lhs == rhs:
                 raise ParseError("relation equates a vector with itself")
             if any(x < 0 for x in lhs + rhs):
                 raise ParseError("relation vectors must be nonnegative")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.generators, self.relations) == (other.generators, other.relations)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.generators, self.relations))
 
     def validate_element(self, vec: Sequence[int]) -> Vector:
         if len(vec) != len(self.generators):
@@ -87,15 +93,31 @@ class MonoidPresentation:
         return tuple(vec)
 
 
-@dataclass(frozen=True)
-class WordEquality:
-    verdict: str  # "yes" | "no" | "unknown"
-    path: tuple[Vector, ...] | None = None
-    stopped_by: str | None = None  # "node_budget" exactly when unknown
+class WordEquality(Frozen):
+    __slots__ = ("verdict", "path", "stopped_by")
+
+    def __init__(
+        self,
+        verdict: str,  # "yes" | "no" | "unknown"
+        path: tuple[Vector, ...] | None = None,
+        stopped_by: str | None = None,  # "node_budget" exactly when unknown
+    ):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "stopped_by", stopped_by)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.verdict, self.path, self.stopped_by) == (
+                other.verdict, other.path, other.stopped_by
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.verdict, self.path, self.stopped_by))
 
 
-@dataclass(frozen=True)
-class MonoidTable:
+class MonoidTable(Frozen):
     """Finite commutative monoid as an explicit Cayley table.
 
     ``elements`` are canonical representative vectors over ``generators``;
@@ -103,11 +125,32 @@ class MonoidTable:
     index of the class of the k-th generator.
     """
 
-    generators: tuple[str, ...]
-    elements: tuple[Vector, ...]
-    add: tuple[tuple[int, ...], ...]
-    identity: int
-    generator_classes: tuple[int, ...]
+    __slots__ = ("generators", "elements", "add", "identity", "generator_classes")
+
+    def __init__(
+        self,
+        generators: tuple[str, ...],
+        elements: tuple[Vector, ...],
+        add: tuple[tuple[int, ...], ...],
+        identity: int,
+        generator_classes: tuple[int, ...],
+    ):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "add", add)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "generator_classes", generator_classes)
+
+    def _values(self) -> tuple:
+        return self.generators, self.elements, self.add, self.identity, self.generator_classes
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     @staticmethod
     def from_generator_action(
@@ -233,6 +276,8 @@ def congruent_difference_possible(p: MonoidPresentation, x: Vector, y: Vector) -
     inequality."""
     if x == y:
         return True
+    from .smith import lattice_contains
+
     diffs = [tuple(a - b for a, b in zip(lhs, rhs)) for lhs, rhs in p.relations]
     return lattice_contains(diffs, [a - b for a, b in zip(x, y)])
 
@@ -350,9 +395,13 @@ def _walk(v: Vector, steps: list, budget: list[int]) -> list[Vector] | None:
     return walk
 
 
-def _rewriting_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple] | None:
+def _rewriting_rules(
+    p: MonoidPresentation, budget: list[int], paths: bool = True
+) -> list[tuple] | None:
     """Rules ``_rule(lead, tail, path)`` whose normal forms decide the
     congruence, or None when the completion runs out of ``budget[0]``.
+    Without ``paths`` the completion builds no rewrite paths, leaves a
+    completed rule's path None and charges no path steps.
 
     Say every relation has a single-generator side, its head (the left one
     when both are), and no generator heads two relations.  If the digraph
@@ -370,10 +419,10 @@ def _rewriting_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple] | 
     for lhs, rhs in p.relations:
         lead, tail = (lhs, rhs) if lhs.count(0) == n - 1 else (rhs, lhs)
         if lead.count(0) != n - 1:
-            return _groebner_rules(p, budget)
+            return _groebner_rules(p, budget, paths)
         head = next(compress(range(n), lead))
         if head in heads:
-            return _groebner_rules(p, budget)
+            return _groebner_rules(p, budget, paths)
         heads[head] = lead, tail
         uses[head] = list(compress(range(n), tail))
     # Kahn's algorithm: waiting[h] counts the tails of heads that hold h.
@@ -391,7 +440,7 @@ def _rewriting_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple] | 
                     order.append(g)
     if len(order) < len(heads):  # a cycle; grevlex may still orient every relation
         if not all(_grevlex_key(lead) > _grevlex_key(tail) for lead, tail in heads.values()):
-            return _groebner_rules(p, budget)
+            return _groebner_rules(p, budget, paths)
         order = list(heads)
     rules = []
     for h in order:  # as ``_rule`` builds them, but from the sparse tail
@@ -401,7 +450,9 @@ def _rewriting_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple] | 
     return rules
 
 
-def _groebner_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple] | None:
+def _groebner_rules(
+    p: MonoidPresentation, budget: list[int], paths: bool = True
+) -> list[tuple] | None:
     """Binomial Gröbner completion of the relations in the graded reverse
     lexicographic order, as rewriting rules, or None when the budget runs out.
 
@@ -411,7 +462,7 @@ def _groebner_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple] | N
     formed and every step of a rule's path costs one unit of ``budget[0]``.
     Each equation a = b carries steps from a to b (a relation, the S-pair
     a <- lcm -> b, or the path of a rule sent back); with both reductions
-    they give the new rule's path."""
+    they give the new rule's path, unless ``paths`` is false."""
     rules: dict[int, tuple] = {}
     equations = deque((lhs, rhs, [((lhs, rhs), 1)]) for lhs, rhs in p.relations)
     pairs: list[tuple[int, int, int]] = []  # (lcm degree, newer rule id, older rule id)
@@ -427,18 +478,23 @@ def _groebner_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple] | N
             lcm = tuple(map(max, l1, l2))
             a = tuple(m - x + y for m, x, y in zip(lcm, l1, t1))
             b = tuple(m - x + y for m, x, y in zip(lcm, l2, t2))
-            steps = [(p1[::-1], 1), (p2, 1)]
-        a_steps, b_steps = [], []
+            steps = [(p1[::-1], 1), (p2, 1)] if paths else None
+        a_steps, b_steps = ([], []) if paths else (None, None)
         a = _normal_form(a, rules.values(), budget, a_steps)
         b = _normal_form(b, rules.values(), budget, b_steps)
         if a is None or b is None:
             return None
         if a == b:
             continue
-        path = _walk(a, [(pth[::-1], q) for pth, q in reversed(a_steps)] + steps + b_steps, budget)
-        if path is None:
-            return None
         lead, tail = (a, b) if _grevlex_key(a) > _grevlex_key(b) else (b, a)
+        path = None
+        if paths:
+            back = [(pth[::-1], q) for pth, q in reversed(a_steps)]
+            path = _walk(a, back + steps + b_steps, budget)
+            if path is None:
+                return None
+            if lead != a:
+                path = path[::-1]
         for rid, (l, t, _, _, pth) in list(rules.items()):
             if all(x >= y for x, y in zip(l, lead)):
                 del rules[rid]
@@ -449,7 +505,7 @@ def _groebner_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple] | N
                 heapq.heappush(pairs, (sum(map(max, l, lead)), next_id, rid))
         if budget[0] < 0:
             return None
-        rules[next_id] = _rule(lead, tail, path if lead == a else path[::-1])
+        rules[next_id] = _rule(lead, tail, path)
         next_id += 1
     return list(rules.values())
 
@@ -574,9 +630,11 @@ def _enumerate_monoid(
     met in it.  When the leads are exactly one pure power c_g g per
     generator, the normal forms are the box of ``_box_action`` and the
     search runs over its action; a basis with a mixed lead has no box, and
-    the search classifies each vector by ``_normal_form``."""
+    the search classifies each vector by ``_normal_form``.  No rewrite paths
+    are built, so ``node_budget`` pays only for the completion's reductions
+    and pairs."""
     k = len(p.generators)
-    rules = _rewriting_rules(p, [node_budget])
+    rules = _rewriting_rules(p, [node_budget], paths=False)
     if rules is None:
         return None, "node_budget"
     # Finite exactly when every generator has a pure-power leading term.

@@ -16,32 +16,39 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, Mapping
 
 from .config import DEFAULT_BOUNDS
-from .errors import BudgetExceededError, CapExceededError, FiringError, ParseError
+from .errors import BudgetExceededError, CapExceededError, FiringError, Frozen, ParseError
 from .graph import Graph
 
 if TYPE_CHECKING:
     from .monoid import MonoidTable
 
 
-@dataclass(frozen=True)
-class ChipConfig:
+class ChipConfig(Frozen):
     """Chip counts over the non-sink vertices of an ambient graph.
 
     ``absorbed`` tallies chips that entered a sink; it is bookkeeping for
     conservation checks and deliberately excluded from equality.
     """
 
-    counts: tuple[int, ...]
-    absorbed: int = field(default=0, compare=False)
+    __slots__ = ("counts", "absorbed")
 
-    def __post_init__(self):
-        if self.counts and min(self.counts) < 0:
+    def __init__(self, counts: tuple[int, ...], absorbed: int = 0):
+        if counts and min(counts) < 0:
             raise FiringError("negative chip count")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "absorbed", absorbed)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.counts == other.counts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.counts,))
 
     @staticmethod
     def from_mapping(g: Graph, counts: Mapping[str, int], absorbed: int = 0) -> "ChipConfig":
@@ -66,11 +73,21 @@ class ChipConfig:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class Odometer:
+class Odometer(Frozen):
     """Per-vertex firing counts over the non-sink vertices."""
 
-    firings: tuple[int, ...]
+    __slots__ = ("firings",)
+
+    def __init__(self, firings: tuple[int, ...]):
+        object.__setattr__(self, "firings", firings)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.firings == other.firings
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.firings,))
 
     def to_mapping(self, g: Graph) -> dict[str, int]:
         return dict(zip(g.nonsink_vertices, self.firings))

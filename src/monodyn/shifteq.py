@@ -17,10 +17,9 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from dataclasses import dataclass
 
 from .config import DEFAULT_BOUNDS
-from .errors import MonodynError, ShapeError
+from .errors import Frozen, MonodynError, ShapeError
 from .matrix import IntMatrix, charpoly, kron
 from .smith import integer_kernel_basis, invariant_factors
 
@@ -28,46 +27,83 @@ from .smith import integer_kernel_basis, invariant_factors
 _CANDIDATE_CAP = 250_000
 
 
-@dataclass(frozen=True)
-class ESWitness:
+class ESWitness(Frozen):
     """Factorization pair: A = R S and B = S R."""
 
-    r: IntMatrix
-    s: IntMatrix
+    __slots__ = ("r", "s")
+
+    def __init__(self, r: IntMatrix, s: IntMatrix):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.r, self.s) == (other.r, other.s)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.r, self.s))
 
 
-@dataclass(frozen=True)
-class SEWitness:
+class SEWitness(Frozen):
     """Lag-l witness: A^l = R S, B^l = S R, A R = R B, S A = B S."""
 
-    r: IntMatrix
-    s: IntMatrix
-    lag: int
+    __slots__ = ("r", "s", "lag")
+
+    def __init__(self, r: IntMatrix, s: IntMatrix, lag: int):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "lag", lag)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.r, self.s, self.lag) == (other.r, other.s, other.lag)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.r, self.s, self.lag))
 
 
-@dataclass(frozen=True)
-class SSEChain:
+class SSEChain(Frozen):
     """Matrices m_0 .. m_k with one elementary witness per consecutive pair."""
 
-    matrices: tuple[IntMatrix, ...]
-    witnesses: tuple[ESWitness, ...]
+    __slots__ = ("matrices", "witnesses")
 
-    def __post_init__(self):
-        if len(self.matrices) != len(self.witnesses) + 1:
+    def __init__(self, matrices: tuple[IntMatrix, ...], witnesses: tuple[ESWitness, ...]):
+        if len(matrices) != len(witnesses) + 1:
             raise ShapeError("chain needs exactly one witness per link")
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "witnesses", witnesses)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.matrices, self.witnesses) == (other.matrices, other.witnesses)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.matrices, self.witnesses))
 
     @property
     def length(self) -> int:
         return len(self.witnesses)
 
 
-@dataclass
-class SearchExhausted:
+class SearchExhausted(Frozen):
     """Outcome of a bounded search that found nothing within its bounds,
     with the invariants report the search checked first."""
 
-    bounds: dict[str, int]
-    invariants: "InvariantReport"
+    __slots__ = ("bounds", "invariants")
+
+    def __init__(self, bounds: dict[str, int], invariants: "InvariantReport"):
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "invariants", invariants)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bounds, self.invariants) == (other.bounds, other.invariants)
+        return NotImplemented
+
+    __hash__ = None  # ``bounds`` is a dict
 
     @property
     def obstruction(self) -> "InvariantReport | None":
@@ -75,15 +111,48 @@ class SearchExhausted:
         return self.invariants if self.invariants.verdict == "obstruction" else None
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    bf_factors_a: tuple[int, ...]  # nontrivial invariant factors of I - A
-    bf_free_rank_a: int
-    bf_factors_b: tuple[int, ...]
-    bf_free_rank_b: int
-    charpoly_core_a: tuple[int, ...]  # descending coefficients, t-factors stripped
-    charpoly_core_b: tuple[int, ...]
-    verdict: str  # "obstruction" | "no_obstruction"
+class InvariantReport(Frozen):
+    __slots__ = (
+        "bf_factors_a",  # nontrivial invariant factors of I - A
+        "bf_free_rank_a",
+        "bf_factors_b",
+        "bf_free_rank_b",
+        "charpoly_core_a",  # descending coefficients, t-factors stripped
+        "charpoly_core_b",
+        "verdict",  # "obstruction" | "no_obstruction"
+    )
+
+    def __init__(
+        self,
+        bf_factors_a: tuple[int, ...],
+        bf_free_rank_a: int,
+        bf_factors_b: tuple[int, ...],
+        bf_free_rank_b: int,
+        charpoly_core_a: tuple[int, ...],
+        charpoly_core_b: tuple[int, ...],
+        verdict: str,
+    ):
+        object.__setattr__(self, "bf_factors_a", bf_factors_a)
+        object.__setattr__(self, "bf_free_rank_a", bf_free_rank_a)
+        object.__setattr__(self, "bf_factors_b", bf_factors_b)
+        object.__setattr__(self, "bf_free_rank_b", bf_free_rank_b)
+        object.__setattr__(self, "charpoly_core_a", charpoly_core_a)
+        object.__setattr__(self, "charpoly_core_b", charpoly_core_b)
+        object.__setattr__(self, "verdict", verdict)
+
+    def _values(self) -> tuple:
+        return (
+            self.bf_factors_a, self.bf_free_rank_a, self.bf_factors_b, self.bf_free_rank_b,
+            self.charpoly_core_a, self.charpoly_core_b, self.verdict,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def _check_nonneg(*ms: IntMatrix):

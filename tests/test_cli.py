@@ -328,20 +328,28 @@ def test_unknown_enumeration_stopped_by_max_elements(files, capsys, tmp_path):
 def test_cli_import_loads_no_layer():
     code = (
         "import json, sys, monodyn.cli; print(json.dumps(sorted(sys.modules)));"
-        "import monodyn.grid; print('numpy' in sys.modules)"
+        "import monodyn.graph, monodyn.sandpile, monodyn.monoid; print(json.dumps(sorted(sys.modules)));"
+        "import monodyn.corpus, monodyn.dimension, monodyn.grid, monodyn.lpa, monodyn.matrix,"
+        " monodyn.shifteq, monodyn.smith; print(json.dumps(sorted(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    after_cli, after_grid = proc.stdout.splitlines()
-    modules = set(json.loads(after_cli))
-    assert {m for m in modules if m.startswith("monodyn")} == {
+    after_cli, after_monoid, after_all = (set(json.loads(line)) for line in proc.stdout.splitlines())
+    assert {m for m in after_cli if m.startswith("monodyn")} == {
         "monodyn",
         "monodyn.cli",
         "monodyn.config",
         "monodyn.errors",
     }
-    assert "numpy" not in modules
-    assert after_grid == "False"  # the grid module imports numpy only when it runs
+    assert "numpy" not in after_cli
+    # The value classes are plain slotted classes: no dataclasses, whose
+    # import pulls in inspect, at start-up or in any layer.
+    for modules in (after_cli, after_monoid, after_all):
+        assert not modules & {"dataclasses", "inspect"}
+    # The integer code loads only where a layer uses it.
+    assert not after_monoid & {"monodyn.matrix", "monodyn.smith"}
+    assert len({m for m in after_all if m.startswith("monodyn.")}) == 13  # every module of the package
+    assert "numpy" not in after_all  # the grid module imports numpy only when it runs
 
 
 # Runs one command through cli.run in a fresh interpreter, then prints the
@@ -358,15 +366,20 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 @pytest.mark.parametrize(
     "argv, layer, absent",
     [
-        (["graph", "check", "e.graph"], "graph", {"monoid", "smith", "sandpile", "shifteq"}),
+        (["graph", "check", "e.graph"], "graph", {"matrix", "monoid", "smith", "sandpile", "shifteq"}),
         (["shift", "invariants", "two.mat", "ones.mat"], "shifteq", {"graph", "monoid", "sandpile"}),
-        (["sandpile", "stabilize", "e.graph", "eightv.cfg"], "sandpile", {"monoid", "shifteq"}),
+        (["sandpile", "stabilize", "e.graph", "eightv.cfg"], "sandpile", {"matrix", "monoid", "smith", "shifteq"}),
+        (["sandpile", "monoid", "e.graph"], "monoid", {"matrix", "smith", "shifteq"}),
+        (["monoid", "enumerate", "p.pres"], "monoid", {"matrix", "smith", "sandpile", "shifteq"}),
         (["dimgroup", "fib", "1", "0"], "dimension", {"graph", "monoid", "sandpile", "shifteq"}),
         (["lpa", "matrix-iso", "2", "1", "2", "3"], "lpa", {"monoid", "smith", "sandpile", "shifteq"}),
-        (["sandpile", "grid", "5", "5", "--place", "2,2,20"], "grid", {"monoid", "smith", "shifteq"}),
+        (["sandpile", "grid", "5", "5", "--place", "2,2,20"], "grid", {"matrix", "monoid", "smith", "shifteq"}),
         (["sandpile", "render", "2", "2", "zero.cfg", "--out", "z.ppm"], "grid", {"monoid", "shifteq"}),
     ],
-    ids=["graph-check", "shift-invariants", "sandpile-stabilize", "dimgroup-fib", "lpa-matrix-iso", "grid", "render"],
+    ids=[
+        "graph-check", "shift-invariants", "sandpile-stabilize", "sandpile-monoid", "monoid-enumerate",
+        "dimgroup-fib", "lpa-matrix-iso", "grid", "render",
+    ],
 )
 def test_command_loads_only_its_layers(cli_workdir, argv, layer, absent):
     proc = subprocess.run(

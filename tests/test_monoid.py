@@ -728,6 +728,28 @@ def test_large_tail_coefficients_answer_quickly(tmp_path, capsys, p, expected):
     assert elapsed < 1.0, f"monoid enumerate took {elapsed:.2f}s"
 
 
+def test_enumeration_builds_no_rewrite_paths(tmp_path, capsys):
+    # Grevlex orients 2a = 1000001b as 1000001b -> 2a, so the completion
+    # runs, and a rewrite path for its rules takes about 500 000 relation
+    # steps: more than the node budget, and never read by enumeration.
+    found = MonoidPresentation(("a", "b"), (((2, 0), (0, 1000001)), ((0, 3), (0, 1))))
+    small = MonoidPresentation(("a", "b"), (((2, 0), (0, 101)), ((0, 3), (0, 1))))
+    assert _rewriting_rules(found, [200_000]) is None
+    with_paths = _rewriting_rules(small, [200_000])
+    without = _rewriting_rules(small, [200_000], paths=False)
+    assert [rule[:4] for rule in without] == [rule[:4] for rule in with_paths]
+    assert all(rule[4] is not None for rule in with_paths)
+    expected = enumerate_monoid(small).to_json_dict()
+    assert len(expected["elements"]) == 6
+    assert enumerate_monoid(found).to_json_dict() == expected
+
+    path = tmp_path / "found.pres"
+    path.write_text(serialize_presentation(found))
+    code = run(["monoid", "enumerate", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["table"] == expected
+
+
 def test_lone_sink_tables():
     # No non-sink vertex: both builders give the one-element monoid.
     g = Graph.build(["s"], [])
