@@ -1,0 +1,54 @@
+"""Subcommand handlers, one module per command group.
+
+Each group module declares its subcommands in ``add_commands(group,
+command)``, where ``command`` is the dispatcher's factory that adds the
+``--json`` flag and the bound flags, and holds their handlers.  A handler
+``(args, bounds, out)`` reads its files, runs its layer, imported inside the
+handler, and sets ``out.report``, ``out.text`` or ``out.binary`` and
+``out.code``.  This package holds the file and JSON helpers that more than
+one group uses.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..matrix import IntMatrix
+
+
+def read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def load_graph(path: str):
+    from ..graph import parse_graph
+
+    return parse_graph(read_text(path))
+
+
+def load_matrix(path: str) -> IntMatrix:
+    from ..matrix import parse_matrix
+
+    return parse_matrix(read_text(path))
+
+
+def matrix_json(m: IntMatrix) -> list[list[int]]:
+    return m.to_rows()
+
+
+def witness_json(r: IntMatrix, s: IntMatrix) -> dict:
+    return {"r": matrix_json(r), "s": matrix_json(s)}
+
+
+def invariants_json(rep) -> dict:
+    return {
+        "bowen_franks_a": list(rep.bf_factors_a),
+        "bowen_franks_b": list(rep.bf_factors_b),
+        "free_rank_a": rep.bf_free_rank_a,
+        "free_rank_b": rep.bf_free_rank_b,
+        "charpoly_core_a": list(rep.charpoly_core_a),
+        "charpoly_core_b": list(rep.charpoly_core_b),
+        "verdict": rep.verdict,
+    }

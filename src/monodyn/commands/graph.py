@@ -1,0 +1,47 @@
+"""``monodyn graph``: structure reports and adjacency matrices."""
+
+from __future__ import annotations
+
+from . import load_graph, matrix_json
+
+
+def _cmd_graph_check(args, bounds, out):
+    from ..graph import structure_report
+
+    g = load_graph(args.graph)
+    rep = structure_report(g)
+    out.report = {
+        "kind": "structure",
+        "sinks": list(rep.sinks),
+        "strongly_connected": rep.strongly_connected,
+        "scc_partition": [list(c) for c in rep.scc_partition],
+        "sandpile": rep.sandpile,
+        "sink": rep.sink_name,
+        "outdegrees": dict(zip(g.vertices, rep.outdegrees)),
+        "indegrees": dict(zip(g.vertices, rep.indegrees)),
+    }
+
+
+def _cmd_graph_matrix(args, bounds, out):
+    from ..graph import adjacency_matrix
+    from ..matrix import serialize_matrix
+
+    g = load_graph(args.graph)
+    m = adjacency_matrix(g)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(serialize_matrix(m))
+    out.report = {
+        "kind": "matrix",
+        "rows": m.rows,
+        "cols": m.cols,
+        "entries": matrix_json(m),
+    }
+
+
+def add_commands(group, command) -> None:
+    p = command(group, "check", _cmd_graph_check, help="structural report")
+    p.add_argument("graph")
+    p = command(group, "matrix", _cmd_graph_matrix, help="adjacency matrix")
+    p.add_argument("graph")
+    p.add_argument("--out", help="also write the matrix file format here")

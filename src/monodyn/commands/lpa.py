@@ -1,0 +1,105 @@
+"""``monodyn lpa``: simplicity, condition (L), the matrix-Leavitt and
+Higman-Thompson isomorphism criteria, and Kirchberg-Phillips comparison."""
+
+from __future__ import annotations
+
+from . import invariants_json, load_graph, witness_json
+
+
+def _cmd_lpa_simple(args, bounds, out):
+    from ..lpa import lpa_simple
+
+    g = load_graph(args.graph)
+    v = lpa_simple(g)
+    out.report = {
+        "kind": "simple",
+        "simple": v.simple,
+        "failure": v.failure,
+        "witness_vertex": v.witness_vertex,
+        "witness_target": list(v.witness_target) if v.witness_target else None,
+        "witness_cycle": list(v.witness_cycle) if v.witness_cycle else None,
+    }
+    out.code = 0 if v.simple else 1
+
+
+def _cmd_lpa_zorn(args, bounds, out):
+    from ..graph import every_cycle_has_exit
+
+    g = load_graph(args.graph)
+    ok, cycle = every_cycle_has_exit(g)
+    out.report = {"kind": "zorn", "zorn": ok, "witness_cycle": list(cycle) if cycle else None}
+    out.code = 0 if ok else 1
+
+
+def _cmd_lpa_matrix_iso(args, bounds, out):
+    from ..lpa import matrix_leavitt_iso
+
+    result = matrix_leavitt_iso(args.n, args.r, args.m, args.s)
+    out.report = {"kind": "iso", "result": result, "condition": "matrix-leavitt"}
+    out.code = 0 if result else 1
+
+
+def _cmd_lpa_ht_iso(args, bounds, out):
+    from ..lpa import higman_thompson_iso
+
+    result = higman_thompson_iso(args.n, args.r, args.m, args.s)
+    out.report = {"kind": "iso", "result": result, "condition": "higman-thompson"}
+    out.code = 0 if result else 1
+
+
+def _cmd_lpa_compare(args, bounds, out):
+    from ..lpa import kp_compare
+
+    first = load_graph(args.graph_a)
+    second = load_graph(args.graph_b)
+    verdict = kp_compare(
+        first,
+        second,
+        mode=args.mode,
+        presentation=args.presentation,
+        max_elements=bounds.max_elements,
+        node_budget=bounds.node_budget,
+        max_lag=bounds.max_lag,
+        coeff_bound=bounds.coeff_bound,
+    )
+    report = {"kind": "compare", "outcome": verdict.kind, "detail": verdict.detail, "mode": args.mode}
+    if verdict.generator_images is not None:
+        report["generator_images"] = list(verdict.generator_images)
+    if verdict.se_witness is not None:
+        report["se_witness"] = witness_json(verdict.se_witness.r, verdict.se_witness.s)
+        report["lag"] = verdict.se_witness.lag
+    if verdict.invariants is not None:
+        report["invariants"] = invariants_json(verdict.invariants)
+    if verdict.bounds is not None:
+        report["bounds"] = dict(verdict.bounds)
+    if verdict.stopped_by is not None:
+        report["stopped_by"] = verdict.stopped_by
+    out.report = report
+    out.code = 0 if verdict.kind == "iso_witness" else 1
+
+
+def add_commands(group, command) -> None:
+    p = command(group, "simple", _cmd_lpa_simple)
+    p.add_argument("graph")
+    p = command(group, "zorn", _cmd_lpa_zorn)
+    p.add_argument("graph")
+    p = command(group, "matrix-iso", _cmd_lpa_matrix_iso)
+    for name in ("n", "r", "m", "s"):
+        p.add_argument(name, type=int)
+    p = command(group, "ht-iso", _cmd_lpa_ht_iso)
+    for name in ("n", "r", "m", "s"):
+        p.add_argument(name, type=int)
+    p = command(
+        group,
+        "compare",
+        _cmd_lpa_compare,
+        ("max_elements", "node_budget", "max_lag", "coeff_bound"),
+    )
+    p.add_argument("graph_a")
+    p.add_argument("graph_b")
+    p.add_argument("--mode", choices=("plain", "graded"), default="plain")
+    p.add_argument(
+        "--presentation",
+        choices=("unweighted", "weighted", "sandpile"),
+        default="unweighted",
+    )

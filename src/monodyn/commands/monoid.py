@@ -1,0 +1,60 @@
+"""``monodyn monoid``: graph monoid presentations, the word problem and
+enumeration of finite monoids."""
+
+from __future__ import annotations
+
+from . import load_graph, read_text
+
+
+def _cmd_monoid_present(args, bounds, out):
+    from ..monoid import graph_monoid_presentation, serialize_presentation
+
+    g = load_graph(args.graph)
+    p = graph_monoid_presentation(g, weighted=args.weighted, sink_zero=args.sink_zero)
+    out.text = serialize_presentation(p).rstrip("\n")
+
+
+def _cmd_monoid_equal(args, bounds, out):
+    from ..monoid import _format_side, parse_element, parse_presentation, words_equal
+
+    p = parse_presentation(read_text(args.presentation))
+    x = parse_element(p, args.lhs)
+    y = parse_element(p, args.rhs)
+    res = words_equal(p, x, y, node_budget=bounds.node_budget)
+    report = {"kind": "word-equal", "verdict": res.verdict}
+    if res.path is not None:
+        report["path"] = [_format_side(p, v) for v in res.path]
+    if res.stopped_by is not None:
+        report["stopped_by"] = res.stopped_by
+    out.report = report
+    out.code = 0 if res.verdict == "yes" else 1
+
+
+def _cmd_monoid_enumerate(args, bounds, out):
+    from ..monoid import _enumerate_monoid, parse_presentation
+
+    p = parse_presentation(read_text(args.presentation))
+    table, stopped_by = _enumerate_monoid(p, bounds.max_elements, bounds.node_budget)
+    if table is None:
+        out.code = 1
+        out.report = {
+            "kind": "monoid-table",
+            "outcome": "unknown",
+            "bounds": {"max_elements": bounds.max_elements, "node_budget": bounds.node_budget},
+            "stopped_by": stopped_by,
+        }
+        return
+    out.report = {"kind": "monoid-table", "outcome": "table", "table": table.to_json_dict()}
+
+
+def add_commands(group, command) -> None:
+    p = command(group, "present", _cmd_monoid_present)
+    p.add_argument("graph")
+    p.add_argument("--weighted", action="store_true")
+    p.add_argument("--sink-zero", action="store_true")
+    p = command(group, "equal", _cmd_monoid_equal, ("node_budget",))
+    p.add_argument("presentation")
+    p.add_argument("lhs")
+    p.add_argument("rhs")
+    p = command(group, "enumerate", _cmd_monoid_enumerate, ("max_elements", "node_budget"))
+    p.add_argument("presentation")

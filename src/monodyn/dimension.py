@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 from .config import DEFAULT_BOUNDS
 from .errors import Frozen, MonodynError, ParseError, ShapeError
 from .matrix import IntMatrix, vec_mat_mul
-from .smith import solve_integer_column
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -137,6 +136,8 @@ def delta_shift(x: DimElement, direction: str = FORWARD) -> DimElement:
 def normalize(x: DimElement) -> DimElement:
     """Smallest-stage representative reachable by exact pullbacks, floored at
     stage 0 (the base of the direct system).  Negative stages push forward."""
+    from .smith import solve_integer_column
+
     a = x.matrix
     vec = x.vec
     stage = x.stage

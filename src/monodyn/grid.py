@@ -18,10 +18,14 @@ array calls on an open grid and at most 13 on a closed one.  The firings are sum
 could pass the firing budget, since a sweep fires at most once per chip.
 The arrays use the narrowest integer type that provably cannot overflow,
 and each sweep covers only the band of rows around the unstable cells.
-Images are binary PPM (P6), one pixel per cell.
+Images are binary PPM (P6), one pixel per cell, built from the counts by
+``bytes.translate``.
 
-numpy is imported inside the functions that use it, so importing this module
-does not load numpy.  A grid has at most ``MAX_GRID_CELLS`` cells;
+Saved configurations and images name the cells with ``GridVertices``, the
+vertex names of ``make_grid`` without its edges, so neither builds a graph.
+Only the stabilizer and ``config_to_array``/``decode_ppm`` use numpy, which
+they import when they run, so importing this module loads neither numpy nor
+the graph module.  A grid has at most ``MAX_GRID_CELLS`` cells;
 ``GridSpec`` refuses a larger one before any array or graph is built.
 """
 
@@ -31,11 +35,12 @@ from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
 from .errors import BudgetExceededError, Frozen, ParseError, ShapeError
-from .graph import Graph
 from .sandpile import ChipConfig, Odometer
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .graph import Graph
 
 CLOSED = "closed"
 OPEN = "open"
@@ -51,9 +56,9 @@ INT64_MAX = 2**63 - 1
 # before the next recomputation.
 _WINDOW = 8
 
-# The most cells a grid may have, a 1024 x 1024 grid.  Arrays, and for
-# rendering and saving the grid's graph, grow with the cell count, so a size
-# beyond this is refused up front rather than failing or running on.
+# The most cells a grid may have, a 1024 x 1024 grid.  Arrays, images and
+# cell names grow with the cell count, so a size beyond this is refused up
+# front rather than failing or running on.
 MAX_GRID_CELLS = 1 << 20
 
 
@@ -97,6 +102,8 @@ class GridSpec(Frozen):
 
 
 def make_grid(spec: GridSpec) -> Graph:
+    from .graph import Graph
+
     names = [spec.cell_name(r, c) for r, c in spec.cells()]
     edges: list[tuple[str, str, int]] = []
     for r, c in spec.cells():
@@ -110,6 +117,27 @@ def make_grid(spec: GridSpec) -> Graph:
     if spec.mode == OPEN:
         names.append(SINK)
     return Graph.build(names, edges)
+
+
+class GridVertices:
+    """The vertices of ``make_grid(spec)`` without its edges: the cells
+    row-major as ``r{r}c{c}``, then ``sink`` on an open grid.  On a 1x1
+    closed grid the lone cell is a sink.  It holds what
+    ``sandpile.parse_config`` and ``serialize_config`` read of a graph:
+    ``index``, ``is_sink`` and ``nonsink_vertices``."""
+
+    __slots__ = ("index", "nonsink_vertices")
+
+    def __init__(self, spec: GridSpec):
+        cols = [str(c) for c in range(spec.cols)]
+        cells = [f"r{r}c" + c for r in range(spec.rows) for c in cols]
+        names = cells + [SINK] if spec.mode == OPEN else cells
+        self.index = {name: i for i, name in enumerate(names)}
+        self.nonsink_vertices = () if _lone_sink(spec) else tuple(cells)
+
+    def is_sink(self, v: str) -> bool:
+        # The sinks come after every non-sink vertex.
+        return self.index[v] >= len(self.nonsink_vertices)
 
 
 def grid_config(spec: GridSpec, placements: dict[tuple[int, int], int]) -> ChipConfig:
@@ -137,17 +165,24 @@ def _chip_config(spec: GridSpec, counts: list[int], absorbed: int = 0) -> ChipCo
     return ChipConfig(tuple(counts), absorbed)
 
 
+def _count_cells(spec: GridSpec, c: ChipConfig) -> int:
+    """How many counts the grid's configurations hold: none on a lone sink,
+    else one per cell.  Refuses a configuration with another number."""
+    expected = 0 if _lone_sink(spec) else spec.rows * spec.cols
+    if len(c.counts) != expected:
+        raise ShapeError(
+            f"config has {len(c.counts)} counts, grid expects {expected}"
+        )
+    return expected
+
+
 def config_to_array(spec: GridSpec, c: ChipConfig, dtype=None) -> np.ndarray:
     """Counts as a rows x cols array, all zeros on a lone sink.  The array
     is int64 unless ``dtype`` says otherwise or a count does not fit, in
     which case it holds exact Python integers (dtype object)."""
     import numpy as np
 
-    expected = 0 if _lone_sink(spec) else spec.rows * spec.cols
-    if len(c.counts) != expected:
-        raise ShapeError(
-            f"config has {len(c.counts)} counts, grid expects {expected}"
-        )
+    expected = _count_cells(spec, c)
     if dtype is None:
         dtype = np.int64 if max(c.counts, default=0) <= INT64_MAX else object
     arr = np.zeros(spec.rows * spec.cols, dtype=dtype)
@@ -392,15 +427,20 @@ DEFAULT_PALETTE = Palette(((0, 0, 255), (0, 255, 255), (255, 255, 0), (139, 69, 
 
 
 def render_ppm(spec: GridSpec, c: ChipConfig, palette: Palette = DEFAULT_PALETTE) -> bytes:
-    """Binary PPM (P6), one pixel per grid cell, 255 max-val."""
-    import numpy as np
-
-    arr = config_to_array(spec, c)
-    clamped = np.minimum(arr, 3).astype(np.intp)
-    lut = np.array(palette.colors, dtype=np.uint8)
-    pixels = lut[clamped]
+    """Binary PPM (P6), one pixel per grid cell, 255 max-val; a lone sink is
+    one pixel of count 0.  The counts, clamped to 255 when one is larger,
+    are one byte each, and each colour channel is one ``bytes.translate``
+    of them through that channel's 256-entry table."""
+    counts = c.counts if _count_cells(spec, c) else (0,)
+    if max(counts) > 255:
+        counts = [min(n, 255) for n in counts]
+    cells = bytes(counts)
+    pixels = bytearray(3 * len(cells))
+    for channel in range(3):
+        table = bytes(palette.colors[min(n, 3)][channel] for n in range(256))
+        pixels[channel::3] = cells.translate(table)
     header = f"P6\n{spec.cols} {spec.rows}\n255\n".encode("ascii")
-    return header + pixels.tobytes()
+    return header + pixels
 
 
 def decode_ppm(data: bytes) -> tuple[int, int, np.ndarray]:

@@ -20,9 +20,10 @@ from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
 from .errors import Frozen, ShapeError
-from .graph import Graph, adjacency_matrix, every_cycle_has_exit, strongly_connected_components
 
 if TYPE_CHECKING:
+    from .graph import Graph
+    from .matrix import IntMatrix
     from .shifteq import SEWitness
 
 PLAIN = "plain"
@@ -100,6 +101,30 @@ class CompareVerdict(Frozen):
 
     def __hash__(self):
         return hash(self._values())
+
+
+# Stand-ins for the graph code: the first call imports it and rebinds the
+# name to the graph function, so the gcd criteria never load the graph module
+# and later calls pay no import.
+def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
+    global strongly_connected_components
+    from .graph import strongly_connected_components
+
+    return strongly_connected_components(g)
+
+
+def every_cycle_has_exit(g: Graph) -> tuple[bool, tuple[str, ...] | None]:
+    global every_cycle_has_exit
+    from .graph import every_cycle_has_exit
+
+    return every_cycle_has_exit(g)
+
+
+def adjacency_matrix(g: Graph) -> IntMatrix:
+    global adjacency_matrix
+    from .graph import adjacency_matrix
+
+    return adjacency_matrix(g)
 
 
 def cycle_bearing_components(g: Graph) -> tuple[tuple[str, ...], ...]:

@@ -45,11 +45,13 @@ import math
 from collections import deque
 from itertools import compress, repeat
 from operator import add, ge, itemgetter, sub
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .config import DEFAULT_BOUNDS
 from .errors import Frozen, ParseError, ShapeError
-from .graph import Graph
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 Vector = tuple[int, ...]
 

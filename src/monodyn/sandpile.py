@@ -21,9 +21,9 @@ from typing import TYPE_CHECKING, Mapping
 
 from .config import DEFAULT_BOUNDS
 from .errors import BudgetExceededError, CapExceededError, FiringError, Frozen, ParseError
-from .graph import Graph
 
 if TYPE_CHECKING:
+    from .graph import Graph
     from .monoid import MonoidTable
 
 

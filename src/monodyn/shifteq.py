@@ -21,10 +21,26 @@ import sys
 from .config import DEFAULT_BOUNDS
 from .errors import Frozen, MonodynError, ShapeError
 from .matrix import IntMatrix, charpoly, kron
-from .smith import integer_kernel_basis, invariant_factors
 
 # se_search skips a kernel whose coefficient box holds more combinations.
 _CANDIDATE_CAP = 250_000
+
+
+# Stand-ins for the Smith code: the first call imports it and rebinds the
+# name to the Smith function, so the verifiers never load smith and later
+# calls pay no import.
+def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    global invariant_factors
+    from .smith import invariant_factors
+
+    return invariant_factors(m)
+
+
+def integer_kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
+    global integer_kernel_basis
+    from .smith import integer_kernel_basis
+
+    return integer_kernel_basis(m)
 
 
 class ESWitness(Frozen):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import monodyn.cli
 from monodyn.cli import build_parser, load_report_schema, run
 from monodyn.dimension import MAX_WINDOW_RADIUS
-from monodyn.grid import MAX_GRID_CELLS, decode_ppm
+from monodyn.grid import DEFAULT_PALETTE, MAX_GRID_CELLS, decode_ppm
 from monodyn.matrix import MAX_POWER_BITS
 
 from conftest import FOUR_VERTEX_SANDPILE_TEXT
@@ -348,8 +349,25 @@ def test_cli_import_loads_no_layer():
         assert not modules & {"dataclasses", "inspect"}
     # The integer code loads only where a layer uses it.
     assert not after_monoid & {"monodyn.matrix", "monodyn.smith"}
-    assert len({m for m in after_all if m.startswith("monodyn.")}) == 13  # every module of the package
+    assert len({m for m in after_all if m.startswith("monodyn.")}) == 13  # every module outside monodyn.commands
     assert "numpy" not in after_all  # the grid module imports numpy only when it runs
+
+
+def test_group_modules_load_no_layer_and_not_the_dispatcher():
+    # Under ``python -m monodyn.cli`` the dispatcher is __main__: a group
+    # module that imported monodyn.cli would compile and run it again.
+    code = (
+        "import importlib, json, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    assert hasattr(importlib.import_module('monodyn.commands.' + name), 'add_commands')\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *monodyn.cli._GROUPS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout))
+    groups = {f"monodyn.commands.{name}" for name in monodyn.cli._GROUPS}
+    assert {m for m in modules if m.startswith("monodyn")} == {"monodyn", "monodyn.errors", "monodyn.commands", *groups}
+    assert "numpy" not in modules
 
 
 # Runs one command through cli.run in a fresh interpreter, then prints the
@@ -363,25 +381,33 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-@pytest.mark.parametrize(
-    "argv, layer, absent",
-    [
-        (["graph", "check", "e.graph"], "graph", {"matrix", "monoid", "smith", "sandpile", "shifteq"}),
-        (["shift", "invariants", "two.mat", "ones.mat"], "shifteq", {"graph", "monoid", "sandpile"}),
-        (["sandpile", "stabilize", "e.graph", "eightv.cfg"], "sandpile", {"matrix", "monoid", "smith", "shifteq"}),
-        (["sandpile", "monoid", "e.graph"], "monoid", {"matrix", "smith", "shifteq"}),
-        (["monoid", "enumerate", "p.pres"], "monoid", {"matrix", "smith", "sandpile", "shifteq"}),
-        (["dimgroup", "fib", "1", "0"], "dimension", {"graph", "monoid", "sandpile", "shifteq"}),
-        (["lpa", "matrix-iso", "2", "1", "2", "3"], "lpa", {"monoid", "smith", "sandpile", "shifteq"}),
-        (["sandpile", "grid", "5", "5", "--place", "2,2,20"], "grid", {"matrix", "monoid", "smith", "shifteq"}),
-        (["sandpile", "render", "2", "2", "zero.cfg", "--out", "z.ppm"], "grid", {"monoid", "shifteq"}),
-    ],
-    ids=[
-        "graph-check", "shift-invariants", "sandpile-stabilize", "sandpile-monoid", "monoid-enumerate",
-        "dimgroup-fib", "lpa-matrix-iso", "grid", "render",
-    ],
-)
-def test_command_loads_only_its_layers(cli_workdir, argv, layer, absent):
+# (argv, the layer it runs, layers it must not load, whether it loads numpy)
+LAYER_ROWS = {
+    "graph-check": (["graph", "check", "e.graph"], "graph", {"matrix", "monoid", "smith", "sandpile", "shifteq"}, False),
+    "shift-invariants": (["shift", "invariants", "two.mat", "ones.mat"], "shifteq", {"graph", "monoid", "sandpile"}, False),
+    "shift-verify-es": (["shift", "verify-es", "two.mat", "ones.mat", "row.mat", "col.mat"], "shifteq", {"graph", "monoid", "smith"}, False),
+    "shift-verify-se": (["shift", "verify-se", "two.mat", "ones.mat", "row.mat", "col.mat"], "shifteq", {"graph", "monoid", "smith"}, False),
+    "shift-verify-chain": (["shift", "verify-chain", "chain.json"], "shifteq", {"graph", "monoid", "smith"}, False),
+    "sandpile-stabilize": (["sandpile", "stabilize", "e.graph", "eightv.cfg"], "sandpile", {"matrix", "monoid", "smith", "shifteq"}, False),
+    "sandpile-monoid": (["sandpile", "monoid", "e.graph"], "monoid", {"matrix", "smith", "shifteq"}, False),
+    "monoid-equal": (["monoid", "equal", "p.pres", "u", "v"], "monoid", {"graph", "matrix", "smith", "sandpile", "shifteq"}, False),
+    "monoid-enumerate": (["monoid", "enumerate", "p.pres"], "monoid", {"graph", "matrix", "smith", "sandpile", "shifteq"}, False),
+    "dimgroup-fib": (["dimgroup", "fib", "1", "0"], "dimension", {"graph", "monoid", "sandpile", "shifteq", "smith"}, False),
+    "dimgroup-positive": (["dimgroup", "positive", "fib.mat", "[-1 2]@0"], "dimension", {"graph", "monoid", "smith"}, False),
+    "dimgroup-shift": (["dimgroup", "shift", "fib.mat", "[1 0]@0"], "dimension", {"graph", "monoid", "smith"}, False),
+    "lpa-matrix-iso": (["lpa", "matrix-iso", "2", "1", "2", "3"], "lpa", {"graph", "monoid", "smith", "sandpile", "shifteq"}, False),
+    "lpa-ht-iso": (["lpa", "ht-iso", "2", "1", "2", "3"], "lpa", {"graph", "monoid", "smith", "sandpile", "shifteq"}, False),
+    "grid": (["sandpile", "grid", "5", "5", "--place", "2,2,20"], "grid", {"graph", "matrix", "monoid", "smith", "shifteq"}, True),
+    "grid-save-config": (["sandpile", "grid", "5", "5", "--place", "2,2,20", "--save-config", "g5.cfg"], "grid", {"graph", "monoid"}, True),
+    # Saving and rendering name the cells without building the grid's graph,
+    # and the image is built without numpy.
+    "render": (["sandpile", "render", "2", "2", "zero.cfg", "--out", "z.ppm"], "grid", {"graph", "monoid", "shifteq"}, False),
+}
+
+
+@pytest.mark.parametrize("row", list(LAYER_ROWS))
+def test_command_loads_only_its_layers(cli_workdir, row):
+    argv, layer, absent, numpy = LAYER_ROWS[row]
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES_CHILD, *argv],
         capture_output=True,
@@ -393,7 +419,10 @@ def test_command_loads_only_its_layers(cli_workdir, argv, layer, absent):
     assert result["code"] == 0
     layers = {m.split(".")[1] for m in result["modules"] if m.startswith("monodyn.")}
     assert layer in layers and not layers & absent
-    assert ("numpy" in result["modules"]) == (layer == "grid")
+    assert ("numpy" in result["modules"]) == numpy
+    # The dispatcher imports the module of the command's group only.
+    groups = {m for m in result["modules"] if m.startswith("monodyn.commands.")}
+    assert groups == {f"monodyn.commands.{argv[0]}"}
 
 
 def test_talented_window(files, capsys):
@@ -792,6 +821,25 @@ def test_oversized_grid_is_refused_up_front(cli_workdir, capsys, monkeypatch, ar
     assert f"MAX_GRID_CELLS = {MAX_GRID_CELLS}" in report["message"]
 
 
+def test_largest_grid_saves_and_renders_in_seconds(tmp_path, monkeypatch):
+    # Saving and rendering name the cells without building the grid's graph,
+    # which alone took tens of seconds and gigabytes at 1024 x 1024.
+    monkeypatch.chdir(tmp_path)
+    side = "1024"
+    for argv in (
+        ["sandpile", "grid", side, side, "--mode", "open", "--place", "512,512,4096", "--save-config", "pile.cfg"],
+        ["sandpile", "render", side, side, "pile.cfg", "--mode", "open", "--out", "pile.ppm"],
+    ):
+        start = time.perf_counter()
+        code, _, _ = run_captured(argv)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+    width, height, pixels = decode_ppm((tmp_path / "pile.ppm").read_bytes())
+    assert (width, height) == (1024, 1024)
+    saved = dict(line.split() for line in (tmp_path / "pile.cfg").read_text().splitlines())
+    assert tuple(pixels[512, 512]) == DEFAULT_PALETTE.colors[int(saved.get("r512c512", 0))]
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [
@@ -812,17 +860,18 @@ def test_named_limit_is_refused_up_front(cli_workdir, capsys, monkeypatch, argv,
     assert limit in report["message"]
 
 
-def run_captured(argv: list[str]) -> tuple[int, bytes]:
+def run_captured(argv: list[str]) -> tuple[int, bytes, str]:
     """cli.run with stdout and stderr captured; usage errors give exit 2."""
     buf = io.BytesIO()
     stdout = io.TextIOWrapper(buf, encoding="utf-8", write_through=True)
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = run(argv)
         except SystemExit as exc:
             code = exc.code
         stdout.flush()
-    return code, buf.getvalue()
+    return code, buf.getvalue(), stderr.getvalue()
 
 
 GRID_SIDES = st.one_of(st.integers(-2, 6), st.integers(MAX_GRID_CELLS + 1, 10**30)).map(str)
@@ -931,26 +980,107 @@ def limit_case(draw) -> tuple[list[str], dict[str, str]]:
     return ["shift", "verify-se", *files, "--lag", str(lag)], files
 
 
+MALFORMED_PRESENTATIONS = ("", "a = b\n", "gens:\n", "gens: a a\n", "gens: a\na = a\n", "gens: a\na a\n", "gens: a\n2a = c\n", "gens: a\na = +\n")
+
+
+def term_text(gens: list[str]) -> st.SearchStrategy[str]:
+    """A term over ``gens`` with coefficients up to 3."""
+    coeffs = st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens))
+    return coeffs.map(lambda cs: "+".join(g if c == 1 else f"{c}{g}" for c, g in zip(cs, gens) if c) or "0")
+
+
+@st.composite
+def presentation_text(draw) -> tuple[str, list[str]]:
+    """A presentation on one to three generators with up to three relations
+    of coefficients up to 3, or a malformed presentation text; and the
+    generator names."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(MALFORMED_PRESENTATIONS)), ["a"]
+    gens = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    relations = draw(st.lists(st.tuples(term_text(gens), term_text(gens)), max_size=3))
+    return f"gens: {' '.join(gens)}\n" + "".join(f"{lhs} = {rhs}\n" for lhs, rhs in relations), gens
+
+
+# Config lines, mostly over the cells of grids up to 4 x 4, and malformed ones.
+CONFIG_LINES = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 9)).map(lambda t: f"r{t[0]}c{t[1]} {t[2]}"),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 9)).map(lambda t: f"r{t[0]}c{t[1]} {t[2]}"),
+    st.tuples(st.integers(-1, 7), st.integers(-1, 7)).map(lambda t: f"r{t[0]}c{t[1]} 1"),
+    st.integers(0, 2**70).map(lambda n: f"r0c0 {n}"),
+    st.sampled_from(("sink 1", "r0c0 -1", "r0c0 x", "r0c0", "# note", "", "nowhere 2")),
+)
+
+
+def small_matrix(rows: int, cols: int) -> st.SearchStrategy[list[list[int]]]:
+    return st.lists(st.lists(st.integers(0, 3), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def chain_text(draw) -> str:
+    """A chain document of one to three small matrices with a witness per
+    step, of fitting shapes or, at times, of any shape; or a malformed one."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(('{"matrices": [[[1]]], "witnesses": [', "[]", '{"matrices": [[[1.5]]], "witnesses": []}')))
+    sides = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    matrices = [draw(small_matrix(n, n)) for n in sides]
+    witnesses = []
+    for n, m in zip(sides, sides[1:]):
+        if draw(st.integers(0, 7)) == 0:
+            n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        witnesses.append({"r": draw(small_matrix(n, m)), "s": draw(small_matrix(m, n))})
+    return json.dumps({"matrices": matrices, "witnesses": witnesses})
+
+
 @st.composite
 def cli_case(draw) -> tuple[list[str], dict[str, str]]:
     """An argv and the generated files it reads, by name in the work dir."""
-    kind = draw(st.sampled_from(("grid", "render", "bound", "shift", "limit")))
+    kinds = ("grid", "render", "bound", "shift", "limit", "graph", "monoid", "lpa", "sandpile-monoid", "chain")
+    kind = draw(st.sampled_from(kinds))
     if kind == "shift":
         return draw(shift_case())
+    if kind == "chain":
+        return ["shift", "verify-chain", "c.gen.json"], {"c.gen.json": draw(chain_text())}
+    if kind == "sandpile-monoid":
+        return ["sandpile", "monoid", "g.gen.graph"], {"g.gen.graph": draw(graph_text())}
     if kind == "limit":
         return draw(limit_case())
+    if kind == "graph":
+        argv = ["graph", draw(st.sampled_from(("check", "matrix"))), "g.gen.graph"]
+        if argv[1] == "matrix":
+            argv += draw(st.sampled_from(([], ["--out", "m.gen.mat"], ["--out", "no-dir/m.mat"])))
+        return argv, {"g.gen.graph": draw(graph_text())}
+    if kind == "monoid":
+        command = draw(st.sampled_from(("present", "equal", "enumerate")))
+        if command == "present":
+            flags = draw(st.lists(st.sampled_from(("--weighted", "--sink-zero")), unique=True))
+            return ["monoid", "present", "g.gen.graph", *flags], {"g.gen.graph": draw(graph_text())}
+        text, gens = draw(presentation_text())
+        files = {"p.gen.pres": text}
+        if command == "enumerate":
+            return ["monoid", "enumerate", "p.gen.pres"], files
+        words = st.one_of(term_text(gens), term_text(gens), term_text(gens), st.sampled_from(("z", "a+", "2", "")))
+        return ["monoid", "equal", "p.gen.pres", draw(words), draw(words)], files
+    if kind == "lpa":
+        command = draw(st.sampled_from(("simple", "zorn", "compare")))
+        if command != "compare":
+            return ["lpa", command, "g.gen.graph"], {"g.gen.graph": draw(graph_text())}
+        files = {"g.gen.graph": draw(graph_text()), "h.gen.graph": draw(graph_text())}
+        argv = ["lpa", "compare", "g.gen.graph", "h.gen.graph", "--mode", draw(st.sampled_from(("plain", "graded")))]
+        return argv + ["--presentation", draw(st.sampled_from(("unweighted", "weighted", "sandpile")))], files
     if kind == "grid":
         places = draw(st.lists(PLACES, max_size=3))
         # A small budget keeps piles that never settle from running long.
-        return (
+        argv = (
             ["sandpile", "grid", draw(GRID_SIDES), draw(GRID_SIDES), "--mode", draw(MODES)]
             + [f"--place={p}" for p in places]
             + ["--budget", str(draw(st.integers(0, 500)))]
-        ), {}
+        )
+        return argv + draw(st.sampled_from(([], ["--save-config", "s.gen.cfg"], ["--save-config", "no-dir/s.cfg"]))), {}
     if kind == "render":
         argv = ["sandpile", "render", draw(GRID_SIDES), draw(GRID_SIDES)]
-        argv += [draw(st.sampled_from(("zero.cfg", "bad.cfg", "missing.cfg"))), "--mode", draw(MODES)]
-        return argv + draw(st.sampled_from(([], ["--out", "r.ppm"]))), {}
+        argv += [draw(st.sampled_from(("c.gen.cfg", "zero.cfg", "bad.cfg", "missing.cfg"))), "--mode", draw(MODES)]
+        files = {"c.gen.cfg": "\n".join(draw(st.lists(CONFIG_LINES, max_size=6)))}
+        return argv + draw(st.sampled_from(([], ["--out", "r.ppm"]))), files
     argv, _ = draw(st.sampled_from(COMMAND_BOUNDS))
     flag = draw(st.sampled_from([*BOUND_FLAGS.values(), "--bounds-file"]))
     if flag == "--bounds-file":
@@ -969,7 +1099,7 @@ def test_cli_contract(cli_workdir, case):
     old = os.getcwd()
     os.chdir(cli_workdir)
     try:
-        code, out = run_captured(argv)
+        code, out, _ = run_captured(argv)
     finally:
         os.chdir(old)
     assert code in (0, 1, 2, 3)
@@ -977,3 +1107,120 @@ def test_cli_contract(cli_workdir, case):
         report = json.loads(out)
         SCHEMA_VALIDATOR.validate(report)
         assert report["kind"] == "error" and report["message"]
+
+
+# --- pinned bytes of every subcommand ---------------------------------------
+
+# Malformed inputs, one per file kind, and a grid pile with a repeated cell,
+# a comment and counts past 3 and past 255.
+PIN_INPUTS = {
+    "bad.graph": "v a\ne a b\n",
+    "bad.mat": "2\n",
+    "bad.pres": "gens: u v\nu = w\n",
+    "bad-chain.json": '{"matrices": [[[1]]], "witnesses": [',
+    "pile.cfg": "# a pile\nr0c0 3\nr1c1 7\nr2c2 300\nr0c0 1\n",
+}
+MALFORMED_BY_SUFFIX = {".graph": "bad.graph", ".cfg": "bad.cfg", ".mat": "bad.mat", ".pres": "bad.pres", ".json": "bad-chain.json"}
+# Normal runs that write their output, in place of the COMMAND_BOUNDS argv,
+# and the file each one writes.
+PIN_RUNS = {
+    "graph matrix": (["graph", "matrix", "e.graph", "--out", "e.mat"], "e.mat"),
+    "sandpile grid": (["sandpile", "grid", "3", "4", "--mode", "open", "--place", "1,1,40", "--save-config", "out.cfg"], "out.cfg"),
+    "sandpile render": (["sandpile", "render", "3", "4", "pile.cfg", "--mode", "open"], None),
+}
+# Commands that read no file, and an argument each that argparse refuses.
+NO_FILE_MALFORMED = {
+    "sandpile grid": ["sandpile", "grid", "3", "3", "--place", "a,b,c"],
+    "dimgroup fib": ["dimgroup", "fib", "1", "x"],
+    "lpa matrix-iso": ["lpa", "matrix-iso", "2", "1", "2", "x"],
+    "lpa ht-iso": ["lpa", "ht-iso", "2", "1", "x", "3"],
+}
+
+
+def pin_cases() -> dict[str, tuple[list[str], str | None]]:
+    """Case id -> (argv, the file the run writes or None): the top-level and
+    group help, and per subcommand a normal run, its help, a missing
+    argument, an unknown flag, a missing file and a malformed file."""
+    cases = {"help": (["-h"], None)}
+    for group in dict.fromkeys(argv[0] for argv, _ in COMMAND_BOUNDS):
+        cases[f"{group} help"] = ([group, "-h"], None)
+    for argv, _ in COMMAND_BOUNDS:
+        name = " ".join(argv[:2])
+        run_argv, written = PIN_RUNS.get(name, (argv, None))
+        cases[f"{name} run"] = (run_argv, written)
+        cases[f"{name} help"] = (argv[:2] + ["-h"], None)
+        cases[f"{name} missing argument"] = (argv[:2], None)
+        cases[f"{name} unknown flag"] = (argv + ["--frobnicate"], None)
+        inputs = [i for i, arg in enumerate(run_argv) if arg in WORKDIR_INPUTS or arg in PIN_INPUTS]
+        if inputs:
+            first = inputs[0]
+            suffix = os.path.splitext(run_argv[first])[1]
+            cases[f"{name} missing file"] = (run_argv[:first] + ["missing" + suffix] + run_argv[first + 1 :], None)
+            malformed = MALFORMED_BY_SUFFIX[suffix]
+            cases[f"{name} malformed file"] = (run_argv[:first] + [malformed] + run_argv[first + 1 :], None)
+        else:
+            cases[f"{name} malformed argument"] = (NO_FILE_MALFORMED[name], None)
+    cases["sandpile grid unwritable file"] = (PIN_RUNS["sandpile grid"][0][:-1] + ["no-dir/out.cfg"], None)
+    return cases
+
+
+PIN_CASES = pin_cases()
+CLI_DIGESTS_FILE = os.path.join(os.path.dirname(__file__), "cli_digests.json")
+
+
+def pin_digest(workdir, argv: list[str], written: str | None) -> list:
+    """[exit code, SHA-256 of stdout, of stderr, of the written file or None]
+    of ``cli.run(argv)`` in ``workdir``."""
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        code, out, err = run_captured(argv)
+        file_digest = None
+        if written is not None:
+            with open(written, "rb") as fh:
+                file_digest = hashlib.sha256(fh.read()).hexdigest()
+    finally:
+        os.chdir(old)
+    return [
+        code,
+        hashlib.sha256(out).hexdigest(),
+        hashlib.sha256(err.encode("utf-8")).hexdigest(),
+        file_digest,
+    ]
+
+
+def pin_workdir(path):
+    for name, text in {**WORKDIR_INPUTS, **PIN_INPUTS}.items():
+        (path / name).write_text(text)
+    return path
+
+
+@pytest.fixture(scope="module")
+def cli_digests():
+    with open(CLI_DIGESTS_FILE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# argparse's help and usage texts change between Python versions; the
+# digests were taken with the interpreter named in the file.
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests taken with CPython 3.11")
+@pytest.mark.parametrize("case", list(PIN_CASES))
+def test_every_command_keeps_its_bytes(tmp_path, monkeypatch, cli_digests, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, written = PIN_CASES[case]
+    assert pin_digest(pin_workdir(tmp_path), argv, written) == cli_digests["cases"][case]
+
+
+if __name__ == "__main__":
+    # Prints the digests file.  Its digests pin the current output: rewrite
+    # it only with a deliberate change of a report, a message or a file.
+    import pathlib
+    import platform
+    import tempfile
+
+    os.environ["COLUMNS"] = "80"
+    digests = {}
+    for case, (argv, written) in PIN_CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[case] = pin_digest(pin_workdir(pathlib.Path(tmp)), argv, written)
+    print(json.dumps({"python": platform.python_version(), "cases": digests}, indent=1))

@@ -12,6 +12,7 @@ from monodyn.grid import (
     DEFAULT_PALETTE,
     MAX_GRID_CELLS,
     GridSpec,
+    GridVertices,
     Palette,
     array_to_config,
     config_to_array,
@@ -23,7 +24,7 @@ from monodyn.grid import (
     stabilize_grid,
     _stabilizer_dtype,
 )
-from monodyn.sandpile import stabilize
+from monodyn.sandpile import ChipConfig, parse_config, serialize_config, stabilize
 
 
 def test_make_grid_closed_degrees():
@@ -511,3 +512,100 @@ def test_budget_failure_is_pinned(spec, placements, budget, digest):
     # The partial configuration, odometer and firings of each failure as the
     # floor(count / threshold) sweeps gave, closed edge cells included.
     assert failure_digest(spec, placements, budget) == digest
+
+
+# --- cell names and images without a graph or numpy --------------------------
+
+
+def reference_render(spec, c, palette=DEFAULT_PALETTE):
+    """The numpy render that ``render_ppm`` replaced: a palette lookup on the
+    counts clamped to 3."""
+    arr = config_to_array(spec, c)
+    pixels = np.array(palette.colors, dtype=np.uint8)[np.minimum(arr, 3).astype(np.intp)]
+    return f"P6\n{spec.cols} {spec.rows}\n255\n".encode("ascii") + pixels.tobytes()
+
+
+def parse_outcome(g, text):
+    """(config, absorbed, saved text) of ``parse_config`` on ``g``, or the
+    ParseError's message and line."""
+    try:
+        c = parse_config(g, text)
+    except ParseError as err:
+        return ("error", str(err), err.line)
+    return (c, c.absorbed, serialize_config(g, c))
+
+
+# Open and closed grids, the 1x1 grids (a lone sink when closed) and single
+# rows and columns.
+GRID_SPECS = st.builds(
+    GridSpec,
+    st.one_of(st.integers(1, 4), st.just(1), st.integers(5, 9)),
+    st.one_of(st.integers(1, 4), st.just(1), st.integers(5, 9)),
+    st.sampled_from(("closed", "open")),
+)
+
+
+@st.composite
+def config_texts(draw, spec):
+    """Config files over the spec's cells, mostly valid lines, with
+    comments, blank lines, repeated cells, unknown names, ``sink`` lines,
+    negative and non-integer counts and lines of the wrong length."""
+    cells = st.sampled_from([f"r{r}c{c}" for r in range(spec.rows) for c in range(spec.cols)])
+    odd_names = st.sampled_from(("sink", f"r{spec.rows}c0", f"r0c{spec.cols}", "r-1c0", "nowhere", "R0C0"))
+    odd_counts = st.one_of(st.integers(-5, -1).map(str), st.sampled_from(("x", "1.5", "+2", "0x10", "1_000")))
+    valid = st.tuples(cells, st.one_of(st.integers(0, 3), st.integers(0, 2**70)))
+    good = st.one_of(
+        valid.map(lambda t: f"{t[0]} {t[1]}"),
+        valid.map(lambda t: f"  {t[0]}\t{t[1]}  # chips"),
+        st.sampled_from(("", "# comment", "   ", "#r0c0 5")),
+    )
+    bad = st.one_of(
+        st.tuples(odd_names, st.integers(0, 3)).map(lambda t: f"{t[0]} {t[1]}"),
+        st.tuples(cells, odd_counts).map(lambda t: f"{t[0]} {t[1]}"),
+        st.sampled_from(("r0c0", "r0c0 1 2")),
+    )
+    # One line in ten is malformed, so about half the files parse.
+    lines = [draw(bad if draw(st.integers(0, 9)) == 0 else good) for _ in range(draw(st.integers(0, 8)))]
+    return "\n".join(lines)
+
+
+def test_grid_vertices_name_the_grids_graph():
+    for spec in (GridSpec(1, 1, "closed"), GridSpec(1, 1, "open"), GridSpec(1, 5, "closed"), GridSpec(4, 1, "open"), GridSpec(3, 4, "closed")):
+        g, cells = make_grid(spec), GridVertices(spec)
+        assert cells.index == g.index and cells.nonsink_vertices == g.nonsink_vertices
+        assert [cells.is_sink(v) for v in g.vertices] == [g.is_sink(v) for v in g.vertices]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), spec=GRID_SPECS)
+def test_grid_vertices_parse_and_save_like_the_grids_graph(data, spec):
+    text = data.draw(config_texts(spec))
+    assert parse_outcome(GridVertices(spec), text) == parse_outcome(make_grid(spec), text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    spec=GRID_SPECS,
+    counts=st.sampled_from(((0, 3), (4, 255), (256, 2**70))),
+    palette=st.lists(st.tuples(*[st.integers(0, 255)] * 3), min_size=4, max_size=4).map(lambda cs: Palette(tuple(cs))),
+)
+def test_render_matches_the_numpy_render(data, spec, counts, palette):
+    cells = 0 if spec.mode == "closed" and spec.rows * spec.cols == 1 else spec.rows * spec.cols
+    low, high = counts
+    # Mostly small counts, as after stabilizing, with some from the range.
+    values = st.one_of(st.integers(0, 3), st.integers(low, high))
+    c = ChipConfig(tuple(data.draw(st.lists(values, min_size=cells, max_size=cells))), data.draw(st.integers(0, 9)))
+    assert render_ppm(spec, c, palette) == reference_render(spec, c, palette)
+    wrong = ChipConfig(tuple(data.draw(st.lists(values, max_size=40).filter(lambda v: len(v) != cells))))
+    with pytest.raises(ShapeError) as new:
+        render_ppm(spec, wrong, palette)
+    with pytest.raises(ShapeError) as old:
+        reference_render(spec, wrong, palette)
+    assert str(new.value) == str(old.value)
+
+
+def test_render_lone_sink_is_one_pixel_of_color_0():
+    spec = GridSpec(1, 1, "closed")
+    c = grid_config(spec, {(0, 0): 300})
+    assert render_ppm(spec, c) == reference_render(spec, c) == b"P6\n1 1\n255\n" + bytes(DEFAULT_PALETTE.colors[0])
