@@ -120,6 +120,19 @@ class Graph(Frozen):
         return tuple(v for v in self.vertices if not self.is_sink(v))
 
     @cached_property
+    def _nonsink_positions(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.nonsink_vertices)}
+
+    def nonsink_position(self, v: str) -> int | None:
+        """v's position among the non-sink vertices, the index of its count
+        in a configuration; None when v is a sink, KeyError when the graph
+        has no vertex v."""
+        i = self._nonsink_positions.get(v)
+        if i is None and v not in self.index:
+            raise KeyError(v)
+        return i
+
+    @cached_property
     def sandpile_sink(self) -> str | None:
         """The unique sink when every vertex has a directed path to it (the
         graph is then a sandpile graph), else None."""

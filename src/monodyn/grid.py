@@ -14,15 +14,34 @@ grid's edge cells by dividing each grid edge by its degrees, takes the shed
 chips off the counts, and adds the topplings to the odometer and to the four
 neighbours.  The counts sit in a padded array with a ring around the grid;
 the top and bottom ring rows are written and never read.  A sweep is 8
-array calls on an open grid and at most 13 on a closed one.  The firings are summed only once the sweeps done and the next few
-could pass the firing budget, since a sweep fires at most once per chip.
+array calls on an open grid and at most 13 on a closed one.  The firings
+are summed only once the sweeps done and the next few could pass the firing
+budget, since a sweep fires at most once per chip.
 The arrays use the narrowest integer type that provably cannot overflow,
 and each sweep covers only the band of rows around the unstable cells.
+
+On an open grid the odometer is bounded cell by cell.  With Delta = 4I - A
+the grid's reduced Laplacian (A the cells' adjacency), a stable end f of a
+start s has odometer u = G(s - f) <= G s, where G = Delta^-1 >= 0 is the
+Green's function of the random walk killed on leaving the grid, divided by
+4.  Since G(x, y) = P_x(the walk hits y) G(y, y) <= G(y, y), every entry of
+u is at most chips * max_y G(y, y).  By domain monotonicity G(y, y) grows
+with the domain, and the grid lies in a strip of width m, its shorter side,
+which lies in the strip of width 2m - 1 centred on y; so G(y, y) is at most
+``_strip_green(m)``, the Green's function at the centre of the infinite
+strip of width 2m - 1, an O(m) sum of its Fourier modes (Lawler-Limic,
+*Random Walk: A Modern Introduction*, 2010).  By the least action principle
+(Fey-Levine-Peres, "Growth rates and explosions in sandpiles", 2010) no
+legal firing sequence, a run of sweeps cut by the budget among them, fires
+a cell more often than stabilization does.  With B(105) = 1.036, a 2^14
+drop keeps its odometer in int16 like its counts.
+
 Images are binary PPM (P6), one pixel per cell, built from the counts by
 ``bytes.translate``.
 
 Saved configurations and images name the cells with ``GridVertices``, the
-vertex names of ``make_grid`` without its edges, so neither builds a graph.
+vertex names of ``make_grid`` without its edges, so neither builds a graph
+or a name per cell.
 Only the stabilizer and ``config_to_array``/``decode_ppm`` use numpy, which
 they import when they run, so importing this module loads neither numpy nor
 the graph module.  A grid has at most ``MAX_GRID_CELLS`` cells;
@@ -31,6 +50,7 @@ the graph module.  A grid has at most ``MAX_GRID_CELLS`` cells;
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
@@ -119,25 +139,60 @@ def make_grid(spec: GridSpec) -> Graph:
     return Graph.build(names, edges)
 
 
+class _CellNames:
+    """The names ``r{r}c{c}`` of ``rows`` x ``cols`` cells, row-major, as a
+    sequence whose items are made when they are read."""
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, rows: int, cols: int):
+        self.rows, self.cols = rows, cols
+
+    def __len__(self) -> int:
+        return self.rows * self.cols
+
+    def __getitem__(self, i: int) -> str:
+        if not 0 <= i < self.rows * self.cols:
+            raise IndexError(i)
+        r, c = divmod(i, self.cols)
+        return f"r{r}c{c}"
+
+
 class GridVertices:
     """The vertices of ``make_grid(spec)`` without its edges: the cells
     row-major as ``r{r}c{c}``, then ``sink`` on an open grid.  On a 1x1
     closed grid the lone cell is a sink.  It holds what
-    ``sandpile.parse_config`` and ``serialize_config`` read of a graph:
-    ``index``, ``is_sink`` and ``nonsink_vertices``."""
+    ``sandpile.parse_config`` and ``serialize_config`` read of a graph,
+    ``nonsink_vertices`` and ``nonsink_position``, and keeps no name per
+    cell: a name is made when it is read, and a position is read off the
+    name."""
 
-    __slots__ = ("index", "nonsink_vertices")
+    __slots__ = ("spec", "nonsink_vertices")
 
     def __init__(self, spec: GridSpec):
-        cols = [str(c) for c in range(spec.cols)]
-        cells = [f"r{r}c" + c for r in range(spec.rows) for c in cols]
-        names = cells + [SINK] if spec.mode == OPEN else cells
-        self.index = {name: i for i, name in enumerate(names)}
-        self.nonsink_vertices = () if _lone_sink(spec) else tuple(cells)
+        self.spec = spec
+        self.nonsink_vertices = _CellNames(0 if _lone_sink(spec) else spec.rows, spec.cols)
 
-    def is_sink(self, v: str) -> bool:
-        # The sinks come after every non-sink vertex.
-        return self.index[v] >= len(self.nonsink_vertices)
+    def nonsink_position(self, v: str) -> int | None:
+        """As ``Graph.nonsink_position``.  A cell's name is ``r``, its row,
+        ``c`` and its column, both in canonical decimals as ``make_grid``
+        writes them."""
+        spec = self.spec
+        row, sep, col = v[1:].partition("c")
+        if not (v[:1] == "r" and sep and _canonical_decimal(row) and _canonical_decimal(col)):
+            if v == SINK and spec.mode == OPEN:
+                return None
+            raise KeyError(v)
+        r, c = int(row), int(col)
+        if r >= spec.rows or c >= spec.cols:
+            raise KeyError(v)
+        return None if _lone_sink(spec) else r * spec.cols + c
+
+
+def _canonical_decimal(text: str) -> bool:
+    """Whether ``text`` is ``str(n)`` for an integer n >= 0: ASCII digits
+    without a leading zero."""
+    return text.isascii() and text.isdigit() and (text[0] != "0" or text == "0")
 
 
 def grid_config(spec: GridSpec, placements: dict[tuple[int, int], int]) -> ChipConfig:
@@ -204,10 +259,32 @@ def _narrowest_dtype(bound: int):
     return object
 
 
+def _strip_green(m: int) -> float:
+    """G(x, x) at the centre x of the infinite strip of width W = 2m - 1,
+    for G = (4I - A)^-1 with the walk killed on leaving the strip.
+
+    Across the strip the modes are sin(j pi k / (W + 1)), j = 1..W, with
+    eigenvalue 2 cos(j pi / (W + 1)) of the vertical neighbour sum; along
+    it, mode j leaves mu_j - (S + S^-1) with mu_j = 4 - 2 cos(j pi / (W + 1))
+    and S the shift, whose Green's function at 0 is 1 / sqrt(mu_j^2 - 4).
+    At the centre row k = m the even modes vanish and the odd ones have
+    sin^2 = 1, so G(x, x) = (2 / (W + 1)) sum over odd j of
+    1 / sqrt(mu_j^2 - 4).  With t = sin(j pi / (2 (W + 1))), mu_j - 2 = 4t^2
+    and mu_j + 2 = 4(1 + t^2), which keeps the small modes exact in floats.
+    """
+    total = 0.0
+    for j in range(1, 2 * m, 2):
+        t = math.sin(j * math.pi / (4 * m))
+        total += 1.0 / (t * math.sqrt(1.0 + t * t))
+    return total / (4 * m)
+
+
 def _stabilizer_dtype(spec: GridSpec, c: ChipConfig, budget: int):
     """(count dtype, odometer dtype) for ``stabilize_grid``: for each, the
     narrowest of int16, int32 and int64 that no value it holds can overflow,
-    or object (exact Python integers) for both when either needs it.
+    and never a narrower odometer than counts, which would only turn the
+    odometer add into a casting one; or object (exact Python integers) for
+    both when either needs it.
 
     Counts stay nonnegative, so every count and every sum over cells is at
     most the number of chips on the grid.  A cell of the ring column holds
@@ -216,19 +293,35 @@ def _stabilizer_dtype(spec: GridSpec, c: ChipConfig, budget: int):
     bottom ring rows are never read, so they may wrap.
 
     Each odometer entry is at most the number of firings, which the budget
-    caps.  On an open grid, with phi(x) the expected number of steps a
-    random walk from x takes to reach the sink, each firing lowers
-    sum(count * phi) by exactly 4, and phi is at most (m + 1)^2 / 2 for the
-    shorter side m; that caps the firings too.  A topple count never exceeds
-    the count it is taken from or the odometer entry it is added to.
+    caps.  On an open grid, it is also at most chips * B(m) for the shorter
+    side m, with B = ``_strip_green``: the odometer u of stabilization is
+    G(s - f) <= G s for G = (4I - A)^-1 >= 0, G(x, y) <= G(y, y), and by
+    domain monotonicity G(y, y) is at most the Green's function at the
+    centre of the strip of width 2m - 1, which holds the strip of width m
+    that holds the grid, wherever y sits in it; by the least action
+    principle a run of sweeps cut short fires no cell more than that (see
+    the module docstring).  The factor 1 + 1e-9 covers the rounding of the
+    float sum, whose relative error is below 1e-12 for m up to 1024, the
+    shorter side of the largest grid.  A
+    topple count never exceeds the count it is taken from or the odometer
+    entry it is added to.
     """
     chips = sum(c.counts)
-    firings = budget
-    if spec.mode == OPEN:
-        m = min(spec.rows, spec.cols)
-        firings = min(budget, chips * (m + 1) ** 2 // 8)
-    dtypes = (_narrowest_dtype(chips), _narrowest_dtype(firings))
+    if chips > INT64_MAX:
+        return object, object
+    odometer = _odometer_bound(spec, chips, budget)
+    dtypes = (_narrowest_dtype(chips), _narrowest_dtype(max(chips, odometer)))
     return (object, object) if object in dtypes else dtypes
+
+
+def _odometer_bound(spec: GridSpec, chips: int, budget: int) -> int:
+    """The most firings of one cell in ``stabilize_grid`` from ``chips``
+    chips, at most ``INT64_MAX``: the budget, and on an open grid
+    chips * B(m) for the shorter side m, as ``_stabilizer_dtype`` proves."""
+    if spec.mode == CLOSED:
+        return budget
+    bound = chips * _strip_green(min(spec.rows, spec.cols)) * (1 + 1e-9)
+    return min(budget, math.ceil(bound))
 
 
 def stabilize_grid(

@@ -297,8 +297,9 @@ def words_equal(
     <- y in single relation steps, checked by ``replay_path``; different ones
     give a certified no.  The completion, the rewriting and the path all
     spend ``node_budget``: every rule examined and every path step costs one
-    unit.  When it runs out, a coset mismatch still certifies no; otherwise
-    the verdict is unknown, stopped by the budget.
+    unit, and a completed rule's own path is walked, and paid for, only when
+    the yes-path follows the rule.  When it runs out, a coset mismatch still
+    certifies no; otherwise the verdict is unknown, stopped by the budget.
     """
     x = p.validate_element(x)
     y = p.validate_element(y)
@@ -317,7 +318,7 @@ def words_equal(
             if x_nf is None or y_nf is None:
                 break
             if x_nf == y_nf:
-                back = [(pth[::-1], q) for pth, q in reversed(y_steps)]
+                back = [(pth, -q) for pth, q in reversed(y_steps)]
                 path = _walk(x, x_steps + back, budget)
                 if path is None:
                     break
@@ -374,15 +375,53 @@ def _normal_form(v: Vector, rules, budget: list[int] | None = None, steps: list 
     return tuple(w)
 
 
+class _Recipe:
+    """The path of a completed rule, kept as the walk that makes it: from
+    ``start`` along ``steps``, reversed when ``flip``.  ``_walk`` takes that
+    walk into ``path`` the first time a walk follows the rule."""
+
+    __slots__ = ("start", "steps", "flip", "path")
+
+    def __init__(self, start: Vector, steps: list, flip: bool):
+        self.start, self.steps, self.flip = start, steps, flip
+        self.path: tuple[Vector, ...] | None = None
+
+
 def _walk(v: Vector, steps: list, budget: list[int]) -> list[Vector] | None:
     """The loop-erased walk from v that follows each (path, q) of ``steps``
-    q times, shifted to where it is applied, or None when its steps (counted
-    before the loop erasure) exceed ``budget[0]``, which pays for them."""
-    budget[0] -= sum(q * (len(path) - 1) for path, q in steps)
+    |q| times, backwards when q < 0, shifted to where it is applied, or None
+    when its steps (counted before the loop erasure) exceed ``budget[0]``,
+    which pays for them.  A path is a tuple of vectors or a ``_Recipe``; the
+    recipes not yet walked are walked first, each after those it follows,
+    and their steps are paid for then."""
+    pending = [path for path, _ in steps if path.__class__ is _Recipe]
+    while pending:
+        recipe = pending[-1]
+        if recipe.path is not None:
+            pending.pop()
+            continue
+        inner = [pth for pth, _ in recipe.steps if pth.__class__ is _Recipe and pth.path is None]
+        if inner:
+            pending += inner
+            continue
+        pending.pop()
+        walk = _follow(recipe.start, recipe.steps, budget)
+        if walk is None:
+            return None
+        recipe.path = tuple(reversed(walk) if recipe.flip else walk)
+    return _follow(v, steps, budget)
+
+
+def _follow(v: Vector, steps: list, budget: list[int]) -> list[Vector] | None:
+    """``_walk`` once every recipe that ``steps`` follow has been walked."""
+    steps = [(path.path if path.__class__ is _Recipe else path, q) for path, q in steps]
+    budget[0] -= sum(abs(q) * (len(path) - 1) for path, q in steps)
     if budget[0] < 0:
         return None
     walk, index = [v], {v: 0}  # index may keep vectors cut from the walk
     for path, q in steps:
+        if q < 0:
+            path, q = path[::-1], -q
         shifts = [tuple(map(sub, u, path[0])) for u in path[1:]]
         for _ in range(q):
             w = walk[-1]
@@ -402,8 +441,8 @@ def _rewriting_rules(
 ) -> list[tuple] | None:
     """Rules ``_rule(lead, tail, path)`` whose normal forms decide the
     congruence, or None when the completion runs out of ``budget[0]``.
-    Without ``paths`` the completion builds no rewrite paths, leaves a
-    completed rule's path None and charges no path steps.
+    The completion walks no rule's path: it keeps the recipe of each, for
+    ``_walk``, or without ``paths`` leaves it None.
 
     Say every relation has a single-generator side, its head (the left one
     when both are), and no generator heads two relations.  If the digraph
@@ -460,11 +499,14 @@ def _groebner_rules(
 
     Pairs are taken lowest lcm degree first and skipped when their leads are
     coprime; a new rule sends every rule whose lead it divides back to the
-    queue of equations.  Every rule examined during a reduction, every pair
-    formed and every step of a rule's path costs one unit of ``budget[0]``.
-    Each equation a = b carries steps from a to b (a relation, the S-pair
-    a <- lcm -> b, or the path of a rule sent back); with both reductions
-    they give the new rule's path, unless ``paths`` is false."""
+    queue of equations.  Every rule examined during a reduction and every
+    pair formed costs one unit of ``budget[0]``.  Each equation a = b carries
+    steps from a to b (a relation, the S-pair a <- lcm -> b, or the path of
+    a rule sent back); with both reductions they give the new rule's path as
+    a ``_Recipe``, unless ``paths`` is false.  The completion never walks a
+    recipe: a rule's path can take far more steps than the budget allows
+    (10^12 a = b with b = a gives the rule 10^12 b -> b), and only a
+    yes-path that follows the rule needs it."""
     rules: dict[int, tuple] = {}
     equations = deque((lhs, rhs, [((lhs, rhs), 1)]) for lhs, rhs in p.relations)
     pairs: list[tuple[int, int, int]] = []  # (lcm degree, newer rule id, older rule id)
@@ -480,7 +522,7 @@ def _groebner_rules(
             lcm = tuple(map(max, l1, l2))
             a = tuple(m - x + y for m, x, y in zip(lcm, l1, t1))
             b = tuple(m - x + y for m, x, y in zip(lcm, l2, t2))
-            steps = [(p1[::-1], 1), (p2, 1)] if paths else None
+            steps = [(p1, -1), (p2, 1)] if paths else None
         a_steps, b_steps = ([], []) if paths else (None, None)
         a = _normal_form(a, rules.values(), budget, a_steps)
         b = _normal_form(b, rules.values(), budget, b_steps)
@@ -491,12 +533,8 @@ def _groebner_rules(
         lead, tail = (a, b) if _grevlex_key(a) > _grevlex_key(b) else (b, a)
         path = None
         if paths:
-            back = [(pth[::-1], q) for pth, q in reversed(a_steps)]
-            path = _walk(a, back + steps + b_steps, budget)
-            if path is None:
-                return None
-            if lead != a:
-                path = path[::-1]
+            back = [(pth, -q) for pth, q in reversed(a_steps)]
+            path = _Recipe(a, back + steps + b_steps, lead != a)
         for rid, (l, t, _, _, pth) in list(rules.items()):
             if all(x >= y for x, y in zip(l, lead)):
                 del rules[rid]

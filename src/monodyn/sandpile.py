@@ -52,14 +52,15 @@ class ChipConfig(Frozen):
 
     @staticmethod
     def from_mapping(g: Graph, counts: Mapping[str, int], absorbed: int = 0) -> "ChipConfig":
-        pos = {v: i for i, v in enumerate(g.nonsink_vertices)}
-        out = [0] * len(pos)
+        out = [0] * len(g.nonsink_vertices)
         for name, c in counts.items():
-            if name not in g.index:
-                raise FiringError(f"unknown vertex {name!r}")
-            if name not in pos:
+            try:
+                i = g.nonsink_position(name)
+            except KeyError:
+                raise FiringError(f"unknown vertex {name!r}") from None
+            if i is None:
                 raise FiringError(f"vertex {name!r} is a sink and carries no count")
-            out[pos[name]] = c
+            out[i] = c
         return ChipConfig(tuple(out), absorbed)
 
     @staticmethod
@@ -97,7 +98,10 @@ class Odometer(Frozen):
 
 
 def parse_config(g: Graph, text: str) -> ChipConfig:
-    counts: dict[str, int] = {}
+    """The configuration a config file gives on ``g``, a graph or anything
+    with its ``nonsink_vertices`` and ``nonsink_position`` such as
+    ``grid.GridVertices``; a cell named twice gets the sum."""
+    counts = [0] * len(g.nonsink_vertices)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,16 +116,21 @@ def parse_config(g: Graph, text: str) -> ChipConfig:
             raise ParseError(f"bad count {parts[1]!r}", line=lineno) from None
         if c < 0:
             raise ParseError(f"negative count for {name!r}", line=lineno)
-        if name not in g.index:
-            raise ParseError(f"unknown vertex {name!r}", line=lineno)
-        if g.is_sink(name):
+        try:
+            i = g.nonsink_position(name)
+        except KeyError:
+            raise ParseError(f"unknown vertex {name!r}", line=lineno) from None
+        if i is None:
             raise ParseError(f"vertex {name!r} is a sink and carries no count", line=lineno)
-        counts[name] = counts.get(name, 0) + c
-    return ChipConfig.from_mapping(g, counts)
+        counts[i] += c
+    return ChipConfig(tuple(counts))
 
 
 def serialize_config(g: Graph, c: ChipConfig) -> str:
-    lines = [f"{v} {n}" for v, n in zip(g.nonsink_vertices, c.counts) if n]
+    """One ``<vertex> <count>`` line per vertex holding chips; names are read
+    only for those."""
+    names = g.nonsink_vertices
+    lines = [f"{names[i]} {n}" for i, n in enumerate(c.counts) if n]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -136,14 +145,13 @@ class _Arena:
                 f"config has {len(c.counts)} counts but graph has "
                 f"{len(self.nonsink)} non-sink vertices"
             )
-        pos = {v: i for i, v in enumerate(self.nonsink)}
         self.outdeg = [g.outdegree(v) for v in self.nonsink]
         # (target position or None-for-sink, multiplicity) per vertex
         self.targets: list[list[tuple[int | None, int]]] = []
         for v in self.nonsink:
             row = []
             for dst, mult in g.out_adj[v]:
-                row.append((pos.get(dst), mult))
+                row.append((g.nonsink_position(dst), mult))
             self.targets.append(row)
         self.counts = list(c.counts)
         self.absorbed = c.absorbed
@@ -181,12 +189,13 @@ class _Arena:
 
 def fire(g: Graph, c: ChipConfig, v: str) -> ChipConfig:
     """Fire a single unstable vertex once."""
-    if v not in g.index:
-        raise FiringError(f"unknown vertex {v!r}")
-    if g.is_sink(v):
+    try:
+        i = g.nonsink_position(v)
+    except KeyError:
+        raise FiringError(f"unknown vertex {v!r}") from None
+    if i is None:
         raise FiringError(f"cannot fire sink vertex {v!r}")
     arena = _Arena(g, c)
-    i = g.nonsink_vertices.index(v)
     if not arena.unstable(i):
         raise FiringError(
             f"vertex {v!r} holds {arena.counts[i]} chips, fewer than outdegree {arena.outdeg[i]}"

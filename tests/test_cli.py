@@ -245,13 +245,25 @@ def test_monoid_equal_unknown_names_node_budget(capsys, tmp_path):
     assert code == 0 and report == {"kind": "word-equal", "verdict": "yes", "path": ["u", "v"]}
 
 
+# What each case answers.  A rule's path is walked only when a yes-path
+# follows the rule, so a query that needs only a relation is answered.
+HUGE_COEFFICIENT_ANSWERS = {
+    # No completion; equal normal forms, but the path has 5*10^11 steps.
+    "2a = b": (1, {"kind": "word-equal", "verdict": "unknown", "stopped_by": "node_budget"}),
+    # The completion's rule 10^12 b -> b has a path of 10^12 steps; a = b
+    # follows only the relation b = a.
+    "1000000000000a = b\nb = a": (0, {"kind": "word-equal", "verdict": "yes", "path": ["a", "b"]}),
+    # The rule 2a -> b has a path of about 5*10^5 steps; 3b = b is a relation.
+    "2a = 1000001b\n3b = b": (0, {"kind": "word-equal", "verdict": "yes", "path": ["3b", "b"]}),
+}
+
+
 @pytest.mark.parametrize(
     "relations, lhs, rhs",
     [
-        # No completion; equal normal forms, but the path has 5*10^11 steps.
         ("2a = b", "1000000000000a", "500000000000b"),
-        # The completion's own reduction of 10^12 a walks 10^12 steps.
         ("1000000000000a = b\nb = a", "a", "b"),
+        ("2a = 1000001b\n3b = b", "3b", "b"),
     ],
 )
 def test_monoid_equal_huge_coefficients_stay_in_budget(capsys, tmp_path, relations, lhs, rhs):
@@ -260,7 +272,7 @@ def test_monoid_equal_huge_coefficients_stay_in_budget(capsys, tmp_path, relatio
     start = time.perf_counter()
     code, report = invoke_json(capsys, ["monoid", "equal", str(pres), lhs, rhs])
     assert time.perf_counter() - start < 1
-    assert code == 1 and report == {"kind": "word-equal", "verdict": "unknown", "stopped_by": "node_budget"}
+    assert (code, report) == HUGE_COEFFICIENT_ANSWERS[relations]
 
 
 def test_monoid_enumerate(files, capsys, tmp_path):
@@ -947,6 +959,56 @@ def graph_text(draw) -> str:
     return "".join(lines)
 
 
+@st.composite
+def sandpile_graph_text(draw) -> tuple[str, list[str]]:
+    """A sandpile graph and its non-sink vertices: one to three vertices and
+    the sink ``s``, each vertex with an edge to ``s`` or to a vertex before
+    it, so every vertex reaches the sink and every game ends; more edges,
+    loops among them, of multiplicity up to 3.  At times a malformed graph
+    text."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(MALFORMED_GRAPHS)), ["a"]
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    lines = [f"v {v}\n" for v in names] + ["v s\n"]
+    for i, src in enumerate(names):
+        way_out = draw(st.sampled_from(["s", *names[:i]]))
+        for dst in names + ["s"]:
+            mult = draw(st.integers(1 if dst == way_out else 0, 3))
+            if mult:
+                lines.append(f"e {src} {dst} {mult}\n")
+    return "".join(lines), names
+
+
+def sandpile_config_text(names: list[str], counts: st.SearchStrategy[int]) -> st.SearchStrategy[str]:
+    """Config lines over ``names`` with ``counts``; one line in eight is
+    malformed: an unknown vertex, the sink, a negative or non-integer count,
+    a line of the wrong length."""
+    good = st.tuples(st.sampled_from(names), counts).map(lambda t: f"{t[0]} {t[1]}")
+    bad = st.sampled_from(("nowhere 2", "s 1", "a -1", "a x", "a 1.5", "a", "a 1 2", "# note", ""))
+    lines = st.lists(st.integers(0, 7).flatmap(lambda k: bad if k == 0 else good), max_size=4)
+    return lines.map(lambda ls: "\n".join(ls) + "\n")
+
+
+@st.composite
+def sandpile_case(draw) -> tuple[list[str], dict[str, str]]:
+    """``sandpile stabilize``, with or without ``--trace``, and ``sandpile
+    add`` on a generated sandpile graph and config files.  A traced run
+    fires one chip at a time, so it gets small counts only; the summands of
+    ``add`` are mostly stable."""
+    text, names = draw(sandpile_graph_text())
+    files = {"g.gen.graph": text}
+    budget = draw(st.sampled_from(([],) * 5 + (["--budget", "0"], ["--budget", "7"], ["--budget", "-1"])))
+    if draw(st.booleans()):
+        trace = draw(st.sampled_from(([], ["--trace"])))
+        counts = st.integers(0, 9) if trace else st.one_of(st.integers(0, 9), st.integers(0, 2**70))
+        files["c.gen.cfg"] = draw(sandpile_config_text(names, counts))
+        return ["sandpile", "stabilize", "g.gen.graph", "c.gen.cfg", *trace, *budget], files
+    counts = st.one_of(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**70))
+    files["a.gen.cfg"] = draw(sandpile_config_text(names, counts))
+    files["b.gen.cfg"] = draw(sandpile_config_text(names, counts))
+    return ["sandpile", "add", "g.gen.graph", "a.gen.cfg", "b.gen.cfg", *budget], files
+
+
 def near(limit: int) -> st.SearchStrategy[int]:
     """Small values, values at the limit, and values far past it."""
     return st.one_of(st.integers(-2, 3), st.integers(limit - 2, limit + 2), st.integers(limit + 3, 10**20))
@@ -1034,8 +1096,10 @@ def chain_text(draw) -> str:
 @st.composite
 def cli_case(draw) -> tuple[list[str], dict[str, str]]:
     """An argv and the generated files it reads, by name in the work dir."""
-    kinds = ("grid", "render", "bound", "shift", "limit", "graph", "monoid", "lpa", "sandpile-monoid", "chain")
+    kinds = ("grid", "render", "bound", "shift", "limit", "graph", "monoid", "lpa", "sandpile-monoid", "chain", "sandpile")
     kind = draw(st.sampled_from(kinds))
+    if kind == "sandpile":
+        return draw(sandpile_case())
     if kind == "shift":
         return draw(shift_case())
     if kind == "chain":
@@ -1099,10 +1163,11 @@ def test_cli_contract(cli_workdir, case):
     old = os.getcwd()
     os.chdir(cli_workdir)
     try:
-        code, out, _ = run_captured(argv)
+        code, out, err = run_captured(argv)
     finally:
         os.chdir(old)
     assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
     if code == 3:
         report = json.loads(out)
         SCHEMA_VALIDATOR.validate(report)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from monodyn.errors import BudgetExceededError, ParseError, ShapeError
 from monodyn.grid import (
     DEFAULT_PALETTE,
+    INT16_MAX,
     MAX_GRID_CELLS,
     GridSpec,
     GridVertices,
@@ -22,7 +24,9 @@ from monodyn.grid import (
     parse_palette,
     render_ppm,
     stabilize_grid,
+    _odometer_bound,
     _stabilizer_dtype,
+    _strip_green,
 )
 from monodyn.sandpile import ChipConfig, parse_config, serialize_config, stabilize
 
@@ -362,26 +366,118 @@ def test_active_window_matches_generic(spec, placements):
 @pytest.mark.parametrize(
     "rows, cols, mode, chips, budget, expected",
     [
-        (201, 201, "open", 2**14, 10**9, (np.int16, np.int32)),
+        # The README's drop: B(201) = 1.143 keeps 2^14 chips' odometer in int16.
+        (201, 201, "open", 2**14, 10**9, (np.int16, np.int16)),
         (201, 201, "open", 2**15 - 1, 10**9, (np.int16, np.int32)),
         (201, 201, "open", 2**15, 10**9, (np.int32, np.int32)),
         (3, 3, "open", 5000, 10**9, (np.int16, np.int16)),
         (3, 3, "open", 2**31, 10**40, (np.int64, np.int64)),
         (101, 101, "open", 2**31, 10**40, (np.int64, np.int64)),
-        (11, 11, "open", 2**60, 10**40, (object, object)),
-        (11, 11, "open", 2**60, 10**6, (np.int64, np.int32)),
+        # B(11) = 0.677: 2^60 chips fire each cell fewer than 2^63 times.
+        (11, 11, "open", 2**60, 10**40, (np.int64, np.int64)),
+        # Never an odometer narrower than the counts.
+        (11, 11, "open", 2**60, 10**6, (np.int64, np.int64)),
         (3, 3, "open", 2**63, 10, (object, object)),
         (9, 9, "closed", 10, 10**9, (np.int16, np.int32)),
         (9, 9, "closed", 10, 2**15 - 1, (np.int16, np.int16)),
         (9, 9, "closed", 10, 2**31, (np.int16, np.int64)),
         (9, 9, "closed", 10, 2**63, (object, object)),
-        (9, 9, "closed", 2**40, 10, (np.int64, np.int16)),
-        (9, 9, "closed", 2**15, 2**15 - 1, (np.int32, np.int16)),
+        (9, 9, "closed", 2**40, 10, (np.int64, np.int64)),
+        (9, 9, "closed", 2**15, 2**15 - 1, (np.int32, np.int32)),
     ],
 )
 def test_stabilizer_dtype_choice(rows, cols, mode, chips, budget, expected):
     spec = GridSpec(rows, cols, mode)
     assert _stabilizer_dtype(spec, grid_config(spec, {(1, 1): chips}), budget) == expected
+
+
+def green_diagonal_max(rows: int, cols: int) -> Fraction:
+    """The largest diagonal entry of G = (4I - A)^-1 on an open rows x cols
+    grid, exactly.  Banded LDL^T of 4I - A with the band as wide as the
+    shorter side, then G(x, x) = sum over k >= x of (L^-1)[k, x]^2 / D[k].
+    By the grid's reflections only the cells of one quadrant are needed,
+    the one whose columns of L^-1 are shortest."""
+    rows, cols = max(rows, cols), min(rows, cols)
+    n, w = rows * cols, cols
+
+    def laplacian(i, j):
+        if i == j:
+            return 4
+        return -1 if j == i - w or (j == i - 1 and i % w) else 0
+
+    lower = [{} for _ in range(n)]  # lower[i][j] for i - w <= j < i
+    pivots = []
+    for i in range(n):
+        for j in range(max(0, i - w), i):
+            inner = sum(lower[i][k] * lower[j][k] * pivots[k] for k in range(max(0, j - w), j) if k in lower[i])
+            lower[i][j] = (laplacian(i, j) - inner) / pivots[j]
+        pivots.append(Fraction(4) - sum(v * v * pivots[k] for k, v in lower[i].items()))
+    best = Fraction(0)
+    for x in (r * w + c for r in range(rows // 2, rows) for c in range(w // 2, w)):
+        column = {x: Fraction(1)}
+        green = 1 / pivots[x]
+        for k in range(x + 1, n):
+            column[k] = -sum(lower[k][j] * column[j] for j in range(max(x, k - w), k))
+            green += column[k] ** 2 / pivots[k]
+        best = max(best, green)
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12))
+def test_strip_green_bounds_the_grids_green_function(rows, cols):
+    # The float bound against the exact diagonal of the grid's inverse
+    # Laplacian; sympy agrees with the factorization on small grids.
+    assert Fraction(_strip_green(min(rows, cols))) >= green_diagonal_max(rows, cols)
+
+
+def test_green_diagonal_matches_sympy():
+    import sympy
+
+    for rows, cols in ((1, 1), (1, 3), (2, 2), (3, 2), (3, 3)):
+        n = rows * cols
+        lap = sympy.zeros(n, n)
+        for r in range(rows):
+            for c in range(cols):
+                lap[r * cols + c, r * cols + c] = 4
+                for rr, cc in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+                    if 0 <= rr < rows and 0 <= cc < cols:
+                        lap[r * cols + c, rr * cols + cc] = -1
+        inverse = lap.inv()
+        assert max(inverse[i, i] for i in range(n)) == green_diagonal_max(rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 16),
+    cols=st.integers(1, 16),
+    drops=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 3000)), min_size=1, max_size=4),
+)
+def test_open_odometer_stays_within_its_bound(rows, cols, drops):
+    spec = GridSpec(rows, cols, "open")
+    placements: dict[tuple[int, int], int] = {}
+    for r, c, n in drops:
+        placements[(r % rows, c % cols)] = placements.get((r % rows, c % cols), 0) + n
+    start = grid_config(spec, placements)
+    _, odometer = stabilize_grid(spec, start)
+    assert max(odometer.firings) <= _odometer_bound(spec, start.total(), 10**40)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
+def test_int16_edge_matches_generic(m):
+    # The most chips whose counts and odometer bound both fit int16, dropped
+    # on the centre of an open m x (m + 3) grid, where the odometer peaks.
+    spec = GridSpec(m, m + 3, "open")
+    lo, hi = 0, INT16_MAX
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if _odometer_bound(spec, mid, 10**9) <= INT16_MAX else (lo, mid - 1)
+    edge = lo
+    start = grid_config(spec, {(m // 2, (m + 3) // 2): edge})
+    assert _stabilizer_dtype(spec, start, 10**9) == (np.int16, np.int16)
+    over = grid_config(spec, {(m // 2, (m + 3) // 2): edge + 1})
+    assert _stabilizer_dtype(spec, over, 10**9) != (np.int16, np.int16)
+    assert stabilize_grid(spec, start) == stabilize(make_grid(spec), start)
 
 
 @pytest.mark.parametrize(
@@ -551,7 +647,9 @@ def config_texts(draw, spec):
     comments, blank lines, repeated cells, unknown names, ``sink`` lines,
     negative and non-integer counts and lines of the wrong length."""
     cells = st.sampled_from([f"r{r}c{c}" for r in range(spec.rows) for c in range(spec.cols)])
-    odd_names = st.sampled_from(("sink", f"r{spec.rows}c0", f"r0c{spec.cols}", "r-1c0", "nowhere", "R0C0"))
+    odd_names = st.sampled_from(
+        ("sink", f"r{spec.rows}c0", f"r0c{spec.cols}", "r-1c0", "nowhere", "R0C0", "r00c0", "r0c01", "r+0c0", "r\u0660c0")
+    )
     odd_counts = st.one_of(st.integers(-5, -1).map(str), st.sampled_from(("x", "1.5", "+2", "0x10", "1_000")))
     valid = st.tuples(cells, st.one_of(st.integers(0, 3), st.integers(0, 2**70)))
     good = st.one_of(
@@ -572,8 +670,12 @@ def config_texts(draw, spec):
 def test_grid_vertices_name_the_grids_graph():
     for spec in (GridSpec(1, 1, "closed"), GridSpec(1, 1, "open"), GridSpec(1, 5, "closed"), GridSpec(4, 1, "open"), GridSpec(3, 4, "closed")):
         g, cells = make_grid(spec), GridVertices(spec)
-        assert cells.index == g.index and cells.nonsink_vertices == g.nonsink_vertices
-        assert [cells.is_sink(v) for v in g.vertices] == [g.is_sink(v) for v in g.vertices]
+        assert tuple(cells.nonsink_vertices) == g.nonsink_vertices
+        assert [cells.nonsink_position(v) for v in g.vertices] == [g.nonsink_position(v) for v in g.vertices]
+        for name in ("sink", f"r{spec.rows}c0", "r00c0", "r0c01", "r+0c0", "r\u0660c0", "r0c0 ", "nowhere"):
+            if name not in g.index:
+                with pytest.raises(KeyError):
+                    cells.nonsink_position(name)
 
 
 @settings(max_examples=300, deadline=None)

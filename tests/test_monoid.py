@@ -32,6 +32,7 @@ from monodyn.monoid import (
     _enumerate_monoid,
     _normal_form,
     _rewriting_rules,
+    _walk,
 )
 from monodyn.sandpile import ChipConfig, sandpile_monoid, stabilize
 
@@ -730,15 +731,22 @@ def test_large_tail_coefficients_answer_quickly(tmp_path, capsys, p, expected):
 
 def test_enumeration_builds_no_rewrite_paths(tmp_path, capsys):
     # Grevlex orients 2a = 1000001b as 1000001b -> 2a, so the completion
-    # runs, and a rewrite path for its rules takes about 500 000 relation
-    # steps: more than the node budget, and never read by enumeration.
+    # runs, and a rewrite path for its rule 2a -> b takes about 500 000
+    # relation steps: more than the node budget, and never read by
+    # enumeration.  The completion keeps each path as a recipe and walks
+    # none of them; a walk of the rule's recipe runs out of the budget.
     found = MonoidPresentation(("a", "b"), (((2, 0), (0, 1000001)), ((0, 3), (0, 1))))
     small = MonoidPresentation(("a", "b"), (((2, 0), (0, 101)), ((0, 3), (0, 1))))
-    assert _rewriting_rules(found, [200_000]) is None
+    rules = _rewriting_rules(found, [200_000])
+    assert [rule[:2] for rule in rules] == [((0, 3), (0, 1)), ((2, 0), (0, 1))]
+    assert all(rule[4].path is None for rule in rules)
+    assert _walk((2, 0), [(rules[1][4], 1)], [200_000]) is None
     with_paths = _rewriting_rules(small, [200_000])
     without = _rewriting_rules(small, [200_000], paths=False)
     assert [rule[:4] for rule in without] == [rule[:4] for rule in with_paths]
-    assert all(rule[4] is not None for rule in with_paths)
+    for lead, tail, _, _, recipe in with_paths:
+        path = _walk(lead, [(recipe, 1)], [200_000])
+        assert path[0] == lead and path[-1] == tail and replay_path(small, path)
     expected = enumerate_monoid(small).to_json_dict()
     assert len(expected["elements"]) == 6
     assert enumerate_monoid(found).to_json_dict() == expected
