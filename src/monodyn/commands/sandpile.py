@@ -77,7 +77,10 @@ def _parse_places(raw: list[str]) -> dict[tuple[int, int], int]:
             r, c, n = (int(p) for p in parts)
         except ValueError:
             raise ParseError(f"--place wants integers 'row,col,chips', got {chunk!r}") from None
-        places[(r, c)] = places.get((r, c), 0) + n
+        total = places.get((r, c), 0)
+        # A negative chunk keeps its cell negative, whatever other chunks on
+        # the cell add, so that grid_config refuses it.
+        places[(r, c)] = min(total, n) if total < 0 or n < 0 else total + n
     return places
 
 

@@ -5,20 +5,25 @@ edges, so the firing threshold of a cell is its grid degree and chips are
 conserved.  Open mode adds one explicit sink absorbing each boundary cell's
 missing neighbors, which makes every cell's threshold exactly 4.
 
-``stabilize_grid`` is a flat-array stabilizer that topples every unstable
-cell in bulk per sweep; by order independence its final configuration and
-odometer are identical to the generic graph stabilizer's, which the test
-suite checks cell for cell.  One kernel serves both modes: each sweep takes
-the topplings by a shift, as if every degree were 4, redoes them on a closed
+``stabilize_grid`` is a flat-array stabilizer by red-black half-sweeps (the
+red-black ordering of Saad, *Iterative Methods for Sparse Linear Systems*,
+2003, section 4.1): a grid is bipartite, so the cells of one colour of its
+checkerboard are never neighbours, and a half-sweep topples every unstable
+cell of one colour in bulk.  By order independence its final configuration and odometer are
+identical to the generic graph stabilizer's, which the test suite checks
+cell for cell.  One kernel serves both modes: each half-sweep takes the
+topplings by a shift, as if every degree were 4, redoes them on a closed
 grid's edge cells by dividing each grid edge by its degrees, takes the shed
 chips off the counts, and adds the topplings to the odometer and to the four
-neighbours.  The counts sit in a padded array with a ring around the grid;
-the top and bottom ring rows are written and never read.  A sweep is 8
-array calls on an open grid and at most 13 on a closed one.  The firings
-are summed only once the sweeps done and the next few could pass the firing
-budget, since a sweep fires at most once per chip.
+neighbours.  The counts sit in a padded array of odd width with a ring
+around the grid, so a cell's colour is the parity of its flat index, and
+each colour is kept in its own half-size array; the top and bottom ring rows
+are written and never read.  A half-sweep is 8 array calls on an open grid
+and at most 13 on a closed one.  The firings are summed only once the
+half-sweeps done and the next few could pass the firing budget, since a
+half-sweep fires at most once per chip.
 The arrays use the narrowest integer type that provably cannot overflow,
-and each sweep covers only the band of rows around the unstable cells.
+and each half-sweep covers only the band of rows around the unstable cells.
 
 On an open grid the odometer is bounded cell by cell.  With Delta = 4I - A
 the grid's reduced Laplacian (A the cells' adjacency), a stable end f of a
@@ -32,8 +37,8 @@ which lies in the strip of width 2m - 1 centred on y; so G(y, y) is at most
 strip of width 2m - 1, an O(m) sum of its Fourier modes (Lawler-Limic,
 *Random Walk: A Modern Introduction*, 2010).  By the least action principle
 (Fey-Levine-Peres, "Growth rates and explosions in sandpiles", 2010) no
-legal firing sequence, a run of sweeps cut by the budget among them, fires
-a cell more often than stabilization does.  With B(105) = 1.036, a 2^14
+legal firing sequence, a run of half-sweeps cut by the budget among them,
+fires a cell more often than stabilization does.  With B(105) = 1.036, a 2^14
 drop keeps its odometer in int16 like its counts.
 
 Images are binary PPM (P6), one pixel per cell, built from the counts by
@@ -70,11 +75,13 @@ INT16_MAX = 2**15 - 1
 INT32_MAX = 2**31 - 1
 INT64_MAX = 2**63 - 1
 
-# The stabilizer recomputes its band of active rows every _WINDOW sweeps and
-# keeps a margin of _WINDOW rows around the unstable cells.  Instability
-# spreads at most one cell per sweep, so no cell outside the band can topple
-# before the next recomputation.
-_WINDOW = 8
+# The stabilizer recomputes its band of active rows every _WINDOW half-sweeps
+# and keeps a margin of at least _WINDOW rows around the unstable cells.
+# Instability spreads at most one cell per half-sweep, so no cell outside the
+# band can topple before the next recomputation.  A recomputation that moves
+# the band makes the views of both colours, so windows of 16 half-sweeps
+# cost less than windows of 8.
+_WINDOW = 16
 
 # The most cells a grid may have, a 1024 x 1024 grid.  Arrays, images and
 # cell names grow with the cell count, so a size beyond this is refused up
@@ -287,10 +294,11 @@ def _stabilizer_dtype(spec: GridSpec, c: ChipConfig, budget: int):
     both when either needs it.
 
     Counts stay nonnegative, so every count and every sum over cells is at
-    most the number of chips on the grid.  A cell of the ring column holds
-    at most one sweep's topplings of its two grid neighbours, no more than
-    the chips, since the stabilizer clears it after every sweep; the top and
-    bottom ring rows are never read, so they may wrap.
+    most the number of chips on the grid.  A ring-column cell holds at most
+    one half-sweep's topplings of its grid neighbours (two of them when one
+    ring column ends each row, one when two do), no more than the chips,
+    since the stabilizer clears it after every half-sweep that reaches it;
+    the top and bottom ring rows are never read, so they may wrap.
 
     Each odometer entry is at most the number of firings, which the budget
     caps.  On an open grid, it is also at most chips * B(m) for the shorter
@@ -299,12 +307,11 @@ def _stabilizer_dtype(spec: GridSpec, c: ChipConfig, budget: int):
     domain monotonicity G(y, y) is at most the Green's function at the
     centre of the strip of width 2m - 1, which holds the strip of width m
     that holds the grid, wherever y sits in it; by the least action
-    principle a run of sweeps cut short fires no cell more than that (see
-    the module docstring).  The factor 1 + 1e-9 covers the rounding of the
-    float sum, whose relative error is below 1e-12 for m up to 1024, the
-    shorter side of the largest grid.  A
-    topple count never exceeds the count it is taken from or the odometer
-    entry it is added to.
+    principle a run of half-sweeps cut short fires no cell more than that
+    (see the module docstring).  The factor 1 + 1e-9 covers the rounding of
+    the float sum, whose relative error is below 1e-12 for m up to 1024, the
+    shorter side of the largest grid.  A topple count never exceeds the
+    count it is taken from or the odometer entry it is added to.
     """
     chips = sum(c.counts)
     if chips > INT64_MAX:
@@ -327,31 +334,42 @@ def _odometer_bound(spec: GridSpec, chips: int, budget: int) -> int:
 def stabilize_grid(
     spec: GridSpec, c: ChipConfig, *, budget: int | None = None
 ) -> tuple[ChipConfig, Odometer]:
-    """Bulk-toppling stabilizer over flat arrays.
+    """Bulk-toppling stabilizer over flat arrays, by red-black half-sweeps.
 
-    Each sweep topples every unstable cell floor(count / degree) times at
-    once (a Jacobi sweep); the abelian property guarantees the result
-    matches single firings.  A cell's degree is 4, less its missing
-    neighbours on a closed grid.
+    A grid is bipartite: colour each cell by the parity of its row plus its
+    column, and its neighbours all have the other colour.  A half-sweep
+    topples every unstable cell of one colour floor(count / degree) times
+    at once.  No two of those cells are adjacent, so a half-sweep is a legal
+    firing sequence, and by the abelian property the result matches single
+    firings.  The half-sweeps alternate colours, starting with the colour
+    of cell (0, 0) unless none of its cells is unstable.  A cell's degree
+    is 4, less its missing neighbours on a closed grid.
 
-    The counts live row-major in a (rows + 2) x (cols + 1) array: the grid
-    rows sit between a top and a bottom ring row, and one ring column ends
-    each grid row, so a row's last cell and the next row's first cell share
-    their ring neighbour.  A band of whole grid rows is then one contiguous
-    slice of the flattened array, and its four neighbour slices are that
-    slice shifted by one cell and by one row.  An open-grid sweep is 8
-    array calls:
+    The counts live row-major in a padded array of odd width W: the grid
+    rows sit between a top and a bottom ring row (two bottom rows when the
+    grid has an odd number of rows, so the array holds whole pairs of
+    rows), and each grid row ends in one ring column when ``cols`` is even,
+    two when it is odd.  With W odd a cell's colour is the parity of its
+    flat index, so each colour lives in its own contiguous array
+    ``flat[p::2]``, with its own odometer.  The neighbours of flat index i
+    are i - W, i - 1, i + 1 and i + W, so for a band of colour-0 cells they
+    are four slices of the colour-1 array, the band shifted by -(W + 1) / 2,
+    -1, 0 and (W - 1) / 2, and for colour-1 cells the band shifted by
+    -(W - 1) / 2, 0, 1 and (W + 1) / 2 in the colour-0 array.  A band of
+    whole grid rows is one slice of each colour array.  An open-grid
+    half-sweep is 8 array calls, as many as a sweep of both colours would
+    take, on arrays half the size:
     - the topple counts, by a shift;
     - ``&= 3``;
     - the odometer add;
-    - the four neighbour adds;
-    - one fill that clears the band's part of the ring column.
-    A closed-grid sweep adds, for each grid edge in the band (at most 4),
-    a ``floor_divide`` by the edge's degrees that overwrites its topple
+    - the four neighbour adds into the other colour;
+    - one fill that clears the other colour's ring-column cells in the band.
+    A closed-grid half-sweep adds, for each grid edge in the band (at most
+    4), a ``floor_divide`` by the edge's degrees that overwrites its topple
     counts after the shift, so every cell topples floor(count / degree)
     times, and in place of the mask it subtracts topple * degree: 13 calls
-    at most.  The edges are separate 1-d slices, since a 2-d view of both
-    columns costs more per call than the two columns.
+    at most.  A grid column's cells of one colour are every W-th entry of
+    its colour array, and a grid row's are contiguous.
     The top and bottom ring rows are never read, so nothing clears them.
     Chips pushed into the ring are the sink's on an open grid and fall off
     a closed one, whose cells lose only their degree a firing; the open
@@ -359,21 +377,32 @@ def stabilize_grid(
     operands are 0-d arrays of the count type, so numpy does not convert a
     Python integer on every call.
 
-    Every ``_WINDOW`` sweeps the band shrinks to the rows of the unstable
-    cells grown by ``_WINDOW`` rows each way, which holds every cell that
-    can topple until the next recomputation.  After the first window step,
-    only the band's rows and one row each side of it can have changed, so
-    only they are searched for unstable cells.  A sweep fires at most once
-    per chip, so the odometer is summed only once ``(sweeps + _WINDOW) *
-    chips`` passes the budget.  From then on, while the next ``_WINDOW``
-    sweeps could overrun the budget, each sweep's firings are counted.
-    Otherwise a stable grid shows at the next recomputation, after at most
-    ``_WINDOW - 1`` sweeps that topple nothing.  So the sweep sequence, the
-    result, the odometer and any ``BudgetExceededError`` are those of
-    sweeping the whole grid.  The error carries the state after the last
-    whole sweep that fits in the budget: ``fired <= budget``, and one more
-    sweep would pass it.  So unlike ``sandpile.stabilize``, which stops at
-    exactly ``fired == budget``, the partial state is a sweep boundary.
+    Every ``_WINDOW`` half-sweeps the band shrinks to the rows of the
+    unstable cells grown by at least ``_WINDOW`` rows each way, its ends
+    rounded out to multiples of ``_WINDOW / 2`` rows; it holds every cell
+    that can topple until the next recomputation.  Each recomputation after
+    the first follows a half-sweep of the other colour than the next one,
+    which left all its cells stable.  So only the next colour's cells are
+    searched, and only in the band's rows and one row each side of it, the
+    only rows that can have changed.
+    A half-sweep fires at most once per chip, so the odometer is summed
+    only once ``(sweeps + _WINDOW) * chips`` passes the budget.  From then
+    on, while the next ``_WINDOW`` half-sweeps could overrun the budget,
+    each half-sweep's firings are counted, and one that fires nothing
+    leaves a stable grid: the half-sweep before it stabilized the other
+    colour, which has got no chips since (the first half-sweep always
+    fires).  Otherwise a stable grid shows at the next recomputation, after
+    at most ``_WINDOW - 1`` half-sweeps that topple nothing.  So the
+    half-sweep sequence, the result, the odometer and any
+    ``BudgetExceededError`` are those of half-sweeping the whole grid.  The
+    error carries the state after the last whole half-sweep that fits in
+    the budget: ``fired <= budget``, and one more half-sweep would pass it.
+    So unlike ``sandpile.stabilize``, which stops at exactly ``fired ==
+    budget``, the partial state is a half-sweep boundary.  When the
+    unstable cells of the start all have one colour, a Jacobi sweep of the
+    whole grid, which topples every unstable cell at once, topples one
+    colour at a time, alternately; the half-sweeps are those sweeps, and
+    the partial state is the one Jacobi sweeps give.
 
     The arrays use the narrowest integer type that cannot overflow (see
     ``_stabilizer_dtype``) and exact Python integers when int64 could, so
@@ -389,80 +418,128 @@ def stabilize_grid(
     if _lone_sink(spec):
         return array_to_config(spec, start, c.absorbed), Odometer(())
 
-    width = cols + 1
-    padded = np.zeros((rows + 2, width), dtype=count_dtype)
-    padded[1:-1, :-1] = start
-    flat = padded.reshape(-1)
-    odo = np.zeros((rows, width), dtype=odo_dtype)  # the ring column stays 0
-    buf = np.zeros(rows * width, dtype=count_dtype)
-    shed_buf = np.zeros(rows * width, dtype=count_dtype)
+    width = cols + 1 if cols % 2 == 0 else cols + 2
+    height = rows + 2 + rows % 2
+    padded = np.zeros((height, width), dtype=count_dtype)
+    padded[1 : rows + 1, :cols] = start
+    counts = [padded.reshape(-1)[p::2].copy() for p in (0, 1)]
+    size = counts[0].size
+    odos = [np.zeros(size, dtype=odo_dtype) for _ in (0, 1)]  # ring entries stay 0
+    buf = np.zeros(size, dtype=count_dtype)
+    shed_buf = np.zeros(size, dtype=count_dtype)
     two, three = (np.array(k, dtype=count_dtype) for k in (2, 3))
     right_shift, bitwise_and, add = np.right_shift, np.bitwise_and, np.add
     floor_divide, multiply, subtract = np.floor_divide, np.multiply, np.subtract
     open_mode = spec.mode == OPEN
-    # The firing thresholds; 1 on the ring column, whose cells hold no chips
-    # when a sweep starts.
-    degree = np.full((rows, width), 4, dtype=count_dtype)
+    # The firing thresholds; 1 on the ring, whose cells hold no chips when
+    # a half-sweep of their colour starts.
+    degree = np.ones((height, width), dtype=count_dtype)
+    grid_degree = degree[1 : rows + 1, :cols]
+    grid_degree.fill(4)
     if not open_mode:
-        degree[0] -= 1
-        degree[-1] -= 1
-        degree[:, 0] -= 1
-        degree[:, cols - 1] -= 1
-    degree[:, -1] = 1
+        grid_degree[0] -= 1
+        grid_degree[-1] -= 1
+        grid_degree[:, 0] -= 1
+        grid_degree[:, -1] -= 1
+    degrees = [degree.reshape(-1)[p::2].copy() for p in (0, 1)]
+    # Where the neighbours of a band of one colour sit in the other colour's
+    # array, relative to the band: up, left, right and down.
+    half_row = (width - 1) // 2
+    offsets = ((-half_row - 1, -1, 0, half_row), (-half_row, 0, 1, half_row + 1))
+    # A colour array cut into rows of W holds a pair of padded rows in each,
+    # with its ring-column cells at one spot, or at two spots a < b with
+    # a + 2 (b - a) past the row's end.
+    pairs = [a.reshape(-1, width) for a in counts]
+    ring_flats = (*range(cols, width), *range(width + cols, 2 * width))
+    rings = []
+    for p in (0, 1):
+        spots = [(f - p) // 2 for f in ring_flats if f % 2 == p]
+        rings.append(spots[0] if len(spots) == 1 else slice(spots[0], None, spots[1] - spots[0]))
+
+    def first(f: int, p: int) -> int:
+        """The index in colour p's array of its first cell at flat index f
+        or after."""
+        return (f - p + 1) // 2
+
+    def unstable_rows(p: int, t0: int, t1: int) -> list[int]:
+        """The first and last grid row, among rows t0 to t1 - 1, of the
+        unstable cells of colour p; empty when there are none."""
+        k0, k1 = first((t0 + 1) * width, p), first((t1 + 1) * width, p)
+        unstable = counts[p][k0:k1] >= degrees[p][k0:k1]
+        k = int(unstable.argmax())
+        if not unstable[k]:
+            return []
+        return [(2 * (k0 + i) + p) // width - 1 for i in (k, k1 - k0 - 1 - int(unstable[::-1].argmax()))]
+
+    def half_sweep_views(p: int, r0: int, r1: int):
+        """The arrays a half-sweep of colour p over grid rows r0 to r1 - 1
+        reads and writes."""
+        q = 1 - p
+        k0, k1 = first((r0 + 1) * width, p), first((r1 + 1) * width, p)
+        band, topple = counts[p][k0:k1], buf[: k1 - k0]
+        neighbours = [counts[q][k0 + o : k1 + o] for o in offsets[p]]
+        # The ring-column cells those slices reach with nonzero topplings,
+        # in padded rows r0 to r1.
+        ring = pairs[q][r0 // 2 : r1 // 2 + 1, rings[q]]
+        degree_band = shed = None
+        edges = []
+        if not open_mode:
+            degree_band, shed = degrees[p][k0:k1], shed_buf[: k1 - k0]
+            # The band's cells of degree below 4, in disjoint slices: its
+            # first and last column, and the rest of the first and last
+            # grid row when the band holds them.
+            cuts = []
+            for col in {0, cols - 1}:
+                row = r0 + 1 + (r0 + 1 + col + p) % 2  # the band's first of colour p
+                start, stop = first(row * width + col, p), first(r1 * width + col + 1, p)
+                cuts.append(slice(start - k0, stop - k0, width))
+            for row in {1, rows}:
+                if r0 < row <= r1:
+                    cuts.append(slice(first(row * width + 1, p) - k0, first(row * width + cols - 1, p) - k0))
+            edges = [[a[cut] for a in (band, degree_band, topple)] for cut in cuts]
+            edges = [edge for edge in edges if edge[0].size]
+        return (band, topple, odos[p][k0:k1], degree_band, shed, *neighbours, ring, edges)
 
     def result() -> tuple[ChipConfig, Odometer]:
-        firings = odo[:, :-1]
+        # Flat entries alternate between the colours, colour 0 first.
+        final, firings = (
+            np.stack(halves, axis=1).reshape(height, width)[1 : rows + 1, :cols] for halves in (counts, odos)
+        )
         absorbed = c.absorbed
         if open_mode:
             # A cell sheds one chip per firing for each side on the boundary.
             sides = (firings[0], firings[-1], firings[:, 0], firings[:, -1])
             absorbed += sum(int(side.sum()) for side in sides)
-        return (
-            array_to_config(spec, padded[1:-1, :-1], absorbed),
-            Odometer(tuple(firings.reshape(-1).tolist())),
-        )
+        return array_to_config(spec, final, absorbed), Odometer(tuple(firings.reshape(-1).tolist()))
 
     chips = c.total()
     sweeps = 0
     exact = False
-    r0, r1 = 0, rows
+    band_rows = None
     while True:
         if sweeps % _WINDOW == 0:
-            # After the first step, only the band and the rows next to it
-            # can have changed.
-            t0, t1 = (0, rows) if sweeps == 0 else (max(r0 - 1, 0), min(r1 + 1, rows))
-            hit = np.flatnonzero((padded[t0 + 1 : t1 + 1] >= degree[t0:t1]).any(axis=1))
-            if not hit.size:
+            if sweeps == 0:
+                found = [unstable_rows(p, 0, rows) for p in (0, 1)]
+                colour = 1 if found[1] else 0  # cell (0, 0), at the odd flat index W, has colour 1
+                found = found[0] + found[1]
+            else:
+                found = unstable_rows(colour, max(r0 - 1, 0), min(r1 + 1, rows))
+            if not found:
                 break
-            # A sweep fires at most once per chip.
+            # A half-sweep fires at most once per chip.
             if not exact and (sweeps + _WINDOW) * chips > budget:
-                fired = int(odo.sum())
+                fired = int(odos[0].sum()) + int(odos[1].sum())
                 exact = fired + _WINDOW * chips > budget
-            r0 = max(t0 + int(hit[0]) - _WINDOW, 0)
-            r1 = min(t0 + int(hit[-1]) + 1 + _WINDOW, rows)
-            lo, hi = (r0 + 1) * width, (r1 + 1) * width
-            band = flat[lo:hi]
-            up, down = flat[lo - width : hi - width], flat[lo + width : hi + width]
-            left, right = flat[lo - 1 : hi - 1], flat[lo + 1 : hi + 1]
-            # The ring column cells those slices reach with nonzero topplings.
-            ring = padded[r0 : r1 + 1, -1]
-            odo_band = odo.reshape(-1)[r0 * width : r1 * width]
-            degree_band = degree.reshape(-1)[r0 * width : r1 * width]
-            topple, shed = buf[: hi - lo], shed_buf[: hi - lo]
-            edges = []
-            if not open_mode:
-                # The band's cells of degree below 4, in disjoint slices: its
-                # first and last column, and the rest of the first and last
-                # grid row when the band holds them.
-                grids = [a.reshape(-1, width) for a in (band, degree_band, topple)]
-                edges = [[a[:, 0] for a in grids]]
-                if cols > 1:
-                    edges.append([a[:, cols - 1] for a in grids])
-                if r0 == 0:
-                    edges.append([a[0, 1 : cols - 1] for a in grids])
-                if r1 == rows and rows > 1:
-                    edges.append([a[-1, 1 : cols - 1] for a in grids])
+            # The band's ends are rounded out to multiples of half a window,
+            # so the band moves, and its views are made, less often.
+            step = _WINDOW // 2
+            r0 = max((min(found) - _WINDOW) // step * step, 0)
+            r1 = min(-(-(max(found) + 1 + _WINDOW) // step) * step, rows)
+            if (r0, r1) != band_rows:
+                band_rows = (r0, r1)
+                views = [half_sweep_views(p, r0, r1) for p in (0, 1)]
 
+        band, topple, odo_band, degree_band, shed, up, left, right, down, ring, edges = views[colour]
         right_shift(band, two, out=topple)
         for edge, edge_degree, edge_topple in edges:
             floor_divide(edge, edge_degree, out=edge_topple)
@@ -485,10 +562,11 @@ def stabilize_grid(
             subtract(band, multiply(topple, degree_band, out=shed), out=band)
         add(odo_band, topple, out=odo_band)
         add(up, topple, out=up)
-        add(down, topple, out=down)
         add(left, topple, out=left)
         add(right, topple, out=right)
+        add(down, topple, out=down)
         ring.fill(0)
+        colour ^= 1
         sweeps += 1
 
     return result()

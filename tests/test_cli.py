@@ -645,6 +645,19 @@ def test_malformed_chain_is_json_error(files, capsys, tmp_path, text):
     assert code == 3 and report["kind"] == "error"
 
 
+@pytest.mark.parametrize(
+    "places",
+    [["1,1,5", "1,1,-5"], ["1,1,-5", "1,1,5"], ["1,1,-2"], ["0,2,1", "1,1,-1", "1,1,3"]],
+    ids=["then-cancelled", "cancelled-after", "alone", "outweighed"],
+)
+def test_negative_place_chunk_is_refused(files, capsys, places):
+    # Chunks on one cell are summed, but a negative one is refused even when
+    # the others on its cell outweigh it.
+    argv = ["sandpile", "grid", "3", "3", "--mode", "open"] + [f"--place={p}" for p in places]
+    code, report = invoke_json(capsys, argv)
+    assert code == 3 and report == {"kind": "error", "message": "negative placement"}
+
+
 def test_grid_placement_beyond_int64(files, capsys):
     chips = 2**63
     code, report = invoke_json(
@@ -895,7 +908,24 @@ PLACES = st.one_of(
     ).map(lambda t: ",".join(map(str, t))),
     st.text(alphabet="0123456789,- ab", max_size=10),
 )
+# A chunk and its negation on one cell, which must not cancel out.
+CANCELLING_PLACES = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 64)).map(
+    lambda t: [f"{t[0]},{t[1]},{t[2]}", f"{t[0]},{t[1]},{-t[2]}"]
+)
 MODES = st.sampled_from(("closed", "open", "torus"))
+
+
+def has_negative_chunk(argv: list[str]) -> bool:
+    """Whether a well-formed ``--place=row,col,chips`` of argv has chips < 0."""
+    for arg in argv:
+        if arg.startswith("--place="):
+            try:
+                values = [int(part) for part in arg[len("--place=") :].split(",")]
+            except ValueError:
+                continue
+            if len(values) == 3 and values[2] < 0:
+                return True
+    return False
 
 
 # Matrix entries stay at most 9 or at least 2^63: mid-size entries send the
@@ -1133,6 +1163,7 @@ def cli_case(draw) -> tuple[list[str], dict[str, str]]:
         return argv + ["--presentation", draw(st.sampled_from(("unweighted", "weighted", "sandpile")))], files
     if kind == "grid":
         places = draw(st.lists(PLACES, max_size=3))
+        places = draw(st.permutations(places + draw(st.one_of(st.just([]), CANCELLING_PLACES))))
         # A small budget keeps piles that never settle from running long.
         argv = (
             ["sandpile", "grid", draw(GRID_SIDES), draw(GRID_SIDES), "--mode", draw(MODES)]
@@ -1168,6 +1199,9 @@ def test_cli_contract(cli_workdir, case):
         os.chdir(old)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+    # A pile that was stabilized, or ran out of budget, had no negative chunk.
+    if code in (0, 1):
+        assert not has_negative_chunk(argv)
     if code == 3:
         report = json.loads(out)
         SCHEMA_VALIDATOR.validate(report)

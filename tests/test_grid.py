@@ -115,7 +115,7 @@ def test_fast_grid_matches_generic():
         fast, gen = results
         if isinstance(fast, BudgetExceededError) or isinstance(gen, BudgetExceededError):
             # The schedulers stop at different points (the grid before the
-            # sweep that would overrun, the generic one at the budget), so
+            # half-sweep that would overrun, the generic one at the budget), so
             # only the failure itself and chip conservation are shared.
             assert isinstance(fast, BudgetExceededError) and isinstance(gen, BudgetExceededError)
             for err in (fast, gen):
@@ -199,7 +199,9 @@ def test_closed_grid_budget_guard():
 def test_budget_failure_rules_of_both_stabilizers(budget):
     # 12 chips in the centre of a closed 3x3 grid (12 edges) never settle.
     # The generic stabilizer stops at exactly the budget; the grid stabilizer
-    # keeps the state after the last whole sweep that fits in it.
+    # keeps the state after the last whole half-sweep that fits in it.  The
+    # start's only unstable cell is the centre, so at each cut the unstable
+    # cells all have the colour of the next half-sweep.
     spec = GridSpec(3, 3, "closed")
     g = make_grid(spec)
     c = grid_config(spec, {(1, 1): 12})
@@ -209,8 +211,8 @@ def test_budget_failure_rules_of_both_stabilizers(budget):
         stabilize_grid(spec, c, budget=budget)
     assert generic.value.fired == budget == generic.value.odometer.total()
     partial = grid.value.config
-    next_sweep = sum(n // g.outdegree(v) for v, n in partial.to_mapping(g).items())
-    assert grid.value.fired == grid.value.odometer.total() <= budget < grid.value.fired + next_sweep
+    next_half_sweep = sum(n // g.outdegree(v) for v, n in partial.to_mapping(g).items())
+    assert grid.value.fired == grid.value.odometer.total() <= budget < grid.value.fired + next_half_sweep
     for err in (generic.value, grid.value):
         assert err.config.total() + err.config.absorbed == 12
 
@@ -484,7 +486,7 @@ def test_int16_edge_matches_generic(m):
     "spec, placements, budget",
     [
         (GridSpec(21, 21, "open"), {(10, 10): 2000}, 5000),
-        # A budget above 8 sweeps' worth of chips: totals are skipped at first.
+        # A budget above a window's worth of chips: totals are skipped at first.
         (GridSpec(21, 21, "open"), {(10, 10): 2000}, 40000),
         (GridSpec(21, 17, "open"), {(2, 3): 3000, (18, 14): 800}, 12345),
         (GridSpec(5, 5, "open"), {(2, 2): 2**70}, 10**6),
@@ -500,24 +502,181 @@ def test_budget_failure_partial_state_obeys_odometer(spec, placements, budget):
     start = grid_config(spec, placements)
     with pytest.raises(BudgetExceededError) as err:
         stabilize_grid(spec, start, budget=budget)
-    partial, odometer, fired = err.value.config, err.value.odometer, err.value.fired
-    assert fired == odometer.total() <= budget
-    odo = np.array(odometer.firings, dtype=object).reshape(spec.rows, spec.cols)
+    assert_partial_state_obeys_odometer(spec, start, budget, err.value)
+    assert budget < err.value.fired + next_half_sweep_firings(spec, err.value.config)
+
+
+def grid_thresholds(spec):
+    """(degree, threshold) arrays of the grid's cells as exact integers: the
+    grid degree, and the firing threshold, which is 4 on an open grid."""
     degree = np.full((spec.rows, spec.cols), 4, dtype=object)
     degree[0, :] -= 1
     degree[-1, :] -= 1
     degree[:, 0] -= 1
     degree[:, -1] -= 1
-    thresh = degree if spec.mode == "closed" else np.full_like(degree, 4)
-    inflow = np.zeros_like(odo)
-    inflow[:-1, :] += odo[1:, :]
-    inflow[1:, :] += odo[:-1, :]
-    inflow[:, :-1] += odo[:, 1:]
-    inflow[:, 1:] += odo[:, :-1]
-    expected = config_to_array(spec, start, object) - thresh * odo + inflow
+    return degree, degree if spec.mode == "closed" else np.full_like(degree, 4)
+
+
+def neighbour_sum(a):
+    """Each cell's sum of ``a`` over its grid neighbours."""
+    total = np.zeros_like(a)
+    total[:-1, :] += a[1:, :]
+    total[1:, :] += a[:-1, :]
+    total[:, :-1] += a[:, 1:]
+    total[:, 1:] += a[:, :-1]
+    return total
+
+
+def assert_partial_state_obeys_odometer(spec, start, budget, err):
+    """The partial state of a budget failure is the start fired by its
+    odometer, which holds ``fired`` firings, at most the budget."""
+    partial, odometer, fired = err.config, err.odometer, err.fired
+    assert fired == odometer.total() <= budget
+    odo = np.array(odometer.firings, dtype=object).reshape(spec.rows, spec.cols)
+    degree, thresh = grid_thresholds(spec)
+    expected = config_to_array(spec, start, object) - thresh * odo + neighbour_sum(odo)
     assert (config_to_array(spec, partial, object) == expected).all()
     shed = int(((thresh - degree) * odo).sum())
     assert partial.absorbed == start.absorbed + shed
+
+
+def colour_unstable(spec, counts, colour):
+    """Whether a cell of ``colour`` (the parity of row + column) is unstable."""
+    _, thresh = grid_thresholds(spec)
+    rows, cols = np.indices(counts.shape)
+    return bool(((counts >= thresh) & ((rows + cols) % 2 == colour)).any())
+
+
+def next_half_sweep_firings(spec, partial):
+    """The firings of the half-sweep after a budget cut at ``partial``.  The
+    first half-sweep has the colour of cell (0, 0) when that colour holds
+    unstable cells, and after any half-sweep only the other colour holds
+    them, so the next half-sweep has cell (0, 0)'s colour, 0, if that colour
+    holds unstable cells, and colour 1 if not."""
+    counts = config_to_array(spec, partial, object)
+    _, thresh = grid_thresholds(spec)
+    colour = 0 if colour_unstable(spec, counts, 0) else 1
+    rows, cols = np.indices(counts.shape)
+    return int((counts // thresh)[(rows + cols) % 2 == colour].sum())
+
+
+def jacobi_reference(spec, start, budget):
+    """Whole-grid Jacobi sweeps, each toppling every unstable cell
+    floor(count / threshold) times at once, stopped before the sweep that
+    would pass the budget: (counts, odometer, fired) of the cut, or None
+    when the pile stabilizes within the budget."""
+    counts = config_to_array(spec, start, object)
+    _, thresh = grid_thresholds(spec)
+    odo = np.zeros_like(counts)
+    fired = 0
+    while True:
+        topple = counts // thresh
+        total = int(topple.sum())
+        if total == 0:
+            return None
+        if fired + total > budget:
+            return counts, odo, fired
+        counts = counts - thresh * topple + neighbour_sum(topple)
+        odo = odo + topple
+        fired += total
+
+
+@st.composite
+def budget_cut_piles(draw):
+    """A grid up to 12x12 (not a lone sink), a pile of up to 4 drops, at
+    times on cells of one colour only, and a budget that often cuts the run
+    short."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    spec = GridSpec(rows, cols, "open" if rows * cols == 1 else draw(st.sampled_from(("open", "closed"))))
+    cells = [(r, c) for r in range(spec.rows) for c in range(spec.cols)]
+    if draw(st.booleans()):
+        colour = draw(st.integers(0, 1))
+        cells = [cell for cell in cells if sum(cell) % 2 == colour] or cells
+    placements: dict[tuple[int, int], int] = {}
+    for _ in range(draw(st.integers(1, 4))):
+        cell = draw(st.sampled_from(cells))
+        placements[cell] = placements.get(cell, 0) + draw(st.integers(0, 600))
+    return spec, placements, draw(st.integers(0, 3000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pile=budget_cut_piles())
+def test_half_sweep_budget_rule(pile):
+    # A cut keeps the state after the last whole half-sweep that fits in the
+    # budget.  When the start's unstable cells all have one colour, whole-grid
+    # Jacobi sweeps topple one colour at a time, alternately, so the cut is
+    # also the one Jacobi sweeps give.
+    spec, placements, budget = pile
+    start = grid_config(spec, placements)
+    try:
+        stabilize_grid(spec, start, budget=budget)
+    except BudgetExceededError as err:
+        assert_partial_state_obeys_odometer(spec, start, budget, err)
+        assert budget < err.fired + next_half_sweep_firings(spec, err.config)
+        counts = config_to_array(spec, start, object)
+        if not (colour_unstable(spec, counts, 0) and colour_unstable(spec, counts, 1)):
+            jacobi_counts, jacobi_odo, jacobi_fired = jacobi_reference(spec, start, budget)
+            assert err.fired == jacobi_fired
+            assert err.config.counts == tuple(jacobi_counts.reshape(-1).tolist())
+            assert err.odometer.firings == tuple(jacobi_odo.reshape(-1).tolist())
+    else:
+        assert jacobi_reference(spec, start, budget) is None
+
+
+def grid_outcome(spec, placements, budget):
+    """(stabilized, counts, absorbed, odometer, fired) of ``stabilize_grid``,
+    counts and odometer as rows x cols arrays, the partial state when the
+    budget runs out."""
+    start = grid_config(spec, placements)
+    try:
+        config, odometer = stabilize_grid(spec, start, budget=budget)
+        stabilized, fired = True, odometer.total()
+    except BudgetExceededError as err:
+        config, odometer, stabilized, fired = err.config, err.odometer, False, err.fired
+    odo = np.array(odometer.firings, dtype=object).reshape(spec.rows, spec.cols)
+    return stabilized, config_to_array(spec, config, object), config.absorbed, odo, fired
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    mode=st.sampled_from(("open", "closed")),
+    drops=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39), st.integers(0, 700)), min_size=1, max_size=4),
+    budget=st.integers(0, 20000),
+)
+def test_transposed_pile_gives_transposed_result(rows, cols, mode, drops, budget):
+    # Odd and even widths give the one- and two-ring-column layouts, and a
+    # transpose swaps them.  Transposing keeps each cell's colour, so even a
+    # budget cut transposes.
+    if mode == "closed" and rows * cols == 1:
+        return
+    placements: dict[tuple[int, int], int] = {}
+    for r, c, n in drops:
+        placements[(r % rows, c % cols)] = placements.get((r % rows, c % cols), 0) + n
+    transposed = {(c, r): n for (r, c), n in placements.items()}
+    stabilized, counts, absorbed, odo, fired = grid_outcome(GridSpec(rows, cols, mode), placements, budget)
+    t_stabilized, t_counts, t_absorbed, t_odo, t_fired = grid_outcome(GridSpec(cols, rows, mode), transposed, budget)
+    assert (stabilized, absorbed, fired) == (t_stabilized, t_absorbed, t_fired)
+    assert (counts.T == t_counts).all() and (odo.T == t_odo).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half=st.integers(0, 19),
+    mode=st.sampled_from(("open", "closed")),
+    chips=st.integers(0, 3000),
+    budget=st.sampled_from((10**5, 5000, 777)),
+)
+def test_centred_drop_has_the_squares_symmetries(half, mode, chips, budget):
+    # The dihedral group of the square is generated by the transpose and a
+    # reflection; both must fix the counts and the odometer, cut or not.
+    side = 2 * half + 1
+    if mode == "closed" and side == 1:
+        return
+    _, counts, _, odo, _ = grid_outcome(GridSpec(side, side, mode), {(half, half): chips}, budget)
+    for a in (counts, odo):
+        assert (a == a.T).all() and (a == a[::-1]).all()
 
 
 def pile_digest(spec, placements):
@@ -580,14 +739,20 @@ def failure_digest(spec, placements, budget):
     [
         (GridSpec(21, 21, "open"), {(10, 10): 2000}, 5000, "e3796af7bc4d12345280fe3449e0468d8eb02a8355eb86eceecf5dad374a64af"),
         (GridSpec(21, 21, "open"), {(10, 10): 2000}, 40000, "ab3f815cea9ab1c61193f72d42079e6633b5808a1a19129151062cb3e854b7ad"),
+        # Both drops start unstable and have different colours, so the cut
+        # is a state of half-sweeps that Jacobi sweeps, which topple both
+        # drops at once, never reach.
         (
             GridSpec(21, 17, "open"),
             {(2, 3): 3000, (18, 14): 800},
             12345,
-            "e66036425a3b5562ef55e5b06882f2cb350d1ecb08b33cf09628f0f840e4c303",
+            "4c42ba6f72d1cad7268290a0868aa3be45877dcc7724b82f61358d72f768d0b5",
         ),
         (GridSpec(5, 5, "open"), {(2, 2): 2**70}, 10**6, "ca1dcf7f183c7c552a386115171460585dd783d7a9554c73a8e185264fde2217"),
         (GridSpec(6, 6, "closed"), {(1, 1): 80}, 1000, "b1a0354e4bffb263c7c6e4cec989cb26089e42e9a35950f89a89b083f3431146"),
+        # Both drops start unstable and have different colours, but the first
+        # half-sweep, of cell (0, 0)'s colour, which (1, 1) has, already
+        # passes the budget: the cut is the start, as under Jacobi sweeps.
         (
             GridSpec(4, 5, "closed"),
             {(1, 1): 2**40, (3, 4): 7},
@@ -606,7 +771,9 @@ def failure_digest(spec, placements, budget):
 )
 def test_budget_failure_is_pinned(spec, placements, budget, digest):
     # The partial configuration, odometer and firings of each failure as the
-    # floor(count / threshold) sweeps gave, closed edge cells included.
+    # floor(count / threshold) sweeps gave, closed edge cells included; all
+    # but the 21x17 pile start with unstable cells of one colour, or are cut
+    # before their first half-sweep, so half-sweeps keep those cuts.
     assert failure_digest(spec, placements, budget) == digest
 
 
