@@ -7,7 +7,7 @@ from .errors import Frozen, ParseError
 
 
 class Bounds(Frozen):
-    FIELDS = (
+    __slots__ = (
         "search_depth",  # SSE search only; named so that bounds files keep parsing
         "max_elements",
         "max_power",
@@ -17,7 +17,6 @@ class Bounds(Frozen):
         "coeff_bound",
         "node_budget",
     )
-    __slots__ = FIELDS
 
     def __init__(
         self,
@@ -34,26 +33,15 @@ class Bounds(Frozen):
             search_depth, max_elements, max_power, firing_budget,
             max_inner_dim, max_lag, coeff_bound, node_budget,
         )
-        for name, value in zip(self.FIELDS, values):
+        for name, value in zip(self._fields, values):
             if value < 0:
                 raise ParseError(f"bound {name!r} must be nonnegative")
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in self.FIELDS)
+        super().__init__(*values)
 
     def replace(self, **changes: int) -> "Bounds":
         """These bounds with the named fields changed, checked as in
         ``__init__``."""
-        return Bounds(**dict(zip(self.FIELDS, self._values()), **changes))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
+        return Bounds(**{name: getattr(self, name) for name in self._fields} | changes)
 
 
 DEFAULT_BOUNDS = Bounds()
@@ -69,7 +57,7 @@ def parse_bounds(text: str, base: Bounds = DEFAULT_BOUNDS) -> Bounds:
             raise ParseError("config line must be 'key = value'", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in Bounds.FIELDS:
+        if key not in Bounds._fields:
             raise ParseError(f"unknown bound {key!r}", line=lineno)
         try:
             parsed = int(value)

@@ -18,7 +18,7 @@ from .matrix import IntMatrix, vec_mat_mul
 
 if TYPE_CHECKING:
     from .graph import Graph
-    from .monoid import MonoidPresentation, Vector
+    from .monoid import Vector
 
 
 POSITIVE = "positive"
@@ -46,17 +46,7 @@ class DimElement(Frozen):
             raise ShapeError("stage matrix must be nonnegative")
         if len(vec) != matrix.rows:
             raise ShapeError(f"vector length {len(vec)} does not match matrix size {matrix.rows}")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "stage", stage)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.matrix, self.vec, self.stage) == (other.matrix, other.vec, other.stage)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.matrix, self.vec, self.stage))
+        super().__init__(matrix, vec, stage)
 
 
 def _require_same_matrix(x: DimElement, y: DimElement):
@@ -182,21 +172,6 @@ class TalentedWindow(Frozen):
     """
 
     __slots__ = ("graph", "radius", "presentation")
-
-    def __init__(self, graph: Graph, radius: int, presentation: MonoidPresentation):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "presentation", presentation)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.graph, self.radius, self.presentation) == (
-                other.graph, other.radius, other.presentation
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.graph, self.radius, self.presentation))
 
     def stage_count(self) -> int:
         return 2 * self.radius + 1

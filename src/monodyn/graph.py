@@ -33,19 +33,7 @@ class Graph(Frozen):
         edges: tuple[tuple[str, str, int], ...],
         weights: tuple[int, ...] | None = None,
     ):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "weights", weights)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.vertices, self.edges, self.weights) == (
-                other.vertices, other.edges, other.weights
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges, self.weights))
+        super().__init__(vertices, edges, weights)
 
     @staticmethod
     def build(
@@ -175,38 +163,6 @@ class StructureReport(Frozen):
         "sinks", "strongly_connected", "scc_partition", "sandpile", "sink_name",
         "outdegrees", "indegrees",
     )
-
-    def __init__(
-        self,
-        sinks: tuple[str, ...],
-        strongly_connected: bool,
-        scc_partition: tuple[tuple[str, ...], ...],
-        sandpile: bool,
-        sink_name: str | None,
-        outdegrees: tuple[int, ...],
-        indegrees: tuple[int, ...],
-    ):
-        object.__setattr__(self, "sinks", sinks)
-        object.__setattr__(self, "strongly_connected", strongly_connected)
-        object.__setattr__(self, "scc_partition", scc_partition)
-        object.__setattr__(self, "sandpile", sandpile)
-        object.__setattr__(self, "sink_name", sink_name)
-        object.__setattr__(self, "outdegrees", outdegrees)
-        object.__setattr__(self, "indegrees", indegrees)
-
-    def _values(self) -> tuple:
-        return (
-            self.sinks, self.strongly_connected, self.scc_partition, self.sandpile,
-            self.sink_name, self.outdegrees, self.indegrees,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
 
 def parse_graph(text: str) -> Graph:

@@ -101,17 +101,7 @@ class GridSpec(Frozen):
             )
         if mode not in (CLOSED, OPEN):
             raise ParseError(f"grid mode must be 'closed' or 'open', got {mode!r}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "mode", mode)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.mode) == (other.rows, other.cols, other.mode)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.mode))
+        super().__init__(rows, cols, mode)
 
     def cell_name(self, r: int, c: int) -> str:
         return f"r{r}c{c}"
@@ -583,15 +573,7 @@ class Palette(Frozen):
         for rgb in colors:
             if len(rgb) != 3 or any(not (0 <= ch <= 255) for ch in rgb):
                 raise ParseError("palette channels must be in 0..255")
-        object.__setattr__(self, "colors", colors)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.colors == other.colors
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.colors,))
+        super().__init__(colors)
 
 
 DEFAULT_PALETTE = Palette(((0, 0, 255), (0, 255, 255), (255, 255, 0), (139, 69, 19)))

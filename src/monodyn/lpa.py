@@ -45,30 +45,14 @@ class SimplicityVerdict(Frozen):
         witness_target: tuple[str, ...] | None = None,  # unreached sink or cycle component
         witness_cycle: tuple[str, ...] | None = None,
     ):
-        object.__setattr__(self, "simple", simple)
-        object.__setattr__(self, "failure", failure)
-        object.__setattr__(self, "witness_vertex", witness_vertex)
-        object.__setattr__(self, "witness_target", witness_target)
-        object.__setattr__(self, "witness_cycle", witness_cycle)
-
-    def _values(self) -> tuple:
-        return (
-            self.simple, self.failure, self.witness_vertex, self.witness_target, self.witness_cycle
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
+        super().__init__(simple, failure, witness_vertex, witness_target, witness_cycle)
 
 
 class CompareVerdict(Frozen):
     __slots__ = (
         "kind", "detail", "generator_images", "se_witness", "invariants", "bounds", "stopped_by",
     )
+    __hash__ = None  # ``bounds`` may be a dict
 
     def __init__(
         self,
@@ -80,27 +64,7 @@ class CompareVerdict(Frozen):
         bounds: dict | None = None,
         stopped_by: str | None = None,  # why an enumeration stopped, for unknown
     ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "generator_images", generator_images)
-        object.__setattr__(self, "se_witness", se_witness)
-        object.__setattr__(self, "invariants", invariants)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "stopped_by", stopped_by)
-
-    def _values(self) -> tuple:
-        return (
-            self.kind, self.detail, self.generator_images, self.se_witness,
-            self.invariants, self.bounds, self.stopped_by,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
+        super().__init__(kind, detail, generator_images, se_witness, invariants, bounds, stopped_by)
 
 
 # Stand-ins for the graph code: the first call imports it and rebinds the

@@ -32,17 +32,7 @@ class IntMatrix(Frozen):
             raise ShapeError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        super().__init__(rows, cols, entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":

@@ -74,16 +74,7 @@ class MonoidPresentation(Frozen):
                 raise ParseError("relation equates a vector with itself")
             if any(x < 0 for x in lhs + rhs):
                 raise ParseError("relation vectors must be nonnegative")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.generators, self.relations) == (other.generators, other.relations)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.generators, self.relations))
+        super().__init__(generators, relations)
 
     def validate_element(self, vec: Sequence[int]) -> Vector:
         if len(vec) != len(self.generators):
@@ -104,19 +95,7 @@ class WordEquality(Frozen):
         path: tuple[Vector, ...] | None = None,
         stopped_by: str | None = None,  # "node_budget" exactly when unknown
     ):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "stopped_by", stopped_by)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.verdict, self.path, self.stopped_by) == (
-                other.verdict, other.path, other.stopped_by
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.verdict, self.path, self.stopped_by))
+        super().__init__(verdict, path, stopped_by)
 
 
 class MonoidTable(Frozen):
@@ -128,31 +107,6 @@ class MonoidTable(Frozen):
     """
 
     __slots__ = ("generators", "elements", "add", "identity", "generator_classes")
-
-    def __init__(
-        self,
-        generators: tuple[str, ...],
-        elements: tuple[Vector, ...],
-        add: tuple[tuple[int, ...], ...],
-        identity: int,
-        generator_classes: tuple[int, ...],
-    ):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "add", add)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "generator_classes", generator_classes)
-
-    def _values(self) -> tuple:
-        return self.generators, self.elements, self.add, self.identity, self.generator_classes
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     @staticmethod
     def from_generator_action(

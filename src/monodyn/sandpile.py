@@ -35,20 +35,12 @@ class ChipConfig(Frozen):
     """
 
     __slots__ = ("counts", "absorbed")
+    _not_in_key = ("absorbed",)
 
     def __init__(self, counts: tuple[int, ...], absorbed: int = 0):
         if counts and min(counts) < 0:
             raise FiringError("negative chip count")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "absorbed", absorbed)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.counts == other.counts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.counts,))
+        super().__init__(counts, absorbed)
 
     @staticmethod
     def from_mapping(g: Graph, counts: Mapping[str, int], absorbed: int = 0) -> "ChipConfig":
@@ -78,17 +70,6 @@ class Odometer(Frozen):
     """Per-vertex firing counts over the non-sink vertices."""
 
     __slots__ = ("firings",)
-
-    def __init__(self, firings: tuple[int, ...]):
-        object.__setattr__(self, "firings", firings)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.firings == other.firings
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.firings,))
 
     def to_mapping(self, g: Graph) -> dict[str, int]:
         return dict(zip(g.nonsink_vertices, self.firings))

@@ -48,36 +48,11 @@ class ESWitness(Frozen):
 
     __slots__ = ("r", "s")
 
-    def __init__(self, r: IntMatrix, s: IntMatrix):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.r, self.s) == (other.r, other.s)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.r, self.s))
-
 
 class SEWitness(Frozen):
     """Lag-l witness: A^l = R S, B^l = S R, A R = R B, S A = B S."""
 
     __slots__ = ("r", "s", "lag")
-
-    def __init__(self, r: IntMatrix, s: IntMatrix, lag: int):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "lag", lag)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.r, self.s, self.lag) == (other.r, other.s, other.lag)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.r, self.s, self.lag))
 
 
 class SSEChain(Frozen):
@@ -88,16 +63,7 @@ class SSEChain(Frozen):
     def __init__(self, matrices: tuple[IntMatrix, ...], witnesses: tuple[ESWitness, ...]):
         if len(matrices) != len(witnesses) + 1:
             raise ShapeError("chain needs exactly one witness per link")
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "witnesses", witnesses)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.matrices, self.witnesses) == (other.matrices, other.witnesses)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.matrices, self.witnesses))
+        super().__init__(matrices, witnesses)
 
     @property
     def length(self) -> int:
@@ -109,16 +75,6 @@ class SearchExhausted(Frozen):
     with the invariants report the search checked first."""
 
     __slots__ = ("bounds", "invariants")
-
-    def __init__(self, bounds: dict[str, int], invariants: "InvariantReport"):
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "invariants", invariants)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.bounds, self.invariants) == (other.bounds, other.invariants)
-        return NotImplemented
-
     __hash__ = None  # ``bounds`` is a dict
 
     @property
@@ -137,38 +93,6 @@ class InvariantReport(Frozen):
         "charpoly_core_b",
         "verdict",  # "obstruction" | "no_obstruction"
     )
-
-    def __init__(
-        self,
-        bf_factors_a: tuple[int, ...],
-        bf_free_rank_a: int,
-        bf_factors_b: tuple[int, ...],
-        bf_free_rank_b: int,
-        charpoly_core_a: tuple[int, ...],
-        charpoly_core_b: tuple[int, ...],
-        verdict: str,
-    ):
-        object.__setattr__(self, "bf_factors_a", bf_factors_a)
-        object.__setattr__(self, "bf_free_rank_a", bf_free_rank_a)
-        object.__setattr__(self, "bf_factors_b", bf_factors_b)
-        object.__setattr__(self, "bf_free_rank_b", bf_free_rank_b)
-        object.__setattr__(self, "charpoly_core_a", charpoly_core_a)
-        object.__setattr__(self, "charpoly_core_b", charpoly_core_b)
-        object.__setattr__(self, "verdict", verdict)
-
-    def _values(self) -> tuple:
-        return (
-            self.bf_factors_a, self.bf_free_rank_a, self.bf_factors_b, self.bf_free_rank_b,
-            self.charpoly_core_a, self.charpoly_core_b, self.verdict,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
 
 def _check_nonneg(*ms: IntMatrix):

@@ -1,16 +1,19 @@
 """Semantics shared by the package's value classes: equality and hashing
-over their fields, immutability after construction, the repr, and each
-constructor's validation errors."""
+over their fields, immutability after construction, the repr, the field
+setting of the shared constructor and each constructor's validation errors."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 import weakref
 
 import pytest
 
 from monodyn.config import DEFAULT_BOUNDS, Bounds, parse_bounds
 from monodyn.dimension import DimElement, TalentedWindow
-from monodyn.errors import FiringError, ParseError, ShapeError
+import monodyn
+from monodyn.errors import FiringError, Frozen, ParseError, ShapeError
 from monodyn.graph import Graph, StructureReport
 from monodyn.grid import MAX_GRID_CELLS, GridSpec, Palette
 from monodyn.lpa import CompareVerdict, SimplicityVerdict
@@ -49,7 +52,7 @@ VALUES = [
     (SimplicityVerdict, dict(simple=False, failure="cofinality", witness_vertex="u",
                              witness_target=("s",), witness_cycle=None), "witness_vertex", "s"),
     (CompareVerdict, dict(kind="unknown", detail="d", generator_images=(1,), se_witness=None,
-                          invariants=None, bounds=None, stopped_by="node_budget"), "detail", "e"),
+                          invariants=None, bounds={"max_elements": 2}, stopped_by="node_budget"), "detail", "e"),
     (ESWitness, dict(r=M1, s=M1), "s", IntMatrix(1, 1, (3,))),
     (SEWitness, dict(r=M1, s=M1, lag=2), "lag", 3),
     (SSEChain, dict(matrices=(M1, M1), witnesses=(ESWitness(M1, IntMatrix(1, 1, (1,))),)),
@@ -60,21 +63,37 @@ VALUES = [
      "verdict", "obstruction"),
 ]
 IDS = [cls.__name__ for cls, *_ in VALUES]
+# The classes whose fields are set by Frozen.__init__ alone.
+GENERIC = [row for row in VALUES if "__init__" not in vars(row[0])]
+UNHASHABLE = (SearchExhausted, CompareVerdict)  # they carry a dict
 
 
 def test_every_value_class_is_listed():
-    assert len(VALUES) == len(set(IDS)) == 20
+    for info in pkgutil.walk_packages(monodyn.__path__, "monodyn."):
+        importlib.import_module(info.name)
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("monodyn.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    assert len(VALUES) == len(set(IDS)) and {cls for cls, *_ in VALUES} == found
+    assert sorted(cls.__name__ for cls, *_ in GENERIC) == [
+        "ESWitness", "InvariantReport", "MonoidTable", "Odometer", "SEWitness", "SearchExhausted",
+        "StructureReport", "TalentedWindow",
+    ]
 
 
 @pytest.mark.parametrize("cls, fields, changed, value", VALUES, ids=IDS)
 def test_equality_hash_and_repr(cls, fields, changed, value):
+    assert cls._fields == tuple(fields)
     a = cls(**fields)
     b = cls(*fields.values())
     assert a == b and not a != b
     assert a != cls(**{**fields, changed: value})
     assert a != tuple(fields.values())  # another type never compares equal
     compared = tuple(v for name, v in fields.items() if not (cls is ChipConfig and name == "absorbed"))
-    if cls is SearchExhausted:
+    if cls in UNHASHABLE:
         assert cls.__hash__ is None
         with pytest.raises(TypeError, match="unhashable"):
             hash(a)
@@ -86,6 +105,43 @@ def test_equality_hash_and_repr(cls, fields, changed, value):
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(twin) is cls and twin == a and repr(twin) == repr(a)
     assert repr(a) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+
+
+@pytest.mark.parametrize("cls, fields, changed, value", GENERIC, ids=[cls.__name__ for cls, *_ in GENERIC])
+def test_shared_constructor_rejects_bad_fields(cls, fields, changed, value):
+    name, values, first = cls.__name__, tuple(fields.values()), next(iter(fields))
+    assert cls(*values[:1], **dict(list(fields.items())[1:])) == cls(*values)
+    for args, named, message in [
+        (values[:-1], {}, f"{name}() missing fields {list(fields)[-1]!r}"),
+        ((), {}, f"{name}() missing fields {', '.join(map(repr, fields))}"),
+        ((), dict(list(fields.items())[:-1]), f"{name}() missing fields {list(fields)[-1]!r}"),
+        (values, {"other": value}, f"{name}() got an unexpected field 'other'"),
+        (values, {first: value}, f"{name}() got multiple values for field {first!r}"),
+        ((*values, value), {}, f"{name}() takes {len(values)} fields but {len(values) + 1} were given"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            cls(*args, **named)
+        assert str(info.value) == message
+
+
+def test_a_class_keeps_the_equality_and_hash_it_defines():
+    class ByFirst(Frozen):
+        __slots__ = ("x", "y")
+
+        def __eq__(self, other):
+            return isinstance(other, ByFirst) and self.x == other.x
+
+        def __hash__(self):
+            return 7
+
+    class OnlyEquality(Frozen):  # Python drops the hash of a class that defines __eq__
+        __slots__ = ("x",)
+
+        def __eq__(self, other):
+            return True
+
+    assert ByFirst(1, 2) == ByFirst(1, 3) and hash(ByFirst(1, 2)) == 7
+    assert OnlyEquality(1) == OnlyEquality(2) and OnlyEquality.__hash__ is None
 
 
 def test_chip_config_ignores_absorbed():
