@@ -23,12 +23,10 @@ def _cmd_lpa_simple(args, bounds, out):
 
 
 def _cmd_lpa_zorn(args, bounds, out):
-    from ..graph import every_cycle_has_exit
-
     g = load_graph(args.graph)
-    ok, cycle = every_cycle_has_exit(g)
-    out.report = {"kind": "zorn", "zorn": ok, "witness_cycle": list(cycle) if cycle else None}
-    out.code = 0 if ok else 1
+    cycle = g.exitless_cycle
+    out.report = {"kind": "zorn", "zorn": cycle is None, "witness_cycle": list(cycle) if cycle else None}
+    out.code = 0 if cycle is None else 1
 
 
 def _cmd_lpa_matrix_iso(args, bounds, out):

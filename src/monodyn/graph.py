@@ -93,9 +93,6 @@ class Graph(Frozen):
     def outdegree(self, v: str) -> int:
         return sum(m for _, m in self.out_adj[v])
 
-    def indegree(self, v: str) -> int:
-        return sum(m for src, dst, m in self.edges if dst == v)
-
     def is_sink(self, v: str) -> bool:
         return self.outdegree(v) == 0
 
@@ -156,6 +153,95 @@ class Graph(Frozen):
                     seen.add(dst)
                     stack.append(dst)
         return seen
+
+    @cached_property
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        """Strongly connected components by Tarjan's algorithm, iterative.
+        Components are listed by their smallest vertex index; vertices within
+        a component keep declaration order."""
+        index_of: dict[str, int] = {}
+        lowlink: dict[str, int] = {}
+        on_stack: set[str] = set()
+        stack: list[str] = []
+        counter = 0
+        components: list[list[str]] = []
+
+        for root in self.vertices:
+            if root in index_of:
+                continue
+            work = [(root, iter(self.out_adj[root]))]
+            index_of[root] = lowlink[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack.add(root)
+            while work:
+                v, it = work[-1]
+                advanced = False
+                for dst, _ in it:
+                    if dst not in index_of:
+                        index_of[dst] = lowlink[dst] = counter
+                        counter += 1
+                        stack.append(dst)
+                        on_stack.add(dst)
+                        work.append((dst, iter(self.out_adj[dst])))
+                        advanced = True
+                        break
+                    if dst in on_stack:
+                        lowlink[v] = min(lowlink[v], index_of[dst])
+                if advanced:
+                    continue
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index_of[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(comp)
+
+        idx = self.index
+        ordered = [tuple(sorted(c, key=idx.__getitem__)) for c in components]
+        ordered.sort(key=lambda c: idx[c[0]])
+        return tuple(ordered)
+
+    @cached_property
+    def cyclic_components(self) -> tuple[tuple[str, ...], ...]:
+        """The components holding a cycle: more than one vertex, or a loop."""
+        return tuple(
+            comp for comp in self.components
+            if len(comp) > 1 or any(dst == comp[0] for dst, _ in self.out_adj[comp[0]])
+        )
+
+    @cached_property
+    def exitless_cycle(self) -> tuple[str, ...] | None:
+        """The first exit-less cycle in declaration order, or None.  A cycle
+        is exit-less exactly when each of its vertices has total outdegree 1,
+        so it suffices to walk the functional subgraph of outdegree-1
+        vertices and look for cycles there."""
+        nxt = {}
+        for v in self.vertices:
+            if self.outdegree(v) == 1:
+                nxt[v] = self.out_adj[v][0][0]
+        color: dict[str, int] = {}  # 1 = on current walk, 2 = finished
+        for start in self.vertices:
+            if start not in nxt or color.get(start):
+                continue
+            path = []
+            v = start
+            while v in nxt and color.get(v, 0) == 0:
+                color[v] = 1
+                path.append(v)
+                v = nxt[v]
+            if v in nxt and color.get(v) == 1:
+                return tuple(path[path.index(v):])
+            for u in path:
+                color[u] = 2
+        return None
 
 
 class StructureReport(Frozen):
@@ -261,62 +347,11 @@ def graph_from_matrix(a: IntMatrix) -> Graph:
     return Graph.build(names, edges)
 
 
-def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
-    """Tarjan's algorithm, iterative.  Components are listed by their smallest
-    vertex index; vertices within a component keep declaration order."""
-    index_of: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = 0
-    components: list[list[str]] = []
-
-    for root in g.vertices:
-        if root in index_of:
-            continue
-        work = [(root, iter(g.out_adj[root]))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for dst, _ in it:
-                if dst not in index_of:
-                    index_of[dst] = lowlink[dst] = counter
-                    counter += 1
-                    stack.append(dst)
-                    on_stack.add(dst)
-                    work.append((dst, iter(g.out_adj[dst])))
-                    advanced = True
-                    break
-                if dst in on_stack:
-                    lowlink[v] = min(lowlink[v], index_of[dst])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-
-    idx = g.index
-    ordered = [tuple(sorted(c, key=idx.__getitem__)) for c in components]
-    ordered.sort(key=lambda c: idx[c[0]])
-    return tuple(ordered)
-
-
 def structure_report(g: Graph) -> StructureReport:
-    sccs = strongly_connected_components(g)
+    sccs = g.components
+    indegrees = dict.fromkeys(g.vertices, 0)
+    for _, dst, m in g.edges:
+        indegrees[dst] += m
     return StructureReport(
         sinks=g.sinks,
         strongly_connected=len(sccs) == 1,
@@ -324,32 +359,5 @@ def structure_report(g: Graph) -> StructureReport:
         sandpile=g.sandpile_sink is not None,
         sink_name=g.sandpile_sink,
         outdegrees=tuple(g.outdegree(v) for v in g.vertices),
-        indegrees=tuple(g.indegree(v) for v in g.vertices),
+        indegrees=tuple(indegrees.values()),
     )
-
-
-def every_cycle_has_exit(g: Graph) -> tuple[bool, tuple[str, ...] | None]:
-    """A cycle is exit-less exactly when each of its vertices has total
-    outdegree 1, so it suffices to walk the functional subgraph of
-    outdegree-1 vertices and look for cycles there.  Returns the first
-    exit-less cycle found (in declaration order) as the witness."""
-    nxt = {}
-    for v in g.vertices:
-        if g.outdegree(v) == 1:
-            nxt[v] = g.out_adj[v][0][0]
-    color: dict[str, int] = {}  # 1 = on current walk, 2 = finished
-    for start in g.vertices:
-        if start not in nxt or color.get(start):
-            continue
-        path = []
-        v = start
-        while v in nxt and color.get(v, 0) == 0:
-            color[v] = 1
-            path.append(v)
-            v = nxt[v]
-        if v in nxt and color.get(v) == 1:
-            cycle = tuple(path[path.index(v):])
-            return False, cycle
-        for u in path:
-            color[u] = 2
-    return True, None

@@ -1,11 +1,21 @@
 """Graph-combinatorial classifiers for Leavitt path algebras.
 
-``lpa_simple`` evaluates the two simplicity conditions on a finite graph:
-every vertex connects to every cycle and every sink, and every cycle has an
-exit.  ``lpa_zorn`` is the cycle-exit condition alone.  The gcd classifiers
-decide isomorphism of matrix algebras over the classical Leavitt algebras
-and of the corresponding Higman-Thompson groups; both theorems share one
-arithmetic condition.
+``lpa_simple`` evaluates the two simplicity conditions on a finite graph
+(Abrams-Aranda Pino, "The Leavitt path algebra of a graph", J. Algebra
+2005): every vertex connects to every cycle and every sink (cofinality),
+and every cycle has an exit.  ``lpa_zorn`` is the cycle-exit condition
+alone.  Both read the structure a ``Graph`` caches, so only ``kp_compare``
+loads graph code.  Cofinality holds exactly when the sinks and the
+cycle-holding components together make at most one component, because
+
+- a closed component (no edge leaving it) reaches no other component;
+- every vertex reaches some closed component;
+- every closed component is either a sink or holds a cycle;
+
+and of two such components, one does not reach the other.  The gcd
+classifiers decide isomorphism of matrix algebras over the classical
+Leavitt algebras and of the corresponding Higman-Thompson groups; both
+theorems share one arithmetic condition.
 
 ``kp_compare`` is deliberately an exploration tool for two open
 classification questions: it reports monoid- and matrix-level evidence
@@ -23,7 +33,6 @@ from .errors import Frozen, ShapeError
 
 if TYPE_CHECKING:
     from .graph import Graph
-    from .matrix import IntMatrix
     from .shifteq import SEWitness
 
 PLAIN = "plain"
@@ -67,67 +76,30 @@ class CompareVerdict(Frozen):
         super().__init__(kind, detail, generator_images, se_witness, invariants, bounds, stopped_by)
 
 
-# Stand-ins for the graph code: the first call imports it and rebinds the
-# name to the graph function, so the gcd criteria never load the graph module
-# and later calls pay no import.
-def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
-    global strongly_connected_components
-    from .graph import strongly_connected_components
-
-    return strongly_connected_components(g)
-
-
-def every_cycle_has_exit(g: Graph) -> tuple[bool, tuple[str, ...] | None]:
-    global every_cycle_has_exit
-    from .graph import every_cycle_has_exit
-
-    return every_cycle_has_exit(g)
-
-
-def adjacency_matrix(g: Graph) -> IntMatrix:
-    global adjacency_matrix
-    from .graph import adjacency_matrix
-
-    return adjacency_matrix(g)
-
-
-def cycle_bearing_components(g: Graph) -> tuple[tuple[str, ...], ...]:
-    """Strongly connected components that contain at least one cycle: more
-    than one vertex, or a single vertex with a loop."""
-    out = []
-    for comp in strongly_connected_components(g):
-        if len(comp) > 1:
-            out.append(comp)
-        else:
-            v = comp[0]
-            if any(dst == v for dst, _ in g.out_adj[v]):
-                out.append(comp)
-    return tuple(out)
-
-
 def lpa_simple(g: Graph) -> SimplicityVerdict:
     sinks = g.sinks
-    cycles = cycle_bearing_components(g)
-    for v in g.vertices:
-        reach = g.reachable_from(v)
-        for s in sinks:
-            if s not in reach:
-                return SimplicityVerdict(
-                    False, "cofinality", witness_vertex=v, witness_target=(s,)
-                )
-        for comp in cycles:
-            if not any(u in reach for u in comp):
-                return SimplicityVerdict(
-                    False, "cofinality", witness_vertex=v, witness_target=comp
-                )
-    ok, cycle = every_cycle_has_exit(g)
-    if not ok:
+    cycles = g.cyclic_components
+    if len(sinks) + len(cycles) > 1:
+        # Cofinality fails.  The witness is the first vertex that misses a
+        # target, with the first target it misses, sinks before cycles.  A
+        # component's vertices reach the same set, and a target is reached
+        # whole or not at all, so one search per component suffices.
+        targets = tuple((s,) for s in sinks) + cycles
+        for comp in g.components:
+            reach = g.reachable_from(comp[0])
+            for target in targets:
+                if target[0] not in reach:
+                    return SimplicityVerdict(
+                        False, "cofinality", witness_vertex=comp[0], witness_target=target
+                    )
+    cycle = g.exitless_cycle
+    if cycle is not None:
         return SimplicityVerdict(False, "exitless_cycle", witness_cycle=cycle)
     return SimplicityVerdict(True)
 
 
 def lpa_zorn(g: Graph) -> bool:
-    return every_cycle_has_exit(g)[0]
+    return g.exitless_cycle is None
 
 
 def _gcd_condition(n: int, r: int, m: int, s: int) -> bool:
@@ -181,6 +153,7 @@ def kp_compare(
     positive certificate, its invariant obstruction as a negative one,
     anything else is unknown.
     """
+    from .graph import adjacency_matrix
     from .monoid import _enumerate_monoid, find_unit_isomorphism
     from .shifteq import SEWitness, se_search
 

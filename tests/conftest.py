@@ -17,6 +17,7 @@ import signal
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import monodyn
 from monodyn.graph import Graph
@@ -114,6 +115,18 @@ def rose(request) -> Graph:
 
 def rose_graph(petals: int) -> Graph:
     return Graph.build(["v"], [("v", "v", petals)])
+
+
+@st.composite
+def digraphs(draw, max_vertices: int = 7) -> Graph:
+    """Directed multigraphs on 1 to ``max_vertices`` vertices with up to two
+    edges per vertex drawn, loops and repeated edges included; a repeated
+    edge adds to the multiplicity."""
+    n = draw(st.integers(1, max_vertices))
+    names = [f"v{i}" for i in range(n)]
+    vertex = st.sampled_from(names)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 2)), max_size=2 * n))
+    return Graph.build(names, edges)
 
 
 @pytest.fixture

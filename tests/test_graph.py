@@ -2,21 +2,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from monodyn.errors import ParseError, ShapeError
 from monodyn.graph import (
     Graph,
     adjacency_matrix,
-    every_cycle_has_exit,
     graph_from_matrix,
     parse_graph,
     serialize_graph,
-    strongly_connected_components,
     structure_report,
 )
 from monodyn.matrix import IntMatrix
 
-from conftest import FOUR_VERTEX_SANDPILE_TEXT, rose_graph
+from conftest import FOUR_VERTEX_SANDPILE_TEXT, digraphs, rose_graph
 
 
 def test_parse_four_vertex_sandpile():
@@ -95,6 +94,7 @@ def test_structure_report_graph_e(four_vertex_sandpile):
     assert rep.sinks == ("s",)
     assert not rep.strongly_connected
     assert rep.outdegrees == (3, 3, 3, 0)
+    assert rep.indegrees == (2, 2, 2, 3)
 
 
 def test_structure_report_rose_and_cycle(graph_two_cycle_loop):
@@ -119,27 +119,49 @@ def test_sandpile_flag_matches_bfs():
             g.sinks[0] in g.reachable_from(v) for v in g.vertices
         )
         assert rep.sandpile == expected
+        assert rep.indegrees == tuple(sum(m for _, dst, m in g.edges if dst == v) for v in g.vertices)
         assert g.sandpile_sink == rep.sink_name == (g.sinks[0] if expected else None)
 
 
 def test_scc_partition():
     g = Graph.build(["a", "b", "c", "d"], [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")])
-    sccs = strongly_connected_components(g)
+    sccs = g.components
     assert set(map(frozenset, sccs)) == {frozenset({"a", "b"}), frozenset({"c"}), frozenset({"d"})}
     assert sccs[0] == ("a", "b")
+    assert g.cyclic_components == (("a", "b"),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=digraphs())
+def test_components_are_the_mutual_reachability_classes(g):
+    reach = {v: g.reachable_from(v) for v in g.vertices}
+    comps = g.components
+    # A partition of the vertices ...
+    assert sorted(v for comp in comps for v in comp) == sorted(g.vertices)
+    # ... whose blocks are the mutual reachability classes ...
+    block = {v: i for i, comp in enumerate(comps) for v in comp}
+    for u in g.vertices:
+        for v in g.vertices:
+            assert (block[u] == block[v]) == (v in reach[u] and u in reach[v])
+    # ... listed by smallest vertex index, each in declaration order.
+    idx = g.index
+    firsts = [idx[comp[0]] for comp in comps]
+    assert firsts == sorted(firsts)
+    for comp in comps:
+        assert [idx[v] for v in comp] == sorted(idx[v] for v in comp)
+    # A component holds a cycle when one of its vertices returns to itself.
+    returns = {v for v in g.vertices if any(v in reach[dst] for dst, _ in g.out_adj[v])}
+    assert g.cyclic_components == tuple(comp for comp in comps if returns & set(comp))
 
 
 def test_every_cycle_has_exit_basics(graph_two_cycle_loop, simplicity_trio):
-    ok, witness = every_cycle_has_exit(Graph.build(["v"], [("v", "v")]))
-    assert not ok and witness == ("v",)
-    ok, _ = every_cycle_has_exit(graph_two_cycle_loop)
-    assert ok
+    assert Graph.build(["v"], [("v", "v")]).exitless_cycle == ("v",)
+    assert graph_two_cycle_loop.exitless_cycle is None
     left, middle, right = simplicity_trio
-    ok, witness = every_cycle_has_exit(left)
-    assert not ok and set(witness) == {"u", "v"}
-    assert every_cycle_has_exit(middle)[0]
-    assert every_cycle_has_exit(right)[0]
-    assert every_cycle_has_exit(rose_graph(2))[0]  # parallel loop is its own exit
+    assert set(left.exitless_cycle) == {"u", "v"}
+    assert middle.exitless_cycle is None
+    assert right.exitless_cycle is None
+    assert rose_graph(2).exitless_cycle is None  # parallel loop is its own exit
 
 
 def brute_force_cycle_exits(g: Graph) -> tuple[bool, tuple[str, ...] | None]:
@@ -183,7 +205,7 @@ def test_cycle_exit_exhaustive_small():
                 if m:
                     edges.append((names[k // n], names[k % n], m))
             g = Graph.build(names[:n], edges)
-            assert every_cycle_has_exit(g)[0] == brute_force_cycle_exits(g)[0]
+            assert (g.exitless_cycle is None) == brute_force_cycle_exits(g)[0]
 
 
 def test_cycle_exit_random_larger():
@@ -198,9 +220,9 @@ def test_cycle_exit_random_larger():
                 if m:
                     edges.append((src, dst, m))
         g = Graph.build(names, edges)
-        got, witness = every_cycle_has_exit(g)
-        assert got == brute_force_cycle_exits(g)[0]
-        if not got:
+        witness = g.exitless_cycle
+        assert (witness is None) == brute_force_cycle_exits(g)[0]
+        if witness is not None:
             # Witness must be a genuine exit-less cycle.
             assert all(g.outdegree(v) == 1 for v in witness)
             for i, v in enumerate(witness):

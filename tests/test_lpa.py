@@ -1,12 +1,16 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
 
 from monodyn.errors import ShapeError
-from monodyn.graph import Graph, every_cycle_has_exit
+from monodyn.graph import Graph, structure_report
+from monodyn.grid import GridSpec, make_grid
 from monodyn.lpa import (
+    SimplicityVerdict,
     higman_thompson_iso,
     kp_compare,
     lpa_simple,
@@ -15,7 +19,7 @@ from monodyn.lpa import (
 )
 from monodyn.shifteq import verify_se
 
-from conftest import rose_graph
+from conftest import digraphs, rose_graph
 
 
 def test_simplicity_trio(simplicity_trio):
@@ -86,7 +90,115 @@ def test_simple_and_zorn_against_brute_force():
                     edges.append((src, dst, m))
         g = Graph.build(names, edges)
         assert lpa_simple(g).simple == brute_simple(g)
-        assert lpa_zorn(g) == every_cycle_has_exit(g)[0]
+        assert lpa_zorn(g) == (reference_exitless_cycle(g) is None)
+
+
+def reference_exitless_cycle(g: Graph) -> tuple[str, ...] | None:
+    """Reference exit walk: follow the outdegree-1 vertices from each start
+    in declaration order and return the first cycle closed."""
+    nxt = {}
+    for v in g.vertices:
+        if g.outdegree(v) == 1:
+            nxt[v] = g.out_adj[v][0][0]
+    color: dict[str, int] = {}  # 1 = on current walk, 2 = finished
+    for start in g.vertices:
+        if start not in nxt or color.get(start):
+            continue
+        path = []
+        v = start
+        while v in nxt and color.get(v, 0) == 0:
+            color[v] = 1
+            path.append(v)
+            v = nxt[v]
+        if v in nxt and color.get(v) == 1:
+            return tuple(path[path.index(v):])
+        for u in path:
+            color[u] = 2
+    return None
+
+
+def reference_simple(g: Graph) -> SimplicityVerdict:
+    """Reference verdict: one reachability search per vertex, checked against
+    the sinks and then the cycle-holding components, then the exit walk.  The
+    components are the mutual reachability classes, listed by their first
+    vertex, each in declaration order."""
+    reach = {v: g.reachable_from(v) for v in g.vertices}
+    comps: list[tuple[str, ...]] = []
+    for v in g.vertices:
+        if not any(v in comp for comp in comps):
+            comps.append(tuple(u for u in g.vertices if u in reach[v] and v in reach[u]))
+    cycles = [
+        comp for comp in comps
+        if len(comp) > 1 or any(dst == comp[0] for dst, _ in g.out_adj[comp[0]])
+    ]
+    for v in g.vertices:
+        for s in g.sinks:
+            if s not in reach[v]:
+                return SimplicityVerdict(False, "cofinality", witness_vertex=v, witness_target=(s,))
+        for comp in cycles:
+            if not any(u in reach[v] for u in comp):
+                return SimplicityVerdict(False, "cofinality", witness_vertex=v, witness_target=comp)
+    cycle = reference_exitless_cycle(g)
+    if cycle is not None:
+        return SimplicityVerdict(False, "exitless_cycle", witness_cycle=cycle)
+    return SimplicityVerdict(True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(g=digraphs())
+def test_simple_matches_the_per_vertex_reference(g):
+    got, want = lpa_simple(g), reference_simple(g)
+    for field in SimplicityVerdict.__slots__:
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.simple == brute_simple(g)
+
+
+def _open_grid() -> Graph:
+    return make_grid(GridSpec(100, 100, "open"))
+
+
+def _open_grid_and_loop() -> Graph:
+    g = _open_grid()
+    return Graph.build(g.vertices + ("x",), g.edges + (("x", "x", 1),))
+
+
+# The open 100x100 grid: every cell reaches the sink, which reaches no cell,
+# so the witness is the sink, declared last, missing the grid's component.
+# With an isolated looped vertex x declared after the sink, the first cell
+# already misses x.  Each answer takes a linear pass, where one reachability
+# search per vertex would make 10 001 searches over about 40 000 edges, and
+# one scan of the edges per indegree 10 001 scans.
+@pytest.mark.parametrize("looped", [False, True], ids=["grid", "grid-and-loop"])
+def test_large_grid_in_linear_time(looped):
+    build = _open_grid_and_loop if looped else _open_grid
+    cells = tuple(f"r{r}c{c}" for r in range(100) for c in range(100))
+    outdegrees = (4,) * len(cells) + (0,)
+    indegrees = tuple((r > 0) + (r < 99) + (c > 0) + (c < 99) for r in range(100) for c in range(100))
+    indegrees += (400,)  # the sink: four edges from each of the 100 boundary positions
+    if looped:
+        verdict = SimplicityVerdict(False, "cofinality", witness_vertex="r0c0", witness_target=("x",))
+        partition = (cells, ("sink",), ("x",))
+        outdegrees, indegrees = outdegrees + (1,), indegrees + (1,)
+    else:
+        verdict = SimplicityVerdict(False, "cofinality", witness_vertex="sink", witness_target=cells)
+        partition = (cells, ("sink",))
+
+    g = build()
+    start = time.perf_counter()
+    assert lpa_simple(g) == verdict
+    assert time.perf_counter() - start < 2.0
+
+    g = build()
+    start = time.perf_counter()
+    rep = structure_report(g)
+    assert time.perf_counter() - start < 2.0
+    assert rep.sinks == ("sink",)
+    assert not rep.strongly_connected
+    assert rep.scc_partition == partition
+    assert rep.sandpile is not looped
+    assert rep.sink_name == (None if looped else "sink")
+    assert rep.outdegrees == outdegrees
+    assert rep.indegrees == indegrees
 
 
 def test_gcd_examples():
