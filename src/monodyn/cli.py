@@ -2,6 +2,12 @@
 
 ``run`` builds the parser of the group that ``argv[0]`` names, or of every
 group when it names none, runs the chosen handler and prints its result.
+A handler maps ``(args, bounds)`` to ``(exit code, output)``, and ``run`` is
+the one place that turns the output into bytes, by its type: a dict is a
+JSON report (sorted keys, compact under ``--json``, else indented by 2), a
+str is printed as text, bytes (a PPM image) go to ``sys.stdout.buffer``
+as they are, and None prints nothing.  A ``MonodynError`` or ``OSError``
+from the handler becomes exit code 3 with an indented JSON error report.
 The handlers live in one module per group, ``monodyn.commands.<group>``,
 each with an ``add_commands(group, command)`` that declares its subcommands
 through ``command`` (``_command`` here, which owns the bound-flag table).
@@ -42,16 +48,6 @@ def load_report_schema() -> dict:
 
     text = resources.files("monodyn").joinpath("report_schema.json").read_text("utf-8")
     return json.loads(text)
-
-
-class _Out:
-    """Collects the result of a handler: JSON report, raw text, or bytes."""
-
-    def __init__(self):
-        self.code = 0
-        self.report: dict | None = None
-        self.text: str | None = None
-        self.binary: bytes | None = None
 
 
 # --- parser -----------------------------------------------------------------
@@ -117,25 +113,23 @@ def _resolve_bounds(args) -> Bounds:
 def run(argv: list[str]) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _GROUPS else None)
     args = parser.parse_args(argv)
-    out = _Out()
     try:
-        bounds = _resolve_bounds(args)
-        args.handler(args, bounds, out)
+        code, output = args.handler(args, _resolve_bounds(args))
     except (MonodynError, OSError) as err:
         report = {"kind": "error", "message": str(err)}
         print(json.dumps(report, sort_keys=True, indent=2))
         return 3
-    if out.binary is not None:
-        sys.stdout.buffer.write(out.binary)
+    if isinstance(output, bytes):
+        sys.stdout.buffer.write(output)
         sys.stdout.buffer.flush()
-    elif out.text is not None:
-        print(out.text)
-    elif out.report is not None:
-        if getattr(args, "json", False):
-            print(json.dumps(out.report, sort_keys=True, separators=(",", ":")))
+    elif isinstance(output, str):
+        print(output)
+    elif isinstance(output, dict):
+        if args.json:
+            print(json.dumps(output, sort_keys=True, separators=(",", ":")))
         else:
-            print(json.dumps(out.report, sort_keys=True, indent=2))
-    return out.code
+            print(json.dumps(output, sort_keys=True, indent=2))
+    return code
 
 
 def main() -> None:

@@ -3,10 +3,12 @@
 Each group module declares its subcommands in ``add_commands(group,
 command)``, where ``command`` is the dispatcher's factory that adds the
 ``--json`` flag and the bound flags, and holds their handlers.  A handler
-``(args, bounds, out)`` reads its files, runs its layer, imported inside the
-handler, and sets ``out.report``, ``out.text`` or ``out.binary`` and
-``out.code``.  This package holds the file and JSON helpers that more than
-one group uses.
+``(args, bounds)`` reads its files, runs its layer, imported inside the
+handler so that a command loads only its own layers, and returns ``(exit
+code, output)``: a dict for a JSON report, a str for text, bytes for an
+image, or None when it has written its result to a file.  The dispatcher
+prints the output.  This package holds the file and JSON helpers that more
+than one group uses.
 """
 
 from __future__ import annotations
@@ -34,12 +36,8 @@ def load_matrix(path: str) -> IntMatrix:
     return parse_matrix(read_text(path))
 
 
-def matrix_json(m: IntMatrix) -> list[list[int]]:
-    return m.to_rows()
-
-
 def witness_json(r: IntMatrix, s: IntMatrix) -> dict:
-    return {"r": matrix_json(r), "s": matrix_json(s)}
+    return {"r": r.to_rows(), "s": s.to_rows()}
 
 
 def invariants_json(rep) -> dict:

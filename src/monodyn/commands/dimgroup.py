@@ -6,42 +6,39 @@ from __future__ import annotations
 from . import load_matrix
 
 
-def _cmd_dim_equal(args, bounds, out):
+def _cmd_dim_equal(args, bounds):
     from ..dimension import dim_equal, parse_dim_element
 
     m = load_matrix(args.matrix)
     x = parse_dim_element(m, args.lhs)
     y = parse_dim_element(m, args.rhs)
     verdict = dim_equal(x, y)
-    out.report = {"kind": "dim-equal", "verdict": verdict}
-    out.code = 0 if verdict == "yes" else 1
+    return (0 if verdict == "yes" else 1), {"kind": "dim-equal", "verdict": verdict}
 
 
-def _cmd_dim_positive(args, bounds, out):
+def _cmd_dim_positive(args, bounds):
     from ..dimension import dim_positive, parse_dim_element
 
     m = load_matrix(args.matrix)
     x = parse_dim_element(m, args.element)
     verdict = dim_positive(x, bounds.max_power)
-    out.report = {"kind": "dim-positive", "verdict": verdict}
-    out.code = 0 if verdict == "positive" else 1
+    return (0 if verdict == "positive" else 1), {"kind": "dim-positive", "verdict": verdict}
 
 
-def _cmd_dim_shift(args, bounds, out):
+def _cmd_dim_shift(args, bounds):
     from ..dimension import delta_shift, format_dim_element, parse_dim_element
 
     m = load_matrix(args.matrix)
     x = parse_dim_element(m, args.element)
     shifted = delta_shift(x, args.direction)
-    out.report = {"kind": "dim-shift", "element": format_dim_element(shifted)}
+    return 0, {"kind": "dim-shift", "element": format_dim_element(shifted)}
 
 
-def _cmd_dim_fib(args, bounds, out):
+def _cmd_dim_fib(args, bounds):
     from ..dimension import fib_cone_member
 
     member = fib_cone_member(args.m, args.n)
-    out.report = {"kind": "fib-cone", "member": member, "m": args.m, "n": args.n}
-    out.code = 0 if member else 1
+    return (0 if member else 1), {"kind": "fib-cone", "member": member, "m": args.m, "n": args.n}
 
 
 def add_commands(group, command) -> None:

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from . import load_graph, matrix_json
+from . import load_graph
 
 
-def _cmd_graph_check(args, bounds, out):
+def _cmd_graph_check(args, bounds):
     from ..graph import structure_report
 
     g = load_graph(args.graph)
     rep = structure_report(g)
-    out.report = {
+    return 0, {
         "kind": "structure",
         "sinks": list(rep.sinks),
         "strongly_connected": rep.strongly_connected,
@@ -22,7 +22,7 @@ def _cmd_graph_check(args, bounds, out):
     }
 
 
-def _cmd_graph_matrix(args, bounds, out):
+def _cmd_graph_matrix(args, bounds):
     from ..graph import adjacency_matrix
     from ..matrix import serialize_matrix
 
@@ -31,11 +31,11 @@ def _cmd_graph_matrix(args, bounds, out):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(serialize_matrix(m))
-    out.report = {
+    return 0, {
         "kind": "matrix",
         "rows": m.rows,
         "cols": m.cols,
-        "entries": matrix_json(m),
+        "entries": m.to_rows(),
     }
 
 

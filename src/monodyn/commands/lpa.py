@@ -6,12 +6,12 @@ from __future__ import annotations
 from . import invariants_json, load_graph, witness_json
 
 
-def _cmd_lpa_simple(args, bounds, out):
+def _cmd_lpa_simple(args, bounds):
     from ..lpa import lpa_simple
 
     g = load_graph(args.graph)
     v = lpa_simple(g)
-    out.report = {
+    return (0 if v.simple else 1), {
         "kind": "simple",
         "simple": v.simple,
         "failure": v.failure,
@@ -19,33 +19,24 @@ def _cmd_lpa_simple(args, bounds, out):
         "witness_target": list(v.witness_target) if v.witness_target else None,
         "witness_cycle": list(v.witness_cycle) if v.witness_cycle else None,
     }
-    out.code = 0 if v.simple else 1
 
 
-def _cmd_lpa_zorn(args, bounds, out):
+def _cmd_lpa_zorn(args, bounds):
     g = load_graph(args.graph)
     cycle = g.exitless_cycle
-    out.report = {"kind": "zorn", "zorn": cycle is None, "witness_cycle": list(cycle) if cycle else None}
-    out.code = 0 if cycle is None else 1
+    report = {"kind": "zorn", "zorn": cycle is None, "witness_cycle": list(cycle) if cycle else None}
+    return (0 if cycle is None else 1), report
 
 
-def _cmd_lpa_matrix_iso(args, bounds, out):
-    from ..lpa import matrix_leavitt_iso
+def _cmd_lpa_iso(args, bounds):
+    from ..lpa import higman_thompson_iso, matrix_leavitt_iso
 
-    result = matrix_leavitt_iso(args.n, args.r, args.m, args.s)
-    out.report = {"kind": "iso", "result": result, "condition": "matrix-leavitt"}
-    out.code = 0 if result else 1
-
-
-def _cmd_lpa_ht_iso(args, bounds, out):
-    from ..lpa import higman_thompson_iso
-
-    result = higman_thompson_iso(args.n, args.r, args.m, args.s)
-    out.report = {"kind": "iso", "result": result, "condition": "higman-thompson"}
-    out.code = 0 if result else 1
+    test = matrix_leavitt_iso if args.condition == "matrix-leavitt" else higman_thompson_iso
+    result = test(args.n, args.r, args.m, args.s)
+    return (0 if result else 1), {"kind": "iso", "result": result, "condition": args.condition}
 
 
-def _cmd_lpa_compare(args, bounds, out):
+def _cmd_lpa_compare(args, bounds):
     from ..lpa import kp_compare
 
     first = load_graph(args.graph_a)
@@ -72,8 +63,7 @@ def _cmd_lpa_compare(args, bounds, out):
         report["bounds"] = dict(verdict.bounds)
     if verdict.stopped_by is not None:
         report["stopped_by"] = verdict.stopped_by
-    out.report = report
-    out.code = 0 if verdict.kind == "iso_witness" else 1
+    return (0 if verdict.kind == "iso_witness" else 1), report
 
 
 def add_commands(group, command) -> None:
@@ -81,12 +71,11 @@ def add_commands(group, command) -> None:
     p.add_argument("graph")
     p = command(group, "zorn", _cmd_lpa_zorn)
     p.add_argument("graph")
-    p = command(group, "matrix-iso", _cmd_lpa_matrix_iso)
-    for name in ("n", "r", "m", "s"):
-        p.add_argument(name, type=int)
-    p = command(group, "ht-iso", _cmd_lpa_ht_iso)
-    for name in ("n", "r", "m", "s"):
-        p.add_argument(name, type=int)
+    for name, condition in (("matrix-iso", "matrix-leavitt"), ("ht-iso", "higman-thompson")):
+        p = command(group, name, _cmd_lpa_iso)
+        p.set_defaults(condition=condition)
+        for arg in ("n", "r", "m", "s"):
+            p.add_argument(arg, type=int)
     p = command(
         group,
         "compare",

@@ -6,15 +6,15 @@ from __future__ import annotations
 from . import load_graph, read_text
 
 
-def _cmd_monoid_present(args, bounds, out):
+def _cmd_monoid_present(args, bounds):
     from ..monoid import graph_monoid_presentation, serialize_presentation
 
     g = load_graph(args.graph)
     p = graph_monoid_presentation(g, weighted=args.weighted, sink_zero=args.sink_zero)
-    out.text = serialize_presentation(p).rstrip("\n")
+    return 0, serialize_presentation(p).rstrip("\n")
 
 
-def _cmd_monoid_equal(args, bounds, out):
+def _cmd_monoid_equal(args, bounds):
     from ..monoid import _format_side, parse_element, parse_presentation, words_equal
 
     p = parse_presentation(read_text(args.presentation))
@@ -26,25 +26,22 @@ def _cmd_monoid_equal(args, bounds, out):
         report["path"] = [_format_side(p, v) for v in res.path]
     if res.stopped_by is not None:
         report["stopped_by"] = res.stopped_by
-    out.report = report
-    out.code = 0 if res.verdict == "yes" else 1
+    return (0 if res.verdict == "yes" else 1), report
 
 
-def _cmd_monoid_enumerate(args, bounds, out):
+def _cmd_monoid_enumerate(args, bounds):
     from ..monoid import _enumerate_monoid, parse_presentation
 
     p = parse_presentation(read_text(args.presentation))
     table, stopped_by = _enumerate_monoid(p, bounds.max_elements, bounds.node_budget)
     if table is None:
-        out.code = 1
-        out.report = {
+        return 1, {
             "kind": "monoid-table",
             "outcome": "unknown",
             "bounds": {"max_elements": bounds.max_elements, "node_budget": bounds.node_budget},
             "stopped_by": stopped_by,
         }
-        return
-    out.report = {"kind": "monoid-table", "outcome": "table", "table": table.to_json_dict()}
+    return 0, {"kind": "monoid-table", "outcome": "table", "table": table.to_json_dict()}
 
 
 def add_commands(group, command) -> None:

@@ -15,7 +15,7 @@ if TYPE_CHECKING:
     from ..sandpile import ChipConfig
 
 
-def _cmd_sandpile_stabilize(args, bounds, out):
+def _cmd_sandpile_stabilize(args, bounds):
     from ..sandpile import format_config_terms, parse_config, stabilize
 
     g = load_graph(args.graph)
@@ -24,18 +24,15 @@ def _cmd_sandpile_stabilize(args, bounds, out):
     try:
         config, odometer = stabilize(g, start, budget=bounds.firing_budget, trace_to=trace)
     except BudgetExceededError as err:
-        out.code = 1
-        out.report = {
+        return 1, {
             "kind": "stabilize",
             "stabilized": False,
             "budget": bounds.firing_budget,
             "firings": err.fired,
         }
-        return
     if args.trace:
-        out.text = " ⟿ ".join(format_config_terms(g, [start] + trace))
-        return
-    out.report = {
+        return 0, " ⟿ ".join(format_config_terms(g, [start] + trace))
+    return 0, {
         "kind": "stabilize",
         "stabilized": True,
         "config": config.to_mapping(g),
@@ -45,26 +42,26 @@ def _cmd_sandpile_stabilize(args, bounds, out):
     }
 
 
-def _cmd_sandpile_add(args, bounds, out):
+def _cmd_sandpile_add(args, bounds):
     from ..sandpile import parse_config, stable_add
 
     g = load_graph(args.graph)
     a = parse_config(g, read_text(args.config_a))
     b = parse_config(g, read_text(args.config_b))
     result = stable_add(g, a, b, budget=bounds.firing_budget)
-    out.report = {
+    return 0, {
         "kind": "stable-add",
         "config": result.to_mapping(g),
         "absorbed": result.absorbed,
     }
 
 
-def _cmd_sandpile_monoid(args, bounds, out):
+def _cmd_sandpile_monoid(args, bounds):
     from ..sandpile import sandpile_monoid
 
     g = load_graph(args.graph)
     table = sandpile_monoid(g, max_elements=bounds.max_elements)
-    out.report = {"kind": "monoid-table", "outcome": "table", "table": table.to_json_dict()}
+    return 0, {"kind": "monoid-table", "outcome": "table", "table": table.to_json_dict()}
 
 
 def _parse_places(raw: list[str]) -> dict[tuple[int, int], int]:
@@ -84,7 +81,7 @@ def _parse_places(raw: list[str]) -> dict[tuple[int, int], int]:
     return places
 
 
-def _cmd_sandpile_grid(args, bounds, out):
+def _cmd_sandpile_grid(args, bounds):
     from ..grid import GridSpec, GridVertices, grid_config, stabilize_grid
     from ..sandpile import serialize_config
 
@@ -93,8 +90,7 @@ def _cmd_sandpile_grid(args, bounds, out):
     try:
         final, odometer = stabilize_grid(spec, config, budget=bounds.firing_budget)
     except BudgetExceededError as err:
-        out.code = 1
-        out.report = {
+        return 1, {
             "kind": "grid",
             "rows": spec.rows,
             "cols": spec.cols,
@@ -103,7 +99,6 @@ def _cmd_sandpile_grid(args, bounds, out):
             "budget": bounds.firing_budget,
             "firings": err.fired,
         }
-        return
     histogram: dict[str, int] = {}
     for count in final.counts:
         key = str(count)
@@ -112,7 +107,7 @@ def _cmd_sandpile_grid(args, bounds, out):
         cells = GridVertices(spec)
         with open(args.save_config, "w", encoding="utf-8") as fh:
             fh.write(serialize_config(cells, final))
-    out.report = {
+    return 0, {
         "kind": "grid",
         "rows": spec.rows,
         "cols": spec.cols,
@@ -124,7 +119,7 @@ def _cmd_sandpile_grid(args, bounds, out):
     }
 
 
-def _cmd_sandpile_render(args, bounds, out):
+def _cmd_sandpile_render(args, bounds):
     from ..grid import DEFAULT_PALETTE, GridSpec, GridVertices, parse_palette, render_ppm
     from ..sandpile import parse_config
 
@@ -132,11 +127,11 @@ def _cmd_sandpile_render(args, bounds, out):
     config = parse_config(GridVertices(spec), read_text(args.config))
     palette = parse_palette(args.palette) if args.palette else DEFAULT_PALETTE
     data = render_ppm(spec, config, palette)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        out.binary = data
+    if not args.out:
+        return 0, data
+    with open(args.out, "wb") as fh:
+        fh.write(data)
+    return 0, None
 
 
 def add_commands(group, command) -> None:

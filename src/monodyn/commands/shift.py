@@ -7,7 +7,7 @@ import json
 from typing import TYPE_CHECKING
 
 from ..errors import ParseError
-from . import invariants_json, load_matrix, matrix_json, read_text, witness_json
+from . import invariants_json, load_matrix, read_text, witness_json
 
 if TYPE_CHECKING:
     from ..matrix import IntMatrix
@@ -25,7 +25,7 @@ def _not_found_json(kind: str, result: SearchExhausted) -> dict:
 
 def _chain_json(chain: SSEChain) -> dict:
     return {
-        "matrices": [matrix_json(m) for m in chain.matrices],
+        "matrices": [m.to_rows() for m in chain.matrices],
         "witnesses": [witness_json(w.r, w.s) for w in chain.witnesses],
     }
 
@@ -56,71 +56,66 @@ def _chain_from_json(text: str) -> SSEChain:
     return SSEChain(matrices, witnesses)
 
 
-def _cmd_shift_verify_es(args, bounds, out):
+def _cmd_shift_verify_es(args, bounds):
     from ..shifteq import ESWitness, verify_elementary
 
     a, b = load_matrix(args.a), load_matrix(args.b)
     w = ESWitness(load_matrix(args.r), load_matrix(args.s))
     ok = verify_elementary(a, b, w)
-    out.report = {"kind": "verify", "check": "elementary", "ok": ok}
-    out.code = 0 if ok else 1
+    return (0 if ok else 1), {"kind": "verify", "check": "elementary", "ok": ok}
 
 
-def _cmd_shift_verify_se(args, bounds, out):
+def _cmd_shift_verify_se(args, bounds):
     from ..shifteq import SEWitness, verify_se
 
     a, b = load_matrix(args.a), load_matrix(args.b)
     w = SEWitness(load_matrix(args.r), load_matrix(args.s), args.lag)
     ok = verify_se(a, b, w)
-    out.report = {"kind": "verify", "check": "shift-equivalence", "ok": ok, "lag": args.lag}
-    out.code = 0 if ok else 1
+    report = {"kind": "verify", "check": "shift-equivalence", "ok": ok, "lag": args.lag}
+    return (0 if ok else 1), report
 
 
-def _cmd_shift_verify_chain(args, bounds, out):
+def _cmd_shift_verify_chain(args, bounds):
     from ..shifteq import verify_sse_chain
 
     chain = _chain_from_json(read_text(args.chain))
     ok, failing = verify_sse_chain(chain)
-    out.report = {"kind": "verify", "check": "chain", "ok": ok, "failing_index": failing}
-    out.code = 0 if ok else 1
+    report = {"kind": "verify", "check": "chain", "ok": ok, "failing_index": failing}
+    return (0 if ok else 1), report
 
 
-def _cmd_shift_search_sse(args, bounds, out):
+def _cmd_shift_search_sse(args, bounds):
     from ..shifteq import SSEChain, sse_search
 
     a, b = load_matrix(args.a), load_matrix(args.b)
     result = sse_search(a, b, max_depth=bounds.search_depth, max_inner_dim=bounds.max_inner_dim)
     if isinstance(result, SSEChain):
-        out.report = {"kind": "sse-search", "outcome": "found", "chain": _chain_json(result)}
-        return
-    out.code = 1
-    out.report = _not_found_json("sse-search", result)
+        return 0, {"kind": "sse-search", "outcome": "found", "chain": _chain_json(result)}
+    return 1, _not_found_json("sse-search", result)
 
 
-def _cmd_shift_search_se(args, bounds, out):
+def _cmd_shift_search_se(args, bounds):
     from ..shifteq import SEWitness, se_search
 
     a, b = load_matrix(args.a), load_matrix(args.b)
     result = se_search(a, b, max_lag=bounds.max_lag, coeff_bound=bounds.coeff_bound)
     if isinstance(result, SEWitness):
-        out.report = {
+        return 0, {
             "kind": "se-search",
             "outcome": "found",
             "witness": witness_json(result.r, result.s),
             "lag": result.lag,
         }
-        return
-    out.code = 1
-    out.report = _not_found_json("se-search", result)
+    return 1, _not_found_json("se-search", result)
 
 
-def _cmd_shift_invariants(args, bounds, out):
+def _cmd_shift_invariants(args, bounds):
     from ..shifteq import invariants_report
 
     a, b = load_matrix(args.a), load_matrix(args.b)
     rep = invariants_report(a, b)
-    out.report = {"kind": "invariants", "verdict": rep.verdict, "report": invariants_json(rep)}
-    out.code = 0 if rep.verdict == "no_obstruction" else 1
+    report = {"kind": "invariants", "verdict": rep.verdict, "report": invariants_json(rep)}
+    return (0 if rep.verdict == "no_obstruction" else 1), report
 
 
 def add_commands(group, command) -> None:

@@ -5,13 +5,13 @@ from __future__ import annotations
 from . import load_graph
 
 
-def _cmd_talented_window(args, bounds, out):
+def _cmd_talented_window(args, bounds):
     from ..dimension import talented_window
     from ..monoid import serialize_presentation
 
     g = load_graph(args.graph)
     w = talented_window(g, args.radius)
-    out.text = serialize_presentation(w.presentation).rstrip("\n")
+    return 0, serialize_presentation(w.presentation).rstrip("\n")
 
 
 def add_commands(group, command) -> None:

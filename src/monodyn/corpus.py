@@ -41,14 +41,9 @@ def random_sandpile_graph(
 
 
 def sandpile_corpus(
-    seed: int,
-    count: int,
-    max_vertices: int = 5,
-    max_outdegree: int = 3,
-    *,
-    distinct: bool = True,
+    seed: int, count: int, max_vertices: int = 5, max_outdegree: int = 3
 ) -> Iterator[Graph]:
-    """Deterministic stream of random sandpile graphs, distinct by default."""
+    """Deterministic stream of distinct random sandpile graphs."""
     rng = Random(seed)
     seen: set[tuple] = set()
     produced = 0
@@ -57,7 +52,7 @@ def sandpile_corpus(
         attempts += 1
         g = random_sandpile_graph(rng, max_vertices, max_outdegree)
         key = (g.vertices, g.edges)
-        if distinct and key in seen:
+        if key in seen:
             continue
         seen.add(key)
         produced += 1

@@ -16,8 +16,11 @@ lexicographic order, bounded by the node budget.  Word equality is
 tri-state: "yes" carries a rewrite path that replays in relation steps, "no"
 means different normal forms (or, out of budget, a coset mismatch), and
 "unknown" only that the node budget ran out, in the completion, the
-rewriting or the path.  The monoid is finite exactly when every generator
-has a pure power among the leading terms.
+rewriting or the path.  Every charge to the budget goes through ``_spend``,
+which raises the private ``_BudgetSpent`` once the budget is below 0; only
+the two entry points, ``words_equal`` and ``_enumerate_monoid``, catch it.
+The monoid is finite exactly when every generator has a pure power among
+the leading terms.
 
 Enumeration calls ``_normal_form`` only for a basis with a mixed lead, one
 of two or more generators.  The classes are the standard monomials, the
@@ -238,6 +241,19 @@ def congruent_difference_possible(p: MonoidPresentation, x: Vector, y: Vector) -
     return lattice_contains(diffs, [a - b for a, b in zip(x, y)])
 
 
+class _BudgetSpent(Exception):
+    """The node budget ran out: raised by ``_spend`` and caught only by
+    ``words_equal`` and ``_enumerate_monoid``."""
+
+
+def _spend(budget: list[int], units: int) -> None:
+    """Charge ``units`` to ``budget[0]``, and raise ``_BudgetSpent`` once it
+    is below 0."""
+    budget[0] -= units
+    if budget[0] < 0:
+        raise _BudgetSpent
+
+
 def words_equal(
     p: MonoidPresentation,
     x: Sequence[int],
@@ -260,8 +276,8 @@ def words_equal(
     if x == y:
         return WordEquality(YES, (x,))
     budget = [node_budget]
-    rules = _rewriting_rules(p, budget)
-    if rules is not None:
+    try:
+        rules = _rewriting_rules(p, budget)
         # Rewrite what x and y do not share first, so the loop erasure cuts
         # the rest; a monoid need not cancel, so if that fails, rewrite all
         # of both.
@@ -269,22 +285,17 @@ def words_equal(
             x_steps, y_steps = [], []
             x_nf = _normal_form(tuple(map(sub, x, shared)), rules, budget, x_steps)
             y_nf = _normal_form(tuple(map(sub, y, shared)), rules, budget, y_steps)
-            if x_nf is None or y_nf is None:
-                break
             if x_nf == y_nf:
                 back = [(pth, -q) for pth, q in reversed(y_steps)]
                 path = _walk(x, x_steps + back, budget)
-                if path is None:
-                    break
                 if path[-1] != y or not replay_path(p, path):
                     raise AssertionError("rewrite path does not replay from x to y")
                 return WordEquality(YES, tuple(path))
-        else:
-            return WordEquality(NO)
-    # The budget ran out.
-    if not congruent_difference_possible(p, x, y):
         return WordEquality(NO)
-    return WordEquality(UNKNOWN, stopped_by="node_budget")
+    except _BudgetSpent:
+        if not congruent_difference_possible(p, x, y):
+            return WordEquality(NO)
+        return WordEquality(UNKNOWN, stopped_by="node_budget")
 
 
 def _grevlex_key(v: Vector) -> tuple:
@@ -302,18 +313,15 @@ def _rule(lead: Vector, tail: Vector, path) -> tuple:
     return lead, tail, support, delta, path
 
 
-def _normal_form(v: Vector, rules, budget: list[int] | None = None, steps: list | None = None) -> Vector | None:
+def _normal_form(v: Vector, rules, budget: list[int] | None = None, steps: list | None = None) -> Vector:
     """Rewrite v until no rule's lead embeds in it, each rule as often as it
     fits at once, appending (the rule's path, q) to ``steps`` for q copies.
-    With ``budget``, every rule examined costs one unit of ``budget[0]``, and
-    the result is None once it runs out."""
+    With ``budget``, every rule examined costs one unit of it."""
     w = list(v)
     changed = True
     while changed:
         if budget is not None:
-            budget[0] -= len(rules)
-            if budget[0] < 0:
-                return None
+            _spend(budget, len(rules))
         changed = False
         for _, _, support, delta, path in rules:
             i, c = support[0]
@@ -341,13 +349,13 @@ class _Recipe:
         self.path: tuple[Vector, ...] | None = None
 
 
-def _walk(v: Vector, steps: list, budget: list[int]) -> list[Vector] | None:
+def _walk(v: Vector, steps: list, budget: list[int]) -> list[Vector]:
     """The loop-erased walk from v that follows each (path, q) of ``steps``
-    |q| times, backwards when q < 0, shifted to where it is applied, or None
-    when its steps (counted before the loop erasure) exceed ``budget[0]``,
-    which pays for them.  A path is a tuple of vectors or a ``_Recipe``; the
-    recipes not yet walked are walked first, each after those it follows,
-    and their steps are paid for then."""
+    |q| times, backwards when q < 0, shifted to where it is applied.  Its
+    steps, counted before the loop erasure, are paid for from ``budget``.  A
+    path is a tuple of vectors or a ``_Recipe``; the recipes not yet walked
+    are walked first, each after those it follows, and their steps are paid
+    for then."""
     pending = [path for path, _ in steps if path.__class__ is _Recipe]
     while pending:
         recipe = pending[-1]
@@ -360,18 +368,14 @@ def _walk(v: Vector, steps: list, budget: list[int]) -> list[Vector] | None:
             continue
         pending.pop()
         walk = _follow(recipe.start, recipe.steps, budget)
-        if walk is None:
-            return None
         recipe.path = tuple(reversed(walk) if recipe.flip else walk)
     return _follow(v, steps, budget)
 
 
-def _follow(v: Vector, steps: list, budget: list[int]) -> list[Vector] | None:
+def _follow(v: Vector, steps: list, budget: list[int]) -> list[Vector]:
     """``_walk`` once every recipe that ``steps`` follow has been walked."""
     steps = [(path.path if path.__class__ is _Recipe else path, q) for path, q in steps]
-    budget[0] -= sum(abs(q) * (len(path) - 1) for path, q in steps)
-    if budget[0] < 0:
-        return None
+    _spend(budget, sum(abs(q) * (len(path) - 1) for path, q in steps))
     walk, index = [v], {v: 0}  # index may keep vectors cut from the walk
     for path, q in steps:
         if q < 0:
@@ -390,13 +394,10 @@ def _follow(v: Vector, steps: list, budget: list[int]) -> list[Vector] | None:
     return walk
 
 
-def _rewriting_rules(
-    p: MonoidPresentation, budget: list[int], paths: bool = True
-) -> list[tuple] | None:
+def _rewriting_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple]:
     """Rules ``_rule(lead, tail, path)`` whose normal forms decide the
-    congruence, or None when the completion runs out of ``budget[0]``.
-    The completion walks no rule's path: it keeps the recipe of each, for
-    ``_walk``, or without ``paths`` leaves it None.
+    congruence.  The completion walks no rule's path: it keeps the recipe of
+    each, for ``_walk``.
 
     Say every relation has a single-generator side, its head (the left one
     when both are), and no generator heads two relations.  If the digraph
@@ -414,10 +415,10 @@ def _rewriting_rules(
     for lhs, rhs in p.relations:
         lead, tail = (lhs, rhs) if lhs.count(0) == n - 1 else (rhs, lhs)
         if lead.count(0) != n - 1:
-            return _groebner_rules(p, budget, paths)
+            return _groebner_rules(p, budget)
         head = next(compress(range(n), lead))
         if head in heads:
-            return _groebner_rules(p, budget, paths)
+            return _groebner_rules(p, budget)
         heads[head] = lead, tail
         uses[head] = list(compress(range(n), tail))
     # Kahn's algorithm: waiting[h] counts the tails of heads that hold h.
@@ -435,7 +436,7 @@ def _rewriting_rules(
                     order.append(g)
     if len(order) < len(heads):  # a cycle; grevlex may still orient every relation
         if not all(_grevlex_key(lead) > _grevlex_key(tail) for lead, tail in heads.values()):
-            return _groebner_rules(p, budget, paths)
+            return _groebner_rules(p, budget)
         order = list(heads)
     rules = []
     for h in order:  # as ``_rule`` builds them, but from the sparse tail
@@ -445,19 +446,17 @@ def _rewriting_rules(
     return rules
 
 
-def _groebner_rules(
-    p: MonoidPresentation, budget: list[int], paths: bool = True
-) -> list[tuple] | None:
+def _groebner_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple]:
     """Binomial Gröbner completion of the relations in the graded reverse
-    lexicographic order, as rewriting rules, or None when the budget runs out.
+    lexicographic order, as rewriting rules.
 
     Pairs are taken lowest lcm degree first and skipped when their leads are
     coprime; a new rule sends every rule whose lead it divides back to the
     queue of equations.  Every rule examined during a reduction and every
-    pair formed costs one unit of ``budget[0]``.  Each equation a = b carries
+    pair formed costs one unit of ``budget``.  Each equation a = b carries
     steps from a to b (a relation, the S-pair a <- lcm -> b, or the path of
     a rule sent back); with both reductions they give the new rule's path as
-    a ``_Recipe``, unless ``paths`` is false.  The completion never walks a
+    a ``_Recipe``.  The completion never walks a
     recipe: a rule's path can take far more steps than the budget allows
     (10^12 a = b with b = a gives the rule 10^12 b -> b), and only a
     yes-path that follows the rule needs it."""
@@ -476,29 +475,24 @@ def _groebner_rules(
             lcm = tuple(map(max, l1, l2))
             a = tuple(m - x + y for m, x, y in zip(lcm, l1, t1))
             b = tuple(m - x + y for m, x, y in zip(lcm, l2, t2))
-            steps = [(p1, -1), (p2, 1)] if paths else None
-        a_steps, b_steps = ([], []) if paths else (None, None)
+            steps = [(p1, -1), (p2, 1)]
+        a_steps, b_steps = [], []
         a = _normal_form(a, rules.values(), budget, a_steps)
         b = _normal_form(b, rules.values(), budget, b_steps)
-        if a is None or b is None:
-            return None
         if a == b:
             continue
         lead, tail = (a, b) if _grevlex_key(a) > _grevlex_key(b) else (b, a)
-        path = None
-        if paths:
-            back = [(pth, -q) for pth, q in reversed(a_steps)]
-            path = _Recipe(a, back + steps + b_steps, lead != a)
+        back = [(pth, -q) for pth, q in reversed(a_steps)]
+        path = _Recipe(a, back + steps + b_steps, lead != a)
         for rid, (l, t, _, _, pth) in list(rules.items()):
             if all(x >= y for x, y in zip(l, lead)):
                 del rules[rid]
                 equations.append((l, t, [(pth, 1)]))
+        formed = len(pairs)
         for rid, (l, _, _, _, _) in rules.items():
             if any(x and y for x, y in zip(l, lead)):
-                budget[0] -= 1
                 heapq.heappush(pairs, (sum(map(max, l, lead)), next_id, rid))
-        if budget[0] < 0:
-            return None
+        _spend(budget, len(pairs) - formed)
         rules[next_id] = _rule(lead, tail, path)
         next_id += 1
     return list(rules.values())
@@ -624,12 +618,13 @@ def _enumerate_monoid(
     met in it.  When the leads are exactly one pure power c_g g per
     generator, the normal forms are the box of ``_box_action`` and the
     search runs over its action; a basis with a mixed lead has no box, and
-    the search classifies each vector by ``_normal_form``.  No rewrite paths
-    are built, so ``node_budget`` pays only for the completion's reductions
+    the search classifies each vector by ``_normal_form``.  No rewrite path
+    is walked, so ``node_budget`` pays only for the completion's reductions
     and pairs."""
     k = len(p.generators)
-    rules = _rewriting_rules(p, [node_budget], paths=False)
-    if rules is None:
+    try:
+        rules = _rewriting_rules(p, [node_budget])
+    except _BudgetSpent:
         return None, "node_budget"
     # Finite exactly when every generator has a pure-power leading term.
     powers = {

@@ -334,7 +334,9 @@ def se_search(
 
     The kernel of the linear map R -> A R - R B is computed exactly; R and S
     candidates are integer combinations of kernel basis vectors with
-    coefficients bounded by coeff_bound.  An invariant obstruction short
+    coefficients bounded by coeff_bound.  A kernel whose box holds more
+    than ``_CANDIDATE_CAP`` combinations is skipped, and the reported bounds
+    then name ``candidate_cap`` too.  An invariant obstruction short
     circuits the search, since no witness can exist past one.  A witness is
     checked with ``verify_se`` before it is returned.
     """
@@ -360,6 +362,7 @@ def se_search(
         if not basis:
             return []
         if (2 * coeff_bound + 1) ** len(basis) > _CANDIDATE_CAP:
+            bounds["candidate_cap"] = _CANDIDATE_CAP  # the box was not searched
             return []
         out = []
         seen = set()

@@ -559,6 +559,25 @@ def test_shift_search_se(files, capsys, tmp_path):
     assert report["obstruction"]["verdict"] == "obstruction"
 
 
+def test_capped_se_search_names_the_cap(capsys, tmp_path):
+    # The zero matrix against one edge: the coefficient box of the kernel is
+    # over the cap, so both reports name it among the bounds.
+    zero = tmp_path / "zero.mat"
+    zero.write_text("4 4\n" + "0 0 0 0\n" * 4)
+    edge = tmp_path / "edge.mat"
+    edge.write_text("4 4\n0 1 0 0\n" + "0 0 0 0\n" * 3)
+    code, report = invoke_json(capsys, ["shift", "search-se", str(zero), str(edge)])
+    assert code == 1 and report["outcome"] == "not_found"
+    assert report["bounds"] == {"max_lag": 4, "coeff_bound": 2, "candidate_cap": 250_000}
+    empty = tmp_path / "empty.graph"
+    empty.write_text("v a\nv b\nv c\nv d\n")
+    one_edge = tmp_path / "one-edge.graph"
+    one_edge.write_text("v a\nv b\nv c\nv d\ne a b\n")
+    code, report = invoke_json(capsys, ["lpa", "compare", str(empty), str(one_edge), "--mode", "graded"])
+    assert code == 1 and report["outcome"] == "unknown"
+    assert report["bounds"]["candidate_cap"] == 250_000
+
+
 def test_shift_invariants(files, capsys, tmp_path):
     left = tmp_path / "left.mat"
     left.write_text("2 2\n1 3\n2 1\n")

@@ -8,7 +8,7 @@ import time
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monodyn.corpus import random_sandpile_graph, sandpile_corpus
@@ -29,6 +29,7 @@ from monodyn.monoid import (
     replay_path,
     serialize_presentation,
     words_equal,
+    _BudgetSpent,
     _enumerate_monoid,
     _normal_form,
     _rewriting_rules,
@@ -135,21 +136,42 @@ def test_words_equal_budget_pays_for_the_path():
     assert words_equal(p, (8, 0), (0, 4), node_budget=6).verdict == "unknown"
 
 
-def test_words_equal_monotone_in_node_budget():
-    # The relations of the two-cycle need a completion, and their differences
-    # span all of Z^2, so no coset certificate answers before it finishes.
-    p = two_cycle_presentation()
-    rng = random.Random(3)
-    for _ in range(40):
-        x = tuple(rng.randint(0, 3) for _ in range(2))
-        y = tuple(rng.randint(0, 3) for _ in range(2))
-        verdicts = [words_equal(p, x, y, node_budget=b).verdict for b in (0, 2, 5, 10, 100, 200_000)]
-        decided = [v for v in verdicts if v != "unknown"]
-        # Once decided, a larger budget gives the same verdict; the default
-        # budget always decides.
-        assert verdicts[-1] != "unknown"
-        assert decided == [verdicts[-1]] * len(decided)
-        assert verdicts[len(verdicts) - len(decided):] == decided
+NODE_BUDGETS = (0, 1, 2, 5, 10, 100, 200_000)
+
+
+@st.composite
+def word_queries(draw):
+    """A presentation with two of its elements, entries up to 3."""
+    p = draw(st.one_of(presentations(), pure_power_presentations()))
+    element = st.tuples(*[st.integers(0, 3)] * len(p.generators))
+    return p, draw(element), draw(element)
+
+
+@settings(max_examples=100, deadline=None)
+@given(query=word_queries())
+# The relations of the two-cycle need a completion, and their differences
+# span all of Z^2, so no coset certificate answers before it finishes.
+@example(query=(two_cycle_presentation(), (0, 0), (1, 0)))
+@example(query=(two_cycle_presentation(), (1, 0), (0, 1)))
+@example(query=(two_cycle_presentation(), (2, 1), (0, 3)))
+@example(query=(two_cycle_presentation(), (3, 0), (0, 0)))
+def test_words_equal_monotone_in_node_budget(query):
+    p, x, y = query
+    results = [words_equal(p, x, y, node_budget=b) for b in NODE_BUDGETS]
+    for res in results:
+        assert (res.verdict == "unknown") == (res.stopped_by == "node_budget")
+    # Once decided, a larger budget gives the same verdict.
+    verdicts = [res.verdict for res in results]
+    decided = [v for v in verdicts if v != "unknown"]
+    assert verdicts[len(verdicts) - len(decided):] == decided
+    assert len(set(decided)) <= 1
+    if p == two_cycle_presentation():
+        assert decided and verdicts[:4] == ["unknown"] * 4
+    # Enumeration either runs out of its budget or finishes as with the
+    # default one.
+    expected = _enumerate_monoid(p, 500, 200_000)
+    for b in NODE_BUDGETS:
+        assert _enumerate_monoid(p, 500, b) in ((None, "node_budget"), expected)
 
 
 def test_words_equal_translation_invariance():
@@ -280,7 +302,8 @@ def test_radius_two_window_decided_without_completion():
     # then pays only for its rewriting and its path.
     p = radius_two_window()
     budget = [0]
-    assert _rewriting_rules(p, budget) is not None and budget == [0]
+    _rewriting_rules(p, budget)
+    assert budget == [0]
     rng = random.Random(11)
     seen = set()
     for _ in range(60):
@@ -434,7 +457,8 @@ def test_words_equal_matches_sympy_groebner(data):
         assert res.path[0] == x and res.path[-1] == y and replay_path(p, res.path)
     if acyclic:  # no completion runs, so the rules cost no budget
         budget = [0]
-        assert _rewriting_rules(p, budget) is not None and budget == [0]
+        _rewriting_rules(p, budget)
+        assert budget == [0]
 
 
 def _sympy_lattice_shape(rows):
@@ -618,8 +642,9 @@ def _reference_enumeration(p, max_elements, node_budget):
     """Breadth-first search from 0 that classifies every (class, generator)
     step by its Gröbner normal form: the enumeration before the box builder."""
     k = len(p.generators)
-    rules = _rewriting_rules(p, [node_budget])
-    if rules is None:
+    try:
+        rules = _rewriting_rules(p, [node_budget])
+    except _BudgetSpent:
         return None, "node_budget"
     if len({support[0][0] for _, _, support, _, _ in rules if len(support) == 1}) < k:
         return None, "infinite"
@@ -740,11 +765,9 @@ def test_enumeration_builds_no_rewrite_paths(tmp_path, capsys):
     rules = _rewriting_rules(found, [200_000])
     assert [rule[:2] for rule in rules] == [((0, 3), (0, 1)), ((2, 0), (0, 1))]
     assert all(rule[4].path is None for rule in rules)
-    assert _walk((2, 0), [(rules[1][4], 1)], [200_000]) is None
-    with_paths = _rewriting_rules(small, [200_000])
-    without = _rewriting_rules(small, [200_000], paths=False)
-    assert [rule[:4] for rule in without] == [rule[:4] for rule in with_paths]
-    for lead, tail, _, _, recipe in with_paths:
+    with pytest.raises(_BudgetSpent):
+        _walk((2, 0), [(rules[1][4], 1)], [200_000])
+    for lead, tail, _, _, recipe in _rewriting_rules(small, [200_000]):
         path = _walk(lead, [(recipe, 1)], [200_000])
         assert path[0] == lead and path[-1] == tail and replay_path(small, path)
     expected = enumerate_monoid(small).to_json_dict()

@@ -203,6 +203,22 @@ def test_se_search_obstruction_short_circuit():
     assert result.obstruction.verdict == "obstruction"
 
 
+def test_se_search_names_the_candidate_cap_that_cut_it():
+    # The kernel of R -> 0 R - R B has rank 12, so its coefficient box holds
+    # 5^12 combinations, over the cap: the search skips it and must say so,
+    # since a lag-1 witness exists.
+    zero = IntMatrix.zeros(4, 4)
+    b = IntMatrix(4, 4, tuple(int(i == 1) for i in range(16)))
+    result = se_search(zero, b)
+    assert isinstance(result, SearchExhausted) and result.obstruction is None
+    assert result.bounds == {"max_lag": 4, "coeff_bound": 2, "candidate_cap": 250_000}
+    r = IntMatrix(4, 4, tuple(int(i == 2 * 4 + 1) for i in range(16)))
+    s = IntMatrix(4, 4, tuple(int(i == 2) for i in range(16)))
+    assert verify_se(zero, b, SEWitness(r, s, 1))
+    # A search the cap does not cut names only its two bounds.
+    assert "candidate_cap" not in se_search(TWO, IntMatrix.from_rows([[3]])).bounds
+
+
 def test_se_search_reflexive():
     a = IntMatrix.from_rows([[1, 2], [1, 1]])
     result = se_search(a, a)
