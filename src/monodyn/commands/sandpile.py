@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..errors import BudgetExceededError, MonodynError, ParseError
+from ..errors import BudgetExceededError, MonodynError, integer
 from . import load_graph, read_text
 
 if TYPE_CHECKING:
@@ -70,10 +70,7 @@ def _parse_places(raw: list[str]) -> dict[tuple[int, int], int]:
         parts = chunk.split(",")
         if len(parts) != 3:
             raise MonodynError(f"--place wants 'row,col,chips', got {chunk!r}")
-        try:
-            r, c, n = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"--place wants integers 'row,col,chips', got {chunk!r}") from None
+        r, c, n = (integer(p, f"--place wants integers 'row,col,chips', got {chunk!r}") for p in parts)
         total = places.get((r, c), 0)
         # A negative chunk keeps its cell negative, whatever other chunks on
         # the cell add, so that grid_config refuses it.

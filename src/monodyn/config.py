@@ -3,7 +3,7 @@ config file (``key = value`` per line, ``#`` comments)."""
 
 from __future__ import annotations
 
-from .errors import Frozen, ParseError
+from .errors import Frozen, ParseError, integer, records
 
 
 class Bounds(Frozen):
@@ -49,21 +49,14 @@ DEFAULT_BOUNDS = Bounds()
 
 def parse_bounds(text: str, base: Bounds = DEFAULT_BOUNDS) -> Bounds:
     overrides = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in records(text):
         if "=" not in line:
             raise ParseError("config line must be 'key = value'", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
         if key not in Bounds._fields:
             raise ParseError(f"unknown bound {key!r}", line=lineno)
-        try:
-            parsed = int(value)
-        except ValueError:
-            raise ParseError(f"bound {key!r} needs an integer, got {value!r}", line=lineno) from None
-        overrides[key] = parsed
+        overrides[key] = integer(value, f"bound {key!r} needs an integer, got {value!r}", lineno)
     return base.replace(**overrides)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
-from .errors import Frozen, MonodynError, ParseError, ShapeError
+from .errors import Frozen, MonodynError, ParseError, ShapeError, integer
 from .matrix import IntMatrix, vec_mat_mul
 
 if TYPE_CHECKING:
@@ -221,13 +221,9 @@ def parse_dim_element(matrix: IntMatrix, text: str) -> DimElement:
     vec_part = vec_part.strip()
     if not vec_part.endswith("]"):
         raise ParseError(f"unterminated vector in {text!r}")
-    body = vec_part[1:-1].strip()
-    try:
-        vec = tuple(int(tok) for tok in body.split()) if body else ()
-        stage = int(stage_part)
-    except ValueError:
-        raise ParseError(f"bad element syntax {text!r}") from None
-    return DimElement(matrix, vec, stage)
+    message = f"bad element syntax {text!r}"
+    vec = tuple(integer(tok, message) for tok in vec_part[1:-1].split())
+    return DimElement(matrix, vec, integer(stage_part, message))
 
 
 def format_dim_element(x: DimElement) -> str:

@@ -1,9 +1,10 @@
-"""Exception types, and the base of the immutable value classes, shared
-across the package."""
+"""Exception types, the two readers of every text input (its records and
+its integers), and the base of the immutable value classes."""
 
 from __future__ import annotations
 
 from operator import attrgetter
+from typing import Iterator
 
 
 class MonodynError(Exception):
@@ -18,6 +19,24 @@ class ParseError(MonodynError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def records(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, content)`` of each line of ``text`` that holds more
+    than a ``#`` comment; the content is what precedes it, stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def integer(text: str, message: str, line: int | None = None) -> int:
+    """``int(text)``, or a ``ParseError`` with ``message`` and ``line`` when
+    ``text`` is not an integer or has more digits than Python converts."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(message, line=line) from None
 
 
 class ShapeError(MonodynError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import Frozen, ParseError, ShapeError
+from .errors import Frozen, ParseError, ShapeError, integer, records
 
 if TYPE_CHECKING:
     from .matrix import IntMatrix
@@ -143,22 +143,11 @@ class Graph(Frozen):
             return self.weights[self.index[v]]
         return self.outdegree(v)
 
-    def reachable_from(self, start: str) -> set[str]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for dst, _ in self.out_adj[v]:
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return seen
-
     @cached_property
-    def components(self) -> tuple[tuple[str, ...], ...]:
-        """Strongly connected components by Tarjan's algorithm, iterative.
-        Components are listed by their smallest vertex index; vertices within
-        a component keep declaration order."""
+    def _finished(self) -> list[list[str]]:
+        """Strongly connected components by Tarjan's algorithm, iterative,
+        in the order it finishes them: an edge that leaves a component enters
+        one finished earlier."""
         index_of: dict[str, int] = {}
         lowlink: dict[str, int] = {}
         on_stack: set[str] = set()
@@ -203,11 +192,36 @@ class Graph(Frozen):
                         if w == v:
                             break
                     components.append(comp)
+        return components
 
+    @cached_property
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        """The strongly connected components, listed by their smallest vertex
+        index; vertices within a component keep declaration order."""
         idx = self.index
-        ordered = [tuple(sorted(c, key=idx.__getitem__)) for c in components]
+        ordered = [tuple(sorted(c, key=idx.__getitem__)) for c in self._finished]
         ordered.sort(key=lambda c: idx[c[0]])
         return tuple(ordered)
+
+    @cached_property
+    def _reach(self) -> tuple[dict[str, int], list[int]]:
+        """Each vertex's position in ``_finished``, and per component the
+        bitmask of the positions it reaches, its own among them: one pass,
+        as an edge out of a component enters one whose mask is done."""
+        position: dict[str, int] = {}
+        masks: list[int] = []
+        for k, comp in enumerate(self._finished):
+            position.update(dict.fromkeys(comp, k))
+            masks.append(1 << k)
+            for v in comp:
+                for dst, _ in self.out_adj[v]:
+                    masks[k] |= masks[position[dst]]
+        return position, masks
+
+    def reaches(self, u: str, v: str) -> bool:
+        """Whether a directed path, possibly empty, leads from u to v."""
+        position, masks = self._reach
+        return masks[position[u]] >> position[v] & 1 == 1
 
     @cached_property
     def cyclic_components(self) -> tuple[tuple[str, ...], ...]:
@@ -256,10 +270,7 @@ def parse_graph(text: str) -> Graph:
     edges: list[tuple[str, str, int]] = []
     weights: dict[str, int] = {}
     declared: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in records(text):
         parts = line.split()
         kind = parts[0]
         if kind == "v":
@@ -279,10 +290,7 @@ def parse_graph(text: str) -> Graph:
                     raise ParseError(f"undeclared vertex {endpoint!r} in edge", line=lineno)
             mult = 1
             if len(parts) == 4:
-                try:
-                    mult = int(parts[3])
-                except ValueError:
-                    raise ParseError(f"bad multiplicity {parts[3]!r}", line=lineno) from None
+                mult = integer(parts[3], f"bad multiplicity {parts[3]!r}", lineno)
                 if mult < 1:
                     raise ParseError(f"multiplicity must be >= 1, got {mult}", line=lineno)
             edges.append((src, dst, mult))
@@ -292,10 +300,7 @@ def parse_graph(text: str) -> Graph:
             name = parts[1]
             if name not in declared:
                 raise ParseError(f"weight for undeclared vertex {name!r}", line=lineno)
-            try:
-                weights[name] = int(parts[2])
-            except ValueError:
-                raise ParseError(f"bad weight {parts[2]!r}", line=lineno) from None
+            weights[name] = integer(parts[2], f"bad weight {parts[2]!r}", lineno)
         else:
             raise ParseError(f"unknown record {kind!r}", line=lineno)
     if not vertices:

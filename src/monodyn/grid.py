@@ -59,7 +59,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
-from .errors import BudgetExceededError, Frozen, ParseError, ShapeError
+from .errors import BudgetExceededError, Frozen, ParseError, ShapeError, integer
 from .sandpile import ChipConfig, Odometer
 
 if TYPE_CHECKING:
@@ -180,6 +180,8 @@ class GridVertices:
             if v == SINK and spec.mode == OPEN:
                 return None
             raise KeyError(v)
+        if len(row) > len(str(spec.rows)) or len(col) > len(str(spec.cols)):
+            raise KeyError(v)  # no cell, and may be past int()'s digit limit
         r, c = int(row), int(col)
         if r >= spec.rows or c >= spec.cols:
             raise KeyError(v)
@@ -623,5 +625,5 @@ def parse_palette(text: str) -> Palette:
         parts = chunk.split(",")
         if len(parts) != 3:
             raise ParseError(f"bad color {chunk!r}")
-        colors.append(tuple(int(p) for p in parts))
+        colors.append(tuple(integer(p, f"bad color {chunk!r}") for p in parts))
     return Palette(tuple(colors))

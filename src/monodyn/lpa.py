@@ -83,12 +83,11 @@ def lpa_simple(g: Graph) -> SimplicityVerdict:
         # Cofinality fails.  The witness is the first vertex that misses a
         # target, with the first target it misses, sinks before cycles.  A
         # component's vertices reach the same set, and a target is reached
-        # whole or not at all, so one search per component suffices.
+        # whole or not at all, so one question per component suffices.
         targets = tuple((s,) for s in sinks) + cycles
         for comp in g.components:
-            reach = g.reachable_from(comp[0])
             for target in targets:
-                if target[0] not in reach:
+                if not g.reaches(comp[0], target[0]):
                     return SimplicityVerdict(
                         False, "cofinality", witness_vertex=comp[0], witness_target=target
                     )

@@ -15,7 +15,7 @@ from itertools import chain
 from operator import mul
 from typing import Sequence
 
-from .errors import Frozen, MonodynError, ParseError, ShapeError
+from .errors import Frozen, MonodynError, ParseError, ShapeError, integer, records
 
 # The most bits an entry of a power may need when IntMatrix.pow is asked to
 # bound it; a power whose entries grow past this is refused rather than run.
@@ -218,19 +218,10 @@ def charpoly(m: IntMatrix) -> tuple[int, ...]:
 
 
 def parse_matrix(text: str) -> IntMatrix:
-    tokens: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        for tok in line.split():
-            tokens.append((lineno, tok))
+    tokens = [(lineno, tok) for lineno, line in records(text) for tok in line.split()]
     if len(tokens) < 2:
         raise ParseError("matrix file needs a '<rows> <cols>' header")
-    values = []
-    for lineno, tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ParseError(f"not an integer: {tok!r}", line=lineno) from None
+    values = [integer(tok, f"not an integer: {tok!r}", lineno) for lineno, tok in tokens]
     rows, cols = values[0], values[1]
     if rows < 1 or cols < 1:
         raise ParseError(f"matrix dimensions must be positive, got {rows}x{cols}")

@@ -46,12 +46,12 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from itertools import compress, repeat
+from itertools import compress, repeat, takewhile
 from operator import add, ge, itemgetter, sub
 from typing import TYPE_CHECKING, Sequence
 
 from .config import DEFAULT_BOUNDS
-from .errors import Frozen, ParseError, ShapeError
+from .errors import Frozen, ParseError, ShapeError, integer, records
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -716,14 +716,12 @@ def parse_element(p: MonoidPresentation, text: str) -> Vector:
         term = term.strip()
         if not term:
             raise ParseError(f"empty term in {text!r}")
-        digits = ""
-        while term and term[0].isdigit():
-            digits += term[0]
-            term = term[1:]
-        coeff = int(digits) if digits else 1
-        if term not in pos:
-            raise ParseError(f"unknown generator {term!r}")
-        vec[pos[term]] += coeff
+        digits = "".join(takewhile(str.isdigit, term))
+        name = term[len(digits):]
+        coeff = integer(digits, f"bad coefficient in term {term!r}") if digits else 1
+        if name not in pos:
+            raise ParseError(f"unknown generator {name!r}")
+        vec[pos[name]] += coeff
     return tuple(vec)
 
 
@@ -738,10 +736,7 @@ def parse_presentation(text: str) -> MonoidPresentation:
     gens: tuple[str, ...] | None = None
     relations: list[tuple[Vector, Vector]] = []
     stub: MonoidPresentation | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in records(text):
         if gens is None:
             if not line.startswith("gens:"):
                 raise ParseError("first record must be 'gens: <names>'", line=lineno)

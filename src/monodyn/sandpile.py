@@ -20,7 +20,7 @@ from random import Random
 from typing import TYPE_CHECKING, Mapping
 
 from .config import DEFAULT_BOUNDS
-from .errors import BudgetExceededError, CapExceededError, FiringError, Frozen, ParseError
+from .errors import BudgetExceededError, CapExceededError, FiringError, Frozen, ParseError, integer, records
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -83,18 +83,12 @@ def parse_config(g: Graph, text: str) -> ChipConfig:
     with its ``nonsink_vertices`` and ``nonsink_position`` such as
     ``grid.GridVertices``; a cell named twice gets the sum."""
     counts = [0] * len(g.nonsink_vertices)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in records(text):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError("config line must be '<vertex> <count>'", line=lineno)
         name = parts[0]
-        try:
-            c = int(parts[1])
-        except ValueError:
-            raise ParseError(f"bad count {parts[1]!r}", line=lineno) from None
+        c = integer(parts[1], f"bad count {parts[1]!r}", lineno)
         if c < 0:
             raise ParseError(f"negative count for {name!r}", line=lineno)
         try:
@@ -195,11 +189,12 @@ def stabilize(
 ) -> tuple[ChipConfig, Odometer]:
     """Fire until no vertex is unstable.
 
-    The default scheduler pops a FIFO work queue seeded in declaration order
-    and fires the popped vertex maximally (floor(count / outdegree) single
-    firings at once).  Passing ``rng`` switches to single random firings,
-    which exists so tests can confirm order independence.  ``trace_to``
-    collects a snapshot after every single firing.
+    One work queue holds unstable vertices, each at most once, seeded in
+    declaration order.  The default schedule pops the front vertex and fires
+    it maximally (floor(count / outdegree) single firings at once).  Passing
+    ``rng`` fires a uniformly random queued vertex once instead, so that
+    tests can confirm order independence.  ``trace_to`` collects a snapshot
+    after every single firing.
 
     Raises BudgetExceededError when the budget runs out, which can happen on
     chip-heavy closed grids but never on sandpile graphs.  The error stops at
@@ -210,42 +205,33 @@ def stabilize(
         budget = DEFAULT_BOUNDS.firing_budget
     arena = _Arena(g, c)
     n = len(arena.counts)
-
-    if rng is not None:
-        while True:
-            unstable = [i for i in range(n) if arena.unstable(i)]
-            if not unstable:
-                return arena.result()
-            if arena.fired >= budget:
-                raise arena.budget_error(budget)
-            i = rng.choice(unstable)
-            arena.fire(i)
-            if trace_to is not None:
-                trace_to.append(arena.snapshot())
-
+    # Every queued vertex is unstable: a vertex only gains chips until it is
+    # popped, and after a whole batch it is unstable only through a loop,
+    # which queues it as its own target.  A cut batch leaves it queued.
     queue = deque(i for i in range(n) if arena.unstable(i))
     queued = [arena.unstable(i) for i in range(n)]
     while queue:
-        i = queue.popleft()
-        queued[i] = False
-        if not arena.unstable(i):
-            continue
-        batch = min(arena.counts[i] // arena.outdeg[i], budget - arena.fired)
-        if trace_to is not None:
+        if arena.fired == budget:
+            raise arena.budget_error(budget)
+        if rng is not None:
+            queue.rotate(-rng.randrange(len(queue)))
+        i = queue[0]
+        whole = arena.counts[i] // arena.outdeg[i]
+        batch = min(1 if rng is not None else whole, budget - arena.fired)
+        if trace_to is None:
+            arena.fire(i, batch)
+        else:
             for _ in range(batch):
                 arena.fire(i)
                 trace_to.append(arena.snapshot())
-        else:
-            arena.fire(i, batch)
-        if arena.fired == budget and arena.unstable(i):
-            raise arena.budget_error(budget)
+        if batch < whole:
+            continue
+        queue.popleft()
+        queued[i] = False
         for j, _ in arena.targets[i]:
             if j is not None and not queued[j] and arena.unstable(j):
                 queue.append(j)
                 queued[j] = True
-        if not queued[i] and arena.unstable(i):
-            queue.append(i)
-            queued[i] = True
     return arena.result()
 
 

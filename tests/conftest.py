@@ -117,6 +117,19 @@ def rose_graph(petals: int) -> Graph:
     return Graph.build(["v"], [("v", "v", petals)])
 
 
+def reachable_from(g: Graph, start: str) -> set[str]:
+    """The vertices a depth-first search from ``start`` meets: the oracle
+    for ``Graph.reaches``, sharing none of its code."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for dst, _ in g.out_adj[stack.pop()]:
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
+
+
 @st.composite
 def digraphs(draw, max_vertices: int = 7) -> Graph:
     """Directed multigraphs on 1 to ``max_vertices`` vertices with up to two

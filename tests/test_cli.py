@@ -9,7 +9,7 @@ import time
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import monodyn.cli
@@ -1091,7 +1091,9 @@ def limit_case(draw) -> tuple[list[str], dict[str, str]]:
     return ["shift", "verify-se", *files, "--lag", str(lag)], files
 
 
-MALFORMED_PRESENTATIONS = ("", "a = b\n", "gens:\n", "gens: a a\n", "gens: a\na = a\n", "gens: a\na a\n", "gens: a\n2a = c\n", "gens: a\na = +\n")
+# One digit past the longest decimal that int() converts.
+HUGE = "1" * 4301
+MALFORMED_PRESENTATIONS = ("", "a = b\n", "gens:\n", "gens: a a\n", "gens: a\na = a\n", "gens: a\na a\n", "gens: a\n2a = c\n", "gens: a\na = +\n", f"gens: a\n{HUGE}a = a\n")
 
 
 def term_text(gens: list[str]) -> st.SearchStrategy[str]:
@@ -1118,7 +1120,15 @@ CONFIG_LINES = st.one_of(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 9)).map(lambda t: f"r{t[0]}c{t[1]} {t[2]}"),
     st.tuples(st.integers(-1, 7), st.integers(-1, 7)).map(lambda t: f"r{t[0]}c{t[1]} 1"),
     st.integers(0, 2**70).map(lambda n: f"r0c0 {n}"),
-    st.sampled_from(("sink 1", "r0c0 -1", "r0c0 x", "r0c0", "# note", "", "nowhere 2")),
+    st.sampled_from(("sink 1", "r0c0 -1", "r0c0 x", "r0c0", "# note", "", "nowhere 2", f"r{HUGE}c0 1", f"r0c{HUGE} 1")),
+)
+# Palettes of three to five colours with channels just in and out of
+# 0..255, and colours of the wrong arity or with a non-integer channel.
+PALETTES = st.one_of(
+    st.lists(st.tuples(*[st.integers(-1, 256)] * 3), min_size=3, max_size=5).map(
+        lambda colors: ";".join(",".join(map(str, rgb)) for rgb in colors)
+    ),
+    st.sampled_from(("1,2;1,1,1;1,1,1;1,1,1", "a,b,c;1,1,1;1,1,1;1,1,1")),
 )
 
 
@@ -1171,7 +1181,7 @@ def cli_case(draw) -> tuple[list[str], dict[str, str]]:
         files = {"p.gen.pres": text}
         if command == "enumerate":
             return ["monoid", "enumerate", "p.gen.pres"], files
-        words = st.one_of(term_text(gens), term_text(gens), term_text(gens), st.sampled_from(("z", "a+", "2", "")))
+        words = st.one_of(term_text(gens), term_text(gens), term_text(gens), st.sampled_from(("z", "a+", "2", "", f"{HUGE}a")))
         return ["monoid", "equal", "p.gen.pres", draw(words), draw(words)], files
     if kind == "lpa":
         command = draw(st.sampled_from(("simple", "zorn", "compare")))
@@ -1194,6 +1204,7 @@ def cli_case(draw) -> tuple[list[str], dict[str, str]]:
         argv = ["sandpile", "render", draw(GRID_SIDES), draw(GRID_SIDES)]
         argv += [draw(st.sampled_from(("c.gen.cfg", "zero.cfg", "bad.cfg", "missing.cfg"))), "--mode", draw(MODES)]
         files = {"c.gen.cfg": "\n".join(draw(st.lists(CONFIG_LINES, max_size=6)))}
+        argv += draw(st.one_of(st.just([]), PALETTES.map(lambda palette: [f"--palette={palette}"])))
         return argv + draw(st.sampled_from(([], ["--out", "r.ppm"]))), files
     argv, _ = draw(st.sampled_from(COMMAND_BOUNDS))
     flag = draw(st.sampled_from([*BOUND_FLAGS.values(), "--bounds-file"]))
@@ -1204,8 +1215,14 @@ def cli_case(draw) -> tuple[list[str], dict[str, str]]:
     return argv + [flag, value], {}
 
 
+# Inputs that once ended in a traceback: a palette channel, a cell name, a
+# presentation coefficient and a term argument that int() refuses.
 @settings(max_examples=500, deadline=None)
 @given(case=cli_case())
+@example(case=(["sandpile", "render", "2", "2", "zero.cfg", "--palette=a,b,c;1,1,1;1,1,1;1,1,1"], {}))
+@example(case=(["sandpile", "render", "2", "2", "c.gen.cfg"], {"c.gen.cfg": f"r{HUGE}c0 1\n"}))
+@example(case=(["monoid", "enumerate", "p.gen.pres"], {"p.gen.pres": f"gens: a\n{HUGE}a = a\n"}))
+@example(case=(["monoid", "equal", "p.gen.pres", f"{HUGE}a", "a"], {"p.gen.pres": "gens: a\n"}))
 def test_cli_contract(cli_workdir, case):
     argv, files = case
     for name, text in files.items():

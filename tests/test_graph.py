@@ -15,7 +15,7 @@ from monodyn.graph import (
 )
 from monodyn.matrix import IntMatrix
 
-from conftest import FOUR_VERTEX_SANDPILE_TEXT, digraphs, rose_graph
+from conftest import FOUR_VERTEX_SANDPILE_TEXT, digraphs, reachable_from, rose_graph
 
 
 def test_parse_four_vertex_sandpile():
@@ -46,6 +46,41 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("v a\ne a a 0\n")
     with pytest.raises(ParseError):
         parse_graph("v a\nv b\nw a 1\n")  # weight must cover every vertex
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# a comment\n\nv a b\n", "line 3: vertex line must be 'v <name>'"),
+        ("v a\ne a\n", "line 2: edge line must be 'e <src> <dst> [mult]'"),
+        ("v a\ne a a 1 2\n", "line 2: edge line must be 'e <src> <dst> [mult]'"),
+        ("v a\ne a a x\n", "line 2: bad multiplicity 'x'"),
+        ("v a\nw a\n", "line 2: weight line must be 'w <name> <int>'"),
+        ("v a\nw b 1\n", "line 2: weight for undeclared vertex 'b'"),
+        ("v a  # w a x\nw a x\n", "line 2: bad weight 'x'"),
+    ],
+)
+def test_parse_graph_names_each_bad_record(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, weights, message",
+    [
+        (["a", "a"], [], None, "duplicate vertex 'a'"),
+        (["a"], [("a", "b")], None, "edge references undeclared vertex 'b'"),
+        (["a"], [("b", "a")], None, "edge references undeclared vertex 'b'"),
+        (["a"], [("a", "a", 0)], None, "edge multiplicity must be >= 1, got 0"),
+        (["a", "b", "c"], [], {"b": 1}, "weight map missing vertices: a, c"),
+        (["a"], [], {"a": -1}, "negative weight for vertex 'a'"),
+    ],
+)
+def test_build_names_each_bad_argument(vertices, edges, weights, message):
+    with pytest.raises(ParseError) as err:
+        Graph.build(vertices, edges, weights)
+    assert str(err.value) == message
 
 
 def test_multiplicity_aggregation():
@@ -116,7 +151,7 @@ def test_sandpile_flag_matches_bfs():
         g = Graph.build(names, edges)
         rep = structure_report(g)
         expected = len(g.sinks) == 1 and all(
-            g.sinks[0] in g.reachable_from(v) for v in g.vertices
+            g.sinks[0] in reachable_from(g, v) for v in g.vertices
         )
         assert rep.sandpile == expected
         assert rep.indegrees == tuple(sum(m for _, dst, m in g.edges if dst == v) for v in g.vertices)
@@ -134,7 +169,7 @@ def test_scc_partition():
 @settings(max_examples=300, deadline=None)
 @given(g=digraphs())
 def test_components_are_the_mutual_reachability_classes(g):
-    reach = {v: g.reachable_from(v) for v in g.vertices}
+    reach = {v: reachable_from(g, v) for v in g.vertices}
     comps = g.components
     # A partition of the vertices ...
     assert sorted(v for comp in comps for v in comp) == sorted(g.vertices)
@@ -143,6 +178,7 @@ def test_components_are_the_mutual_reachability_classes(g):
     for u in g.vertices:
         for v in g.vertices:
             assert (block[u] == block[v]) == (v in reach[u] and u in reach[v])
+            assert g.reaches(u, v) == (v in reach[u])
     # ... listed by smallest vertex index, each in declaration order.
     idx = g.index
     firsts = [idx[comp[0]] for comp in comps]

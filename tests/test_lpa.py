@@ -19,7 +19,7 @@ from monodyn.lpa import (
 )
 from monodyn.shifteq import verify_se
 
-from conftest import digraphs, rose_graph
+from conftest import digraphs, reachable_from, rose_graph
 
 
 def test_simplicity_trio(simplicity_trio):
@@ -50,7 +50,7 @@ def test_zorn(graph_two_cycle_loop):
 
 
 def brute_simple(g: Graph) -> bool:
-    reach = {v: g.reachable_from(v) for v in g.vertices}
+    reach = {v: reachable_from(g, v) for v in g.vertices}
     sinks = [v for v in g.vertices if g.outdegree(v) == 0]
     cycles = []
 
@@ -122,7 +122,7 @@ def reference_simple(g: Graph) -> SimplicityVerdict:
     the sinks and then the cycle-holding components, then the exit walk.  The
     components are the mutual reachability classes, listed by their first
     vertex, each in declaration order."""
-    reach = {v: g.reachable_from(v) for v in g.vertices}
+    reach = {v: reachable_from(g, v) for v in g.vertices}
     comps: list[tuple[str, ...]] = []
     for v in g.vertices:
         if not any(v in comp for comp in comps):
@@ -199,6 +199,20 @@ def test_large_grid_in_linear_time(looped):
     assert rep.sink_name == (None if looped else "sink")
     assert rep.outdegrees == outdegrees
     assert rep.indegrees == indegrees
+
+
+# A chain v0 -> ... -> v(k-1) feeding two looped vertices a and b: every
+# chain vertex reaches both loops, and a is the first vertex to miss one.
+# One reachability search per component would take time quadratic in k.
+def test_long_chain_witness_without_a_search_per_component():
+    k = 20_000
+    chain = [f"v{i}" for i in range(k)]
+    edges = list(zip(chain, chain[1:])) + [(chain[-1], "a"), (chain[-1], "b"), ("a", "a"), ("b", "b")]
+    g = Graph.build(chain + ["a", "b"], edges)
+    start = time.perf_counter()
+    verdict = lpa_simple(g)
+    assert time.perf_counter() - start < 2.0
+    assert verdict == SimplicityVerdict(False, "cofinality", witness_vertex="a", witness_target=("b",))
 
 
 def test_gcd_examples():

@@ -93,6 +93,19 @@ def test_words_equal_u_equals_v():
     assert res.path[0] == (1, 0) and res.path[-1] == (0, 1)
 
 
+def test_replay_path_refuses_steps_that_apply_no_relation():
+    # One relation, a + c = b + c: its difference moves one a to b.
+    p = MonoidPresentation(("a", "b", "c"), (((1, 0, 1), (0, 1, 1)),))
+    assert replay_path(p, [(1, 0, 1), (0, 1, 1), (1, 0, 1)])
+    assert replay_path(p, [(2, 0, 0)])
+    # A step by no relation's difference.
+    assert not replay_path(p, [(1, 0, 1), (0, 0, 1)])
+    # The relation's difference, but its replaced side a + c is not in a,
+    # nor, backwards, is b + c in b.
+    assert not replay_path(p, [(1, 0, 0), (0, 1, 0)])
+    assert not replay_path(p, [(0, 1, 0), (1, 0, 0)])
+
+
 def test_words_equal_zero_vs_u_is_no():
     # The class of 0 is just {0}: no relation side embeds in the zero vector.
     p = two_cycle_presentation()

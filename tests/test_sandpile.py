@@ -140,6 +140,33 @@ def test_budget_cut_matches_traced_run(budget):
     assert bulk.value.odometer == traced.value.odometer
 
 
+def test_budget_cut_matches_traced_run_through_loops(four_vertex_sandpile):
+    # v and z carry loops, so a vertex can be unstable again after its batch.
+    g = four_vertex_sandpile
+    start = ChipConfig.from_mapping(g, {"v": 40, "z": 9})
+    _, odometer = stabilize(g, start)
+    for budget in range(odometer.total()):
+        with pytest.raises(BudgetExceededError) as bulk:
+            stabilize(g, start, budget=budget)
+        trace: list[ChipConfig] = []
+        with pytest.raises(BudgetExceededError) as traced:
+            stabilize(g, start, budget=budget, trace_to=trace)
+        assert len(trace) == budget == bulk.value.fired == traced.value.fired
+        assert bulk.value.config == traced.value.config == (trace[-1] if trace else start)
+        assert bulk.value.odometer == traced.value.odometer
+
+
+@pytest.mark.parametrize("budget", [0, 1, 17, 1001])
+def test_random_schedule_stops_at_the_budget(budget):
+    spec = GridSpec(3, 3, "open")
+    g = make_grid(spec)
+    c = grid_config(spec, {(1, 1): 2**40, (0, 2): 7})
+    with pytest.raises(BudgetExceededError) as err:
+        stabilize(g, c, budget=budget, rng=random.Random(budget))
+    assert err.value.fired == budget == err.value.odometer.total()
+    assert err.value.config.total() + err.value.config.absorbed == c.total()
+
+
 def test_stable_add_monoid_relation(two_cycle_loop_sink):
     x = ChipConfig.from_mapping(two_cycle_loop_sink, {"v": 1})
     two_x = stable_add(two_cycle_loop_sink, x, x)
