@@ -324,7 +324,7 @@ def _odometer_bound(spec: GridSpec, chips: int, budget: int) -> int:
 
 
 def stabilize_grid(
-    spec: GridSpec, c: ChipConfig, *, budget: int | None = None
+    spec: GridSpec, c: ChipConfig, *, budget: int = DEFAULT_BOUNDS.firing_budget
 ) -> tuple[ChipConfig, Odometer]:
     """Bulk-toppling stabilizer over flat arrays, by red-black half-sweeps.
 
@@ -402,8 +402,6 @@ def stabilize_grid(
     """
     import numpy as np
 
-    if budget is None:
-        budget = DEFAULT_BOUNDS.firing_budget
     rows, cols = spec.rows, spec.cols
     count_dtype, odo_dtype = _stabilizer_dtype(spec, c, budget)
     start = config_to_array(spec, c, count_dtype)
@@ -605,7 +603,10 @@ def decode_ppm(data: bytes) -> tuple[int, int, np.ndarray]:
     parts = data.split(b"\n", 3)
     if len(parts) < 4 or parts[0] != b"P6":
         raise ParseError("not a binary P6 image")
-    width, height = (int(x) for x in parts[1].split())
+    size = [integer(x, "bad image size") for x in parts[1].split()]
+    if len(size) != 2 or min(size) < 0:
+        raise ParseError("image size line must be '<width> <height>'")
+    width, height = size
     if parts[2] != b"255":
         raise ParseError("expected 255 max-val")
     raw = parts[3]

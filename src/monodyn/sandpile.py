@@ -2,10 +2,12 @@
 
 A configuration stores one count per non-sink vertex (declaration order) plus
 a tally of chips that fell into sinks.  A vertex is unstable when its count
-reaches its outdegree; firing sends one chip along every outgoing edge.  The
-stable result and the per-vertex firing counts do not depend on the firing
-order, which is what makes the randomized scheduler below a legitimate
-cross-check of the deterministic one.
+reaches its outdegree; firing sends one chip along every outgoing edge.
+``_firing_rule`` alone derives that rule, the rows of the reduced Laplacian,
+and the sink tally follows from chip conservation.  The stable result and
+the per-vertex firing counts do not depend on the firing order, which is
+what makes the randomized scheduler below a legitimate cross-check of the
+deterministic one.
 
 Config file format: lines ``<vertex> <count>``, absent vertices mean 0,
 ``#`` starts a comment.
@@ -109,57 +111,23 @@ def serialize_config(g: Graph, c: ChipConfig) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _Arena:
-    """Mutable firing state shared by the schedulers."""
-
-    def __init__(self, g: Graph, c: ChipConfig):
-        self.g = g
-        self.nonsink = g.nonsink_vertices
-        if len(c.counts) != len(self.nonsink):
+def _firing_rule(g: Graph, *configs: ChipConfig) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The rows of the reduced Laplacian of ``g``: for each non-sink
+    position k, its outdegree d_k and the (non-sink position, multiplicity)
+    pairs that one firing of k sends chips to, loops included.  The chips
+    one firing sends to sinks are d_k less those.  Raises FiringError when
+    one of ``configs`` does not hold one count per non-sink vertex."""
+    nonsink = g.nonsink_vertices
+    for c in configs:
+        if len(c.counts) != len(nonsink):
             raise FiringError(
                 f"config has {len(c.counts)} counts but graph has "
-                f"{len(self.nonsink)} non-sink vertices"
+                f"{len(nonsink)} non-sink vertices"
             )
-        self.outdeg = [g.outdegree(v) for v in self.nonsink]
-        # (target position or None-for-sink, multiplicity) per vertex
-        self.targets: list[list[tuple[int | None, int]]] = []
-        for v in self.nonsink:
-            row = []
-            for dst, mult in g.out_adj[v]:
-                row.append((g.nonsink_position(dst), mult))
-            self.targets.append(row)
-        self.counts = list(c.counts)
-        self.absorbed = c.absorbed
-        self.odometer = [0] * len(self.nonsink)
-        self.fired = 0
-
-    def unstable(self, i: int) -> bool:
-        return self.counts[i] >= self.outdeg[i]
-
-    def fire(self, i: int, times: int = 1):
-        self.counts[i] -= times * self.outdeg[i]
-        for j, mult in self.targets[i]:
-            if j is None:
-                self.absorbed += times * mult
-            else:
-                self.counts[j] += times * mult
-        self.odometer[i] += times
-        self.fired += times
-
-    def snapshot(self) -> ChipConfig:
-        return ChipConfig(tuple(self.counts), self.absorbed)
-
-    def result(self) -> tuple[ChipConfig, Odometer]:
-        return self.snapshot(), Odometer(tuple(self.odometer))
-
-    def budget_error(self, budget: int) -> BudgetExceededError:
-        config, odo = self.result()
-        return BudgetExceededError(
-            f"did not stabilize within budget of {budget} firings",
-            config=config,
-            odometer=odo,
-            fired=self.fired,
-        )
+    pos = {v: k for k, v in enumerate(nonsink)}
+    rows = [g.out_adj[v] for v in nonsink]
+    degree = [sum(m for _, m in row) for row in rows]
+    return degree, [[(pos[dst], m) for dst, m in row if dst in pos] for row in rows]
 
 
 def fire(g: Graph, c: ChipConfig, v: str) -> ChipConfig:
@@ -170,78 +138,95 @@ def fire(g: Graph, c: ChipConfig, v: str) -> ChipConfig:
         raise FiringError(f"unknown vertex {v!r}") from None
     if i is None:
         raise FiringError(f"cannot fire sink vertex {v!r}")
-    arena = _Arena(g, c)
-    if not arena.unstable(i):
-        raise FiringError(
-            f"vertex {v!r} holds {arena.counts[i]} chips, fewer than outdegree {arena.outdeg[i]}"
-        )
-    arena.fire(i)
-    return arena.snapshot()
+    degree, targets = _firing_rule(g, c)
+    counts = list(c.counts)
+    if counts[i] < degree[i]:
+        raise FiringError(f"vertex {v!r} holds {counts[i]} chips, fewer than outdegree {degree[i]}")
+    counts[i] -= degree[i]
+    for j, mult in targets[i]:
+        counts[j] += mult
+    return ChipConfig(tuple(counts), c.absorbed + c.total() - sum(counts))
 
 
 def stabilize(
     g: Graph,
     c: ChipConfig,
     *,
-    budget: int | None = None,
+    budget: int = DEFAULT_BOUNDS.firing_budget,
     rng: Random | None = None,
     trace_to: list[ChipConfig] | None = None,
 ) -> tuple[ChipConfig, Odometer]:
     """Fire until no vertex is unstable.
 
-    One work queue holds unstable vertices, each at most once, seeded in
-    declaration order.  The default schedule pops the front vertex and fires
-    it maximally (floor(count / outdegree) single firings at once).  Passing
-    ``rng`` fires a uniformly random queued vertex once instead, so that
-    tests can confirm order independence.  ``trace_to`` collects a snapshot
-    after every single firing.
+    Firing follows the rows of ``_firing_rule``.  One work queue holds
+    unstable vertices, each at most once, seeded in declaration order.  The
+    default schedule pops the front vertex and fires it maximally
+    (floor(count / outdegree) single firings at once).  Passing ``rng``
+    fires a uniformly random queued vertex once instead, so that tests can
+    confirm order independence.  ``trace_to`` collects a snapshot after
+    every single firing.  No firing counts sink chips: by conservation, a
+    state's ``absorbed`` is the start's chips less those its counts hold.
 
     Raises BudgetExceededError when the budget runs out, which can happen on
     chip-heavy closed grids but never on sandpile graphs.  The error stops at
     exactly ``fired == budget``: the last batch is cut to fit, and its config
     and odometer are the state after that many single firings.
     """
-    if budget is None:
-        budget = DEFAULT_BOUNDS.firing_budget
-    arena = _Arena(g, c)
-    n = len(arena.counts)
+    degree, targets = _firing_rule(g, c)
+    counts = list(c.counts)
+    chips = c.absorbed + c.total()
+    odometer = [0] * len(counts)
+    fired = 0
+
+    def state() -> ChipConfig:
+        return ChipConfig(tuple(counts), chips - sum(counts))
+
     # Every queued vertex is unstable: a vertex only gains chips until it is
     # popped, and after a whole batch it is unstable only through a loop,
     # which queues it as its own target.  A cut batch leaves it queued.
-    queue = deque(i for i in range(n) if arena.unstable(i))
-    queued = [arena.unstable(i) for i in range(n)]
+    queued = [x >= d for x, d in zip(counts, degree)]
+    queue = deque(i for i, q in enumerate(queued) if q)
     while queue:
-        if arena.fired == budget:
-            raise arena.budget_error(budget)
+        if fired == budget:
+            raise BudgetExceededError(
+                f"did not stabilize within budget of {budget} firings",
+                config=state(),
+                odometer=Odometer(tuple(odometer)),
+                fired=fired,
+            )
         if rng is not None:
             queue.rotate(-rng.randrange(len(queue)))
         i = queue[0]
-        whole = arena.counts[i] // arena.outdeg[i]
-        batch = min(1 if rng is not None else whole, budget - arena.fired)
-        if trace_to is None:
-            arena.fire(i, batch)
-        else:
-            for _ in range(batch):
-                arena.fire(i)
-                trace_to.append(arena.snapshot())
+        d, row = degree[i], targets[i]
+        whole = counts[i] // d
+        batch = min(1 if rng is not None else whole, budget - fired)
+        for times in (batch,) if trace_to is None else itertools.repeat(1, batch):
+            counts[i] -= times * d
+            for j, mult in row:
+                counts[j] += times * mult
+            if trace_to is not None:
+                trace_to.append(state())
+        odometer[i] += batch
+        fired += batch
         if batch < whole:
             continue
         queue.popleft()
         queued[i] = False
-        for j, _ in arena.targets[i]:
-            if j is not None and not queued[j] and arena.unstable(j):
+        for j, _ in row:
+            if not queued[j] and counts[j] >= degree[j]:
                 queue.append(j)
                 queued[j] = True
-    return arena.result()
+    return state(), Odometer(tuple(odometer))
 
 
 def is_stable(g: Graph, c: ChipConfig) -> bool:
-    return all(
-        count < g.outdegree(v) for v, count in zip(g.nonsink_vertices, c.counts)
-    )
+    degree, _ = _firing_rule(g, c)
+    return all(x < d for x, d in zip(c.counts, degree))
 
 
-def stable_add(g: Graph, a: ChipConfig, b: ChipConfig, *, budget: int | None = None) -> ChipConfig:
+def stable_add(
+    g: Graph, a: ChipConfig, b: ChipConfig, *, budget: int = DEFAULT_BOUNDS.firing_budget
+) -> ChipConfig:
     """Pointwise sum followed by stabilization: the monoid operation on
     stable configurations."""
     for name, cfg in (("first", a), ("second", b)):
@@ -262,30 +247,26 @@ def sandpile_monoid(g: Graph, *, max_elements: int = DEFAULT_BOUNDS.max_elements
     vertices; elements are listed in lexicographic count order so index 0 is
     the zero configuration.  The table comes from the generator action, the
     class of a + e_k, without calling ``stabilize``: it is the box of
-    ``monoid._box_action`` with radix d_k, since firing k once turns
-    d_k e_k into one chip on each non-sink out-neighbour of k, counted with
-    multiplicity.  The presentation enumeration builds its table with the
-    same builder.  Every threshold entry is resolved once, so the build
-    fires at most n times per element (n non-sink vertices) and needs no
-    firing budget.
+    ``monoid._box_action`` with radix d_k and the rows of ``_firing_rule``,
+    since firing k once turns d_k e_k into one chip on each non-sink
+    out-neighbour of k, counted with multiplicity.  The presentation
+    enumeration builds its table with the same builder.  Every threshold
+    entry is resolved once, so the build fires at most n times per element
+    (n non-sink vertices) and needs no firing budget.
     """
     from .monoid import MonoidTable, _box_action
 
     if g.sandpile_sink is None:
         raise FiringError("sandpile monoid requires a graph with a unique reachable sink")
-    nonsink = g.nonsink_vertices
-    outdeg = [g.outdegree(v) for v in nonsink]
+    outdeg, chips = _firing_rule(g)
     size = math.prod(outdeg)
     if size > max_elements:
         raise CapExceededError(
             f"stable configuration count {size} exceeds max_elements {max_elements}"
         )
-    pos = {v: k for k, v in enumerate(nonsink)}
-    # The non-sink chips that one firing of k sends out, with multiplicity.
-    chips = [[(pos[dst], mult) for dst, mult in g.out_adj[v] if dst in pos] for v in nonsink]
     action, parents = _box_action(outdeg, chips)
     elements = itertools.product(*(range(d) for d in outdeg))
-    return MonoidTable.from_generator_action(nonsink, tuple(elements), action, 0, parents)
+    return MonoidTable.from_generator_action(g.nonsink_vertices, tuple(elements), action, 0, parents)
 
 
 def format_config_terms(g: Graph, configs: list[ChipConfig]) -> list[str]:

@@ -336,9 +336,10 @@ def se_search(
     candidates are integer combinations of kernel basis vectors with
     coefficients bounded by coeff_bound.  A kernel whose box holds more
     than ``_CANDIDATE_CAP`` combinations is skipped, and the reported bounds
-    then name ``candidate_cap`` too.  An invariant obstruction short
-    circuits the search, since no witness can exist past one.  A witness is
-    checked with ``verify_se`` before it is returned.
+    then name ``candidate_cap`` too.  Lags are tried only when both sides
+    have a candidate, each lag's powers one product from the last lag's.
+    An invariant obstruction short circuits the search, since no witness
+    can exist past one.  A returned witness has passed ``verify_se``.
     """
     _check_nonneg(a, b)
     if not (a.is_square and b.is_square):
@@ -386,9 +387,9 @@ def se_search(
     k_s = kron(IntMatrix.identity(m), a.transpose()).sub(kron(b, IntMatrix.identity(n)))
     rs = nonneg_candidates(k_r, n, m)
     ss = nonneg_candidates(k_s, m, n)
-    for lag in range(1, max_lag + 1):
-        a_pow = a.pow(lag)
-        b_pow = b.pow(lag)
+    a_pow, b_pow = IntMatrix.identity(n), IntMatrix.identity(m)
+    for lag in range(1, max_lag + 1) if rs and ss else ():
+        a_pow, b_pow = a_pow @ a, b_pow @ b
         for r in rs:
             for s in ss:
                 if r @ s == a_pow and s @ r == b_pow:

@@ -244,6 +244,18 @@ def test_render_clamps_high_counts():
     assert tuple(pixels[0, 1]) == DEFAULT_PALETTE.colors[3]
 
 
+@pytest.mark.parametrize(
+    "size, payload",
+    [(b"x y", 18), (b"3", 9), (b"1 2 3", 6), (b"-1 -3", 9)],
+    ids=["text", "one", "three", "negative"],
+)
+def test_decode_ppm_refuses_a_bad_size_line(size, payload):
+    # The negative size's payload has the length width * height * 3 asks
+    # for, so only the size check can refuse it.
+    with pytest.raises(ParseError):
+        decode_ppm(b"P6\n" + size + b"\n255\n" + bytes(payload))
+
+
 def test_palette_parse_and_validate():
     p = parse_palette("0,0,0;10,10,10;20,20,20;30,30,30")
     assert p.colors[2] == (20, 20, 20)

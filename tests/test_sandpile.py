@@ -29,7 +29,7 @@ from monodyn.sandpile import (
     stable_add,
 )
 
-from conftest import rose_graph
+from conftest import digraphs, rose_graph
 
 
 def test_fire_single(four_vertex_sandpile):
@@ -190,6 +190,63 @@ def test_stable_add_identity_and_commutativity(two_cycle_loop_sink):
 def test_stable_add_requires_stable_inputs(two_cycle_loop_sink):
     with pytest.raises(FiringError):
         stable_add(two_cycle_loop_sink, ChipConfig((5, 0)), ChipConfig.zero(two_cycle_loop_sink))
+
+
+LENGTH_CHECKED = {
+    "is_stable": is_stable,
+    "stable_add first": lambda g, c: stable_add(g, c, ChipConfig.zero(g)),
+    "stable_add second": lambda g, c: stable_add(g, ChipConfig.zero(g), c),
+    "fire": lambda g, c: fire(g, c, "u"),
+    "stabilize": stabilize,
+}
+
+
+@pytest.mark.parametrize("entry", LENGTH_CHECKED)
+@pytest.mark.parametrize("counts", [(0, 0, 5), (1,)], ids=["long", "short"])
+def test_wrong_length_config_is_refused(two_cycle_loop_sink, entry, counts):
+    # u and v are the two non-sink vertices.  stable_add's pointwise sum
+    # would drop the chips of a count past them.
+    message = f"config has {len(counts)} counts but graph has 2 non-sink vertices"
+    with pytest.raises(FiringError, match=message):
+        LENGTH_CHECKED[entry](two_cycle_loop_sink, ChipConfig(counts))
+
+
+@st.composite
+def firing_games(draw):
+    g = draw(digraphs())
+    counts = tuple(draw(st.integers(0, 12)) for _ in g.nonsink_vertices)
+    return g, ChipConfig(counts, draw(st.integers(0, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    game=firing_games(),
+    budget=st.integers(0, 40),
+    seed=st.none() | st.integers(0, 2**16),
+    traced=st.booleans(),
+)
+def test_absorbed_is_what_the_odometer_sends_to_sinks(game, budget, seed, traced):
+    # Read from the edge list alone: the chips each firing of v drops into
+    # sinks, the vertices no edge leaves.
+    g, start = game
+    sources = {src for src, _, _ in g.edges}
+    into_sinks = {v: 0 for v in g.nonsink_vertices}
+    for src, dst, m in g.edges:
+        if dst not in sources:
+            into_sinks[src] += m
+    trace: list[ChipConfig] | None = [] if traced else None
+    rng = None if seed is None else random.Random(seed)
+    try:
+        config, odometer = stabilize(g, start, budget=budget, rng=rng, trace_to=trace)
+    except BudgetExceededError as err:
+        config, odometer = err.config, err.odometer
+    fired = odometer.to_mapping(g)
+    assert config.absorbed == start.absorbed + sum(fired[v] * into_sinks[v] for v in fired)
+    assert config.total() + config.absorbed == start.total() + start.absorbed
+    if traced:
+        assert len(trace) == odometer.total()
+    if trace:
+        assert trace[-1] == config and trace[-1].absorbed == config.absorbed
 
 
 def test_sandpile_monoid_of_f(two_cycle_loop_sink):

@@ -217,6 +217,19 @@ def test_se_search_names_the_candidate_cap_that_cut_it():
     assert verify_se(zero, b, SEWitness(r, s, 1))
     # A search the cap does not cut names only its two bounds.
     assert "candidate_cap" not in se_search(TWO, IntMatrix.from_rows([[3]])).bounds
+    # With no candidate on one side, no lag can give a witness, so none is tried.
+    far = se_search(zero, b, max_lag=10**6)
+    assert far.bounds == {"max_lag": 10**6, "coeff_bound": 2, "candidate_cap": 250_000}
+
+
+def test_se_search_finds_a_lag_two_witness():
+    # No lag-1 witness within the coefficient box, so the powers of a later lag are used.
+    a = IntMatrix.from_rows([[2, 0], [3, 1]])
+    b = IntMatrix.from_rows([[2, 0], [1, 1]])
+    result = se_search(a, b, max_lag=3)
+    assert isinstance(result, SEWitness) and result.lag == 2
+    assert result.r.to_rows() == [[1, 0], [2, 1]] and result.s.to_rows() == [[4, 0], [1, 1]]
+    assert verify_se(a, b, result)
 
 
 def test_se_search_reflexive():
