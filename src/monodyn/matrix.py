@@ -197,23 +197,30 @@ def det(m: IntMatrix) -> int:
 def charpoly(m: IntMatrix) -> tuple[int, ...]:
     """Characteristic polynomial det(tI - M), coefficients in descending degree.
 
-    Uses the Faddeev-LeVerrier recurrence; every division is exact over the
-    integers.  The leading coefficient is always 1.
+    Uses Berkowitz's division-free algorithm (S. J. Berkowitz, "On computing
+    the determinant in small parallel time using a small number of
+    processors", Inf. Proc. Letters 18, 1984).  Write the leading
+    (k+1) x (k+1) block of M as [[A_k, C], [R, a]], with A_k its leading
+    k x k block.  The block's polynomial is the lower triangular Toeplitz
+    matrix whose first column is [1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C]
+    times the coefficient vector of A_k's polynomial.  That column takes
+    k - 1 matrix-vector products, where Faddeev-LeVerrier takes n full
+    matrix products and divides.  The leading coefficient is always 1.
     """
     if not m.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    coeffs = [1]
-    mk = m
-    ck = -mk.trace()
-    coeffs.append(ck)
-    for k in range(2, n + 1):
-        mk = m @ mk.add(IntMatrix.identity(n).scale(ck))
-        tr = mk.trace()
-        if tr % k != 0:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible, internal error")
-        ck = -tr // k
-        coeffs.append(ck)
+    n, e = m.rows, m.entries
+    coeffs = [1, -e[0]]
+    for k in range(1, n):
+        block = [e[i * n : i * n + k] for i in range(k)]
+        r = e[k * n : k * n + k]
+        v = e[k : k * n : n]  # C
+        column = [1, -e[k * n + k], -sum(map(mul, r, v))]
+        for _ in range(k - 1):
+            v = [sum(map(mul, row, v)) for row in block]
+            column.append(-sum(map(mul, r, v)))
+        # The Toeplitz product is the convolution cut after k + 2 terms.
+        coeffs = [sum(map(mul, coeffs, column[i::-1])) for i in range(k + 2)]
     return tuple(coeffs)
 
 

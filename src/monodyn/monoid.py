@@ -132,7 +132,6 @@ class MonoidTable(Frozen):
         n = len(elements)
         if len(parents) != n or any(len(col) != n for col in action):
             raise ValueError("elements, action columns and parents must have one entry per class")
-        action = [tuple(col) for col in action]
         cols: list[tuple[int, ...]] = [()] * n
         cols[identity] = tuple(range(n))
         for j, link in enumerate(parents):
@@ -145,11 +144,11 @@ class MonoidTable(Frozen):
             p, g = link
             cols[j] = itemgetter(*cols[p])(action[g])  # n >= 2 items, so a tuple
         return MonoidTable(
-            generators=tuple(generators),
-            elements=tuple(elements),
-            add=tuple(cols),
-            identity=identity,
-            generator_classes=tuple(col[identity] for col in action),
+            tuple(generators),
+            tuple(elements),
+            tuple(cols),
+            identity,
+            tuple(col[identity] for col in action),
         )
 
     @property

@@ -15,8 +15,8 @@ obstruction.
 from __future__ import annotations
 
 import itertools
-import operator
 import sys
+from operator import mul
 
 from .config import DEFAULT_BOUNDS
 from .errors import Frozen, MonodynError, ShapeError
@@ -215,12 +215,17 @@ def _row_solutions(r: tuple[int, ...], v: int, bound: int):
             yield (x,) + rest
 
 
-def _factorizations(m: IntMatrix, inner_dim: int):
+def _factorizations(m: IntMatrix, inner_dim: int, target: IntMatrix | None = None):
     """All pairs (R, S) of nonnegative matrices with R S = m, R of shape
     n x inner_dim, entries bounded by max(m), in lexicographic order of R
     then of S's columns.  Row i of R must reach every entry of row i of m;
     column j of S is a solution of row 0's equation that the other rows'
-    equations keep.
+    equations keep.  Row 0's solutions are found once per first row of R.
+
+    With a ``target``, only the pairs with S R = target, in the same order.
+    There are none unless the target is inner_dim x inner_dim, and no R with
+    m R != R target is tried: R S = m and S R = target give
+    m R = R S R = R target.
 
     Raises ``MonodynError`` when the entry range [0, max(m)] has more values
     than a ``range`` can count on this platform (``sys.maxsize``), since
@@ -232,6 +237,10 @@ def _factorizations(m: IntMatrix, inner_dim: int):
             f"cannot enumerate factorizations of a matrix with entry {bound}: "
             f"the entry range [0, {bound}] holds more than sys.maxsize = {sys.maxsize} values"
         )
+    if target is not None:
+        if (target.rows, target.cols) != (inner_dim, inner_dim):
+            return
+        target_cols = [target.entries[c::inner_dim] for c in range(inner_dim)]
     rows_m = m.to_rows()
     kept = [
         [
@@ -241,21 +250,38 @@ def _factorizations(m: IntMatrix, inner_dim: int):
         ]
         for row in rows_m
     ]
-    for r_rows in itertools.product(*kept):
-        columns = []
-        for j in range(n):
-            sols = [
-                s
-                for s in _row_solutions(r_rows[0], rows_m[0][j], bound)
-                if all(sum(map(operator.mul, r_rows[i], s)) == rows_m[i][j] for i in range(1, n))
-            ]
-            if not sols:
-                break
-            columns.append(sols)
-        else:
-            r = IntMatrix.from_rows(r_rows)
-            for combo in itertools.product(*columns):
-                yield r, IntMatrix.from_rows(list(zip(*combo)))
+    for first in kept[0]:
+        first_solutions = {}  # entry of row 0 of m -> its solutions for this first row
+        for rest in itertools.product(*kept[1:]):
+            r_rows = (first,) + rest
+            if target is not None:
+                r_cols = list(zip(*r_rows))
+                if any(
+                    [sum(map(mul, m_row, col)) for col in r_cols]
+                    != [sum(map(mul, r_row, col)) for col in target_cols]
+                    for m_row, r_row in zip(rows_m, r_rows)
+                ):
+                    continue
+            columns = []
+            for j, v in enumerate(rows_m[0]):
+                if v not in first_solutions:
+                    first_solutions[v] = list(_row_solutions(first, v, bound))
+                sols = [
+                    s
+                    for s in first_solutions[v]
+                    if all(sum(map(mul, r_rows[i], s)) == rows_m[i][j] for i in range(1, n))
+                ]
+                if not sols:
+                    break
+                columns.append(sols)
+            else:
+                r = IntMatrix.from_rows(r_rows)
+                for combo in itertools.product(*columns):
+                    s_rows = list(zip(*combo))
+                    if target is None or target.entries == tuple(
+                        sum(map(mul, s_row, col)) for s_row in s_rows for col in r_cols
+                    ):
+                        yield r, IntMatrix.from_rows(s_rows)
 
 
 def sse_search(
@@ -270,10 +296,14 @@ def sse_search(
     at once, since no chain can exist past one.  Frontier matrices are
     deduplicated up to simultaneous row/column permutation, which preserves
     both the equivalence class and nonnegativity; a hit on a permuted copy
-    of B is completed by one extra permutation link.  A chain is checked
-    with ``verify_sse_chain``, and against A and B, before it is returned.
-    A frontier matrix with an entry of ``sys.maxsize`` or more cannot have
-    its factorizations enumerated, and the search raises ``MonodynError``.
+    of B is completed by one extra permutation link.  The last move only
+    looks for B, since no later move reads what else it finds: it tries
+    inner dimension |B| alone, only the factorizations R S = m with
+    S R = B, and keys none, so a depth-1 search computes no canonical form
+    (each reads |m|! orderings).  A chain is checked with
+    ``verify_sse_chain``, and against A and B, before it is returned.  A
+    frontier matrix with an entry of ``sys.maxsize`` or more cannot have its
+    factorizations enumerated, and the search raises ``MonodynError``.
     """
     _check_nonneg(a, b)
     if not (a.is_square and b.is_square):
@@ -291,13 +321,13 @@ def sse_search(
             raise AssertionError("search built a chain that does not verify")
         return chain
 
-    canon_b, perm_b = permutation_canonical(b)
-    start_key, _ = permutation_canonical(a)
-    visited = {(a.rows, start_key)}
     frontier: list[tuple[IntMatrix, tuple[IntMatrix, ...], tuple[ESWitness, ...]]] = [
         (a, (a,), ())
     ]
-    for depth in range(1, max_depth + 1):
+    if max_depth >= 2:
+        canon_b, perm_b = permutation_canonical(b)
+        visited = {(a.rows, permutation_canonical(a)[0])}
+    for _ in range(max_depth - 1):
         next_frontier = []
         for m, mats, wits in frontier:
             for inner in range(1, max_inner_dim + 1):
@@ -308,7 +338,7 @@ def sse_search(
                         return verified(mats + (succ,), wits + (witness,))
                     key_tuple, perm_succ = permutation_canonical(succ)
                     key = (succ.rows, key_tuple)
-                    if key == (b.rows, canon_b) and depth + 1 <= max_depth:
+                    if key == (b.rows, canon_b):
                         # P sending perm_b[i] to perm_succ[i] gives
                         # P succ P^T = b: one more move, succ = (succ P^T) P.
                         p = _permutation_matrix(
@@ -320,6 +350,10 @@ def sse_search(
                         visited.add(key)
                         next_frontier.append((succ, mats + (succ,), wits + (witness,)))
         frontier = next_frontier
+    if max_depth >= 1 and b.rows <= max_inner_dim:
+        for m, mats, wits in frontier:
+            for r, s in _factorizations(m, b.rows, b):
+                return verified(mats + (b,), wits + (ESWitness(r, s),))
     return SearchExhausted(bounds, report)
 
 
@@ -338,6 +372,10 @@ def se_search(
     than ``_CANDIDATE_CAP`` combinations is skipped, and the reported bounds
     then name ``candidate_cap`` too.  Lags are tried only when both sides
     have a candidate, each lag's powers one product from the last lag's.
+    Neither R S nor S R depends on the lag, so lag 1 tries every pair in
+    order and files it under its R S; a later lag computes S R only for the
+    pairs filed under A^lag, in the same order, and a pair found there is
+    the first pair the full loop over all pairs would find.
     An invariant obstruction short circuits the search, since no witness
     can exist past one.  A returned witness has passed ``verify_se``.
     """
@@ -387,11 +425,19 @@ def se_search(
     k_s = kron(IntMatrix.identity(m), a.transpose()).sub(kron(b, IntMatrix.identity(n)))
     rs = nonneg_candidates(k_r, n, m)
     ss = nonneg_candidates(k_s, m, n)
-    a_pow, b_pow = IntMatrix.identity(n), IntMatrix.identity(m)
-    for lag in range(1, max_lag + 1) if rs and ss else ():
+    if not (rs and ss and max_lag >= 1):
+        return SearchExhausted(bounds, report)
+    pairs_by_product: dict[tuple[int, ...], list[tuple[IntMatrix, IntMatrix]]] = {}
+    for r in rs:
+        for s in ss:
+            product = r @ s
+            if product == a and s @ r == b:
+                return verified(SEWitness(r=r, s=s, lag=1))
+            pairs_by_product.setdefault(product.entries, []).append((r, s))
+    a_pow, b_pow = a, b
+    for lag in range(2, max_lag + 1):
         a_pow, b_pow = a_pow @ a, b_pow @ b
-        for r in rs:
-            for s in ss:
-                if r @ s == a_pow and s @ r == b_pow:
-                    return verified(SEWitness(r=r, s=s, lag=lag))
+        for r, s in pairs_by_product.get(a_pow.entries, ()):
+            if s @ r == b_pow:
+                return verified(SEWitness(r=r, s=s, lag=lag))
     return SearchExhausted(bounds, report)

@@ -202,3 +202,32 @@ def test_charpoly_matches_sympy(m):
     sympy = pytest.importorskip("sympy")
     expected = sympy.Matrix(m.to_rows()).charpoly().all_coeffs()
     assert charpoly(m) == tuple(int(c) for c in expected)
+
+
+def faddeev_leverrier(m: IntMatrix) -> tuple[int, ...]:
+    """det(tI - M) by the Faddeev-LeVerrier recurrence: M_1 = M, c_1 = -tr M,
+    M_k = M (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k, each division exact."""
+    n = m.rows
+    coeffs = [1, -m.trace()]
+    mk = m
+    for k in range(2, n + 1):
+        mk = m @ mk.add(IntMatrix.identity(n).scale(coeffs[-1]))
+        tr = mk.trace()
+        assert tr % k == 0
+        coeffs.append(-tr // k)
+    return tuple(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.lists(st.integers(-(10**6), 10**6), min_size=n * n, max_size=n * n).map(
+            lambda e: IntMatrix(n, n, tuple(e))
+        )
+    )
+)
+@example(IntMatrix(1, 1, (-(10**6),)))
+@example(IntMatrix(10, 10, (0,) * 100))
+@example(IntMatrix(10, 10, tuple(int(j == i + 1) for i in range(10) for j in range(10))))
+def test_charpoly_matches_faddeev_leverrier(m):
+    assert charpoly(m) == faddeev_leverrier(m)

@@ -6,15 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monodyn.errors import MonodynError, ShapeError
-from monodyn.matrix import MAX_POWER_BITS, IntMatrix
+from monodyn.matrix import MAX_POWER_BITS, IntMatrix, kron
 from monodyn.shifteq import (
+    _CANDIDATE_CAP,
     ESWitness,
     SEWitness,
     SSEChain,
     SearchExhausted,
     _factorizations,
+    _permutation_matrix,
     apply_permutation,
     bowen_franks,
+    integer_kernel_basis,
     invariants_report,
     permutation_canonical,
     se_search,
@@ -164,6 +167,18 @@ def test_sse_search_not_found_reports_bounds():
     assert isinstance(result, SearchExhausted)
     assert result.bounds == {"max_depth": 1, "max_inner_dim": 2}
     assert result.obstruction is None
+
+
+def test_sse_search_last_move_tries_only_the_inner_dimension_of_b():
+    # S R = B needs inner dimension |B| = 3, over the bound of 2, so the only
+    # move is not tried and A's entry range, too wide for a range to count,
+    # is never enumerated.
+    a = IntMatrix.from_rows([[10**23, 0], [0, 0]])
+    b = IntMatrix.from_rows([[10**23, 0, 0], [0, 0, 0], [0, 0, 0]])
+    result = sse_search(a, b, max_depth=1, max_inner_dim=2)
+    assert isinstance(result, SearchExhausted) and result.obstruction is None
+    with pytest.raises(MonodynError, match="sys.maxsize"):
+        sse_search(a, b, max_depth=1, max_inner_dim=3)
 
 
 def test_sse_search_finds_permuted_target():
@@ -318,3 +333,139 @@ def test_permutations_match_per_entry_reads(case):
     m, perm = case
     assert apply_permutation(m, perm) == naive_apply_permutation(m, perm)
     assert permutation_canonical(m) == naive_permutation_canonical(m)
+
+
+@st.composite
+def factorization_case(draw):
+    """A small square m, an inner dimension d, and a target: S R of one of
+    m's factorizations, or any small square, of size d or not."""
+    m, d = draw(small_square()), draw(st.integers(1, 3))
+    pairs = brute_factorizations(m, d)
+    if pairs and draw(st.booleans()):
+        r, s = draw(st.sampled_from(pairs))
+        return m, d, s @ r
+    k = draw(st.integers(1, 3))
+    return m, d, IntMatrix(k, k, tuple(draw(st.lists(st.integers(0, 2), min_size=k * k, max_size=k * k))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(factorization_case())
+@example((IntMatrix(1, 1, (2,)), 2, IntMatrix(1, 1, (2,))))  # 1x1 target, inner dimension 2
+@example((IntMatrix(1, 1, (2,)), 1, IntMatrix(2, 2, (1, 1, 1, 1))))
+@example((IntMatrix(1, 1, (2,)), 2, IntMatrix(2, 2, (1, 1, 1, 1))))
+@example((IntMatrix(2, 2, (0, 0, 0, 0)), 2, IntMatrix(2, 2, (0, 0, 0, 0))))
+def test_factorizations_with_a_target_keep_the_pairs_that_reach_it(case):
+    m, d, target = case
+    expected = [(r, s) for r, s in brute_factorizations(m, d) if s @ r == target]
+    assert list(_factorizations(m, d, target)) == expected
+
+
+def reference_sse_search(a, b, max_depth, max_inner_dim):
+    """sse_search with every move alike: each depth enumerates every inner
+    dimension and factorization and keys every successor, the last one too."""
+    bounds = {"max_depth": max_depth, "max_inner_dim": max_inner_dim}
+    if a == b:
+        return SSEChain((a,), ())
+    report = invariants_report(a, b)
+    if report.verdict == "obstruction":
+        return SearchExhausted(bounds, report)
+    canon_b, perm_b = permutation_canonical(b)
+    visited = {(a.rows, permutation_canonical(a)[0])}
+    frontier = [(a, (a,), ())]
+    for depth in range(1, max_depth + 1):
+        next_frontier = []
+        for m, mats, wits in frontier:
+            for inner in range(1, max_inner_dim + 1):
+                for r, s in _factorizations(m, inner):
+                    succ = s @ r
+                    if succ == b:
+                        return SSEChain(mats + (succ,), wits + (ESWitness(r, s),))
+                    key_tuple, perm_succ = permutation_canonical(succ)
+                    key = (succ.rows, key_tuple)
+                    if key == (b.rows, canon_b) and depth < max_depth:
+                        p = _permutation_matrix(tuple(perm_succ[perm_b.index(i)] for i in range(b.rows)))
+                        link = ESWitness(succ @ p.transpose(), p)
+                        return SSEChain(mats + (succ, b), wits + (ESWitness(r, s), link))
+                    if key not in visited:
+                        visited.add(key)
+                        next_frontier.append((succ, mats + (succ,), wits + (ESWitness(r, s),)))
+        frontier = next_frontier
+    return SearchExhausted(bounds, report)
+
+
+def search_pairs(seed: int, count: int, moves: int = 1):
+    """Pairs joined by ``moves`` elementary moves (R S to S R, the later ones
+    from a factorization drawn from ``_factorizations``, of inner dimension
+    |S R| when none of the drawn one exists), every other pair with its end
+    relabelled."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, d = rng.randint(1, 3), rng.randint(1, 2)
+        r = IntMatrix(n, d, tuple(rng.randint(0, 2) for _ in range(n * d)))
+        s = IntMatrix(d, n, tuple(rng.randint(0, 2) for _ in range(d * n)))
+        b = s @ r
+        for _ in range(moves - 1):
+            pairs = list(_factorizations(b, rng.randint(1, 2))) or list(_factorizations(b, b.rows))
+            r2, s2 = rng.choice(pairs)
+            b = s2 @ r2
+        if i % 2:
+            b = apply_permutation(b, tuple(rng.sample(range(b.rows), b.rows)))
+        yield r @ s, b
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_sse_search_matches_the_unpruned_search(depth):
+    ends = 0
+    for a, b in search_pairs(16 + depth, 40 if depth == 1 else 16, moves=depth):
+        for inner in (1, 2):
+            result = sse_search(a, b, depth, inner)
+            assert result == reference_sse_search(a, b, depth, inner)
+            ends += isinstance(result, SSEChain) and result.length == depth
+    # Enough chains need all ``depth`` moves that the last move is exercised.
+    assert ends >= 5
+
+
+def reference_se_search(a, b, max_lag, coeff_bound):
+    """se_search with every pair's products taken afresh at every lag."""
+    bounds = {"max_lag": max_lag, "coeff_bound": coeff_bound}
+    report = invariants_report(a, b)
+    if report.verdict == "obstruction":
+        return SearchExhausted(bounds, report)
+    if a == b:
+        return SEWitness(r=a, s=IntMatrix.identity(a.rows), lag=1)
+    n, m = a.rows, b.rows
+
+    def candidates(kernel_map, rows, cols):
+        basis = integer_kernel_basis(kernel_map)
+        if not basis:
+            return []
+        if (2 * coeff_bound + 1) ** len(basis) > _CANDIDATE_CAP:
+            bounds["candidate_cap"] = _CANDIDATE_CAP
+            return []
+        out = []
+        for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=len(basis)):
+            vec = tuple(sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(rows * cols))
+            if any(vec) and min(vec) >= 0 and IntMatrix(rows, cols, vec) not in out:
+                out.append(IntMatrix(rows, cols, vec))
+        return out
+
+    rs = candidates(kron(a, IntMatrix.identity(m)).sub(kron(IntMatrix.identity(n), b.transpose())), n, m)
+    ss = candidates(kron(IntMatrix.identity(m), a.transpose()).sub(kron(b, IntMatrix.identity(n))), m, n)
+    for lag in range(1, max_lag + 1) if rs and ss else ():
+        for r in rs:
+            for s in ss:
+                if r @ s == a.pow(lag) and s @ r == b.pow(lag):
+                    return SEWitness(r=r, s=s, lag=lag)
+    return SearchExhausted(bounds, report)
+
+
+@pytest.mark.parametrize("coeff_bound", [0, 2])
+@pytest.mark.parametrize("max_lag", [0, 1, 5])
+def test_se_search_matches_the_lag_loop_over_all_pairs(max_lag, coeff_bound):
+    pairs = list(search_pairs(20, 16)) + [
+        (IntMatrix.from_rows([[2, 0], [3, 1]]), IntMatrix.from_rows([[2, 0], [1, 1]])),  # lag 2
+        (IntMatrix.from_rows([[1, 3], [2, 1]]), IntMatrix.from_rows([[1, 6], [1, 1]])),
+        (TWO, IntMatrix.from_rows([[3]])),
+    ]
+    for a, b in pairs:
+        assert se_search(a, b, max_lag, coeff_bound) == reference_se_search(a, b, max_lag, coeff_bound)
