@@ -28,9 +28,13 @@ vectors no lead divides, so when the leads are exactly one pure power c_g g
 per generator they are the box of vectors with v_g < c_g.  ``_box_action``
 builds the generator action on that box for the presentation and for the
 sandpile monoid, whose stable configurations are the same box (c_g the
-outdegree): an index step below each threshold, and at a threshold a fold
-of the rule's tail through the table being built.  The fold ends because
-one term order orients the basis, and a tail coefficient m costs at most
+outdegree): an index step below each threshold, and at a threshold the
+neighbour rule v + e_h = (v - e_g + e_h) + e_g, g another nonzero digit of
+v, which fills each threshold block after the first of a column in one pass
+through a finished column.  Only the k vectors (c_h - 1) e_h fold the
+rule's tail through the table being built.  Every entry waits only for
+entries that stand for smaller vectors in the term order that orients the
+basis, so the build ends; in a fold, a tail coefficient m costs at most
 about min(m, table size) lookups, since a repeated threshold crossing skips
 whole periods of the generator's orbit.
 
@@ -130,8 +134,12 @@ class MonoidTable(Frozen):
         The monoid is commutative, so column j is row j as well.
         """
         n = len(elements)
+        if len(action) != len(generators):
+            raise ValueError("there must be one action column per generator")
         if len(parents) != n or any(len(col) != n for col in action):
             raise ValueError("elements, action columns and parents must have one entry per class")
+        if any(col and (min(col) < 0 or max(col) >= n) for col in action):
+            raise ValueError("action entries must be classes, in range(len(elements))")
         cols: list[tuple[int, ...]] = [()] * n
         cols[identity] = tuple(range(n))
         for j, link in enumerate(parents):
@@ -501,41 +509,57 @@ def _box_action(
     radix: Sequence[int], tails: Sequence[Sequence[tuple[int, int]]]
 ) -> tuple[list[list[int]], list[tuple[int, int] | None]]:
     """Generator action and parents of the monoid whose elements are the box
-    of vectors v with 0 <= v_g < radix[g], listed in lexicographic
-    (mixed-radix) order, where radix[g] copies of generator g rewrite to the
-    sum of ``tails[g]``, (generator, multiplicity) pairs.
+    of vectors v with 0 <= v_g < c_g = radix[g], listed in lexicographic
+    (mixed-radix) order, where c_g copies of generator g rewrite to the sum
+    of ``tails[g]``, (generator, multiplicity) pairs.
 
     These are the standard monomials of a basis whose leads are exactly one
     pure power c_g g per generator: the sandpile monoid's stable
     configurations (c_g the outdegree) and any such Gröbner basis.  Column g
-    of the action is index + stride[g], the index of the vector one copy of
-    g higher, except on g's threshold, where v_g = c_g - 1.  There the sum
-    rewrites to b = v - (c_g - 1) e_g plus the tail, and its class is b with
-    the tail added by index steps and lookups ``action[t][y]`` into the
-    table being built.  The parent of a nonzero vector lowers its last
-    nonzero entry by one.
+    of the action is index + s_g, s_g = stride[g], the index of the vector
+    one copy of g higher, except on g's threshold, where v_g = c_g - 1.  The
+    parent of a nonzero vector lowers its last nonzero entry by one.
+
+    The threshold entries of h come in blocks of s_h consecutive indices,
+    one for each value of the digits before h, and the columns are finished
+    in order h = 0, 1, ...  For any digit g != h with v_g > 0,
+    v + e_h = (v - e_g + e_h) + e_g, so the entry is ``action[g][a]``, a the
+    entry s_g below it: the neighbour rule.  In a block after the first, g
+    is the last nonzero digit before h, the same for the whole block, and
+    the block is the block s_g below it pushed through the finished column
+    g, one pass.  In the first block, and on the stack below, g is the last
+    nonzero digit other than h, and each entry takes the two lookups.  Only
+    (c_h - 1) e_h has no such g: it folds the tail into 0 by index steps and
+    lookups ``action[t][y]`` into the table being built.
 
     A lookup that is still missing is another threshold entry.  It is
-    pushed on an explicit stack and resolved first, and the entry below
-    resumes where it stopped.  The stack never meets an entry in progress.
-    One term order puts every lead above its tail: the basis's own order, or
-    on a sandpile graph the weights x = L^-1 1 > 0 refined by lex, since
-    L x = 1 > 0 for the reduced Laplacian L = D - A, a nonsingular M-matrix,
-    says that d_k x_k outweighs the tail.  An entry stands for the vector
-    v + e_g it resolves.  The rewrite lowers it, every lookup and every
-    skipped period lowers it further (counting the chips set aside for
-    later), and a term order has u <= u + w.  So each entry above another
-    stands for a strictly smaller vector, and none repeats.
+    pushed on an explicit stack and resolved first by the same rules, and
+    the entry below resumes, a fold where it stopped.  The stack never meets
+    an entry in progress.  One term order puts every lead above its tail:
+    the basis's own order, or on a sandpile graph the weights x = L^-1 1 > 0
+    refined by lex, since L x = 1 > 0 for the reduced Laplacian L = D - A, a
+    nonsingular M-matrix, says that d_k x_k outweighs the tail.  An entry
+    (h, x) stands for the vector v + e_h it resolves, and each entry it
+    waits for stands for a strictly smaller one.  Under the neighbour rule,
+    (h, x - s_g) stands for v - e_g + e_h, and (g, a) for
+    nf(v - e_g + e_h) + e_g, which is smaller because v - e_g + e_h is not a
+    standard monomial and its rewrite lowers it.  In a fold, the rewrite
+    lowers v + e_h, every lookup and every skipped period lowers it further
+    (counting the chips set aside for later), and a term order has
+    u <= u + w.  So no entry repeats on the stack.
 
-    A tail multiplicity m does not cost m lookups: the room below t's
-    threshold is added by one index step, and each crossing of the
+    A tail multiplicity m does not cost m lookups in a fold: the room below
+    t's threshold is added by one index step, and each crossing of the
     threshold, one lookup, is recorded; when one repeats, the chips since
     then are a whole period of t's orbit and are dropped.  So adding m
-    copies takes at most min(m, size / c_t) + 1 lookups.
+    copies takes at most min(m, size / c_t) + 1 lookups, in each of the k
+    folds.  Of the sum over h of size / c_h threshold entries, only the
+    sum over h of s_h in first blocks are resolved one by one.
     """
     k = len(radix)
     size = math.prod(radix)
     stride = [math.prod(radix[g + 1:]) for g in range(k)]
+    tops = [(r - 1) * s for r, s in zip(radix, stride)]
     action: list[list] = []
     parents: list[tuple[int, int] | None] = [None] * size
     for g, (r, s) in enumerate(zip(radix, stride)):
@@ -546,46 +570,103 @@ def _box_action(
         action.append(col)
         for j in range(1, r):
             parents[j * s::block] = zip(range((j - 1) * s, size, block), repeat(g))
-    for h, (r, s) in enumerate(zip(radix, stride)):
-        for b in range((r - 1) * s, size, r * s):
-            for x in range(b, b + s):
-                if action[h][x] is not None:  # resolved on an earlier stack
+    paused: dict[int, tuple] = {}  # the fold of (c_g - 1) e_g, by g, while it waits
+
+    def resolve(h: int, x: int) -> int:
+        """Entry x of column h, and every missing entry it waits for."""
+        stack = [(h, x)]
+        while stack:
+            g, e = stack[-1]
+            col = action[g]
+            rest = e - tops[g]
+            if rest:  # v + e_g = (v - e_f + e_g) + e_f, f the last other nonzero digit
+                f = parents[rest][1]
+                below = e - stride[f]
+                a = col[below]
+                if a is None:
+                    stack.append((g, below))
                     continue
-                # Frames (entry, generator, partial sum, tail position, copies
-                # of that tail generator still to add, threshold crossings).
-                stack = [(x, h, x - (r - 1) * s, 0, None, None)]
-                while stack:
-                    e, g, y, pos, left, seen = stack.pop()
-                    tail = tails[g]
-                    while pos < len(tail):
-                        t, m = tail[pos]
-                        if left is None:
-                            left, seen = m, None
-                        st, rt = stride[t], radix[t]
-                        while left > (room := rt - 1 - y // st % rt):
-                            y += room * st  # now on t's threshold
-                            left -= room
-                            z = action[t][y]
-                            if z is None:
-                                break
-                            if seen is None:
-                                seen = {}
-                            elif y in seen:  # a whole period of t's orbit
-                                left %= seen[y] - left
-                                if not left:
-                                    continue
-                            seen[y] = left
-                            y, left = z, left - 1
-                        else:
-                            y += left * st
-                            pos, left = pos + 1, None
-                            continue
-                        stack.append((e, g, y, pos, left, seen))
-                        stack.append((y, t, y - (rt - 1) * st, 0, None, None))
-                        break
+                y = action[f][a]
+                if y is None:
+                    stack.append((f, a))
+                    continue
+            else:  # v = (c_g - 1) e_g: fold the tail into 0
+                y, pos, left, seen = paused.pop(g, (0, 0, None, None))
+                tail = tails[g]
+                while pos < len(tail):
+                    t, m = tail[pos]
+                    if left is None:
+                        left, seen = m, None
+                    st, rt = stride[t], radix[t]
+                    while left > (room := rt - 1 - y // st % rt):
+                        y += room * st  # now on t's threshold
+                        left -= room
+                        z = action[t][y]
+                        if z is None:
+                            break
+                        if seen is None:
+                            seen = {}
+                        elif y in seen:  # a whole period of t's orbit
+                            left %= seen[y] - left
+                            if not left:
+                                continue
+                        seen[y] = left
+                        y, left = z, left - 1
                     else:
-                        action[g][e] = y
+                        y += left * st
+                        pos, left = pos + 1, None
+                        continue
+                    paused[g] = y, pos, left, seen
+                    stack.append((t, y))
+                    break
+                if pos < len(tail):  # waiting for (t, y)
+                    continue
+            col[e] = y
+            stack.pop()
+        return action[h][x]
+
+    for h, (r, s, top) in enumerate(zip(radix, stride, tops)):
+        col = action[h]
+        if col[top] is None:
+            resolve(h, top)
+        for x in range(top + 1, top + s):  # the first block: no nonzero digit before h
+            f = parents[x - top][1]
+            a = col[x - stride[f]]
+            y = action[f][a]
+            col[x] = resolve(f, a) if y is None else y
+        block = r * s
+        if s == 1:
+            for b in range(top + block, size, block):
+                f = parents[b - top][1]
+                col[b] = action[f][col[b - stride[f]]]
+        else:
+            for b in range(top + block, size, block):
+                f = parents[b - top][1]
+                below = b - stride[f]
+                col[b:b + s] = itemgetter(*col[below:below + s])(action[f])
     return action, parents
+
+
+class _NormalFormStep:
+    """Column g of the generator action on normal forms, computed when read:
+    ``self[v]`` is the normal form of v + e_g."""
+
+    __slots__ = ("rules", "g")
+
+    def __init__(self, rules: list[tuple], g: int):
+        self.rules, self.g = rules, g
+
+    def __getitem__(self, v: Vector) -> Vector:
+        g = self.g
+        return _normal_form(v[:g] + (v[g] + 1,) + v[g + 1:], self.rules)
+
+
+class _Classes(dict):
+    """Class numbers by normal form, where a form not met yet reads as None,
+    as an unmet box index does in a list."""
+
+    def __missing__(self, key: Vector) -> None:
+        return None
 
 
 def enumerate_monoid(
@@ -615,9 +696,11 @@ def _enumerate_monoid(
     them, adding generators in order; a class's parent is the step that met
     it first, and its label the lexicographically least vector the search
     met in it.  When the leads are exactly one pure power c_g g per
-    generator, the normal forms are the box of ``_box_action`` and the
-    search runs over its action; a basis with a mixed lead has no box, and
-    the search classifies each vector by ``_normal_form``.  No rewrite path
+    generator, the normal forms are the box of ``_box_action``: the search
+    steps through its action and finds classes in a list indexed by box
+    index.  A basis with a mixed lead has no box, and the same search
+    steps by ``_normal_form`` and finds classes in a dict of normal forms,
+    which reads None for a form not met yet, as the list does.  No rewrite path
     is walked, so ``node_budget`` pays only for the completion's reductions
     and pairs."""
     k = len(p.generators)
@@ -637,12 +720,15 @@ def _enumerate_monoid(
         size = math.prod(radix)
         if size > max_elements:
             return None, "max_elements"
-        step = _box_action(radix, tails)[0]
+        steps: Sequence = _box_action(radix, tails)[0]
         keys: list = [0]  # the box index of each class
+        class_of: list | dict = [None] * size
     else:
         size = max_elements
-        step = None
+        steps = [_NormalFormStep(rules, g) for g in range(k)]
         keys = [(0,) * k]  # the normal form of each class
+        class_of = _Classes()
+    class_of[keys[0]] = 0
     # Vectors met by the search have entries summing to at most the class
     # count, so base-(size + 1) digits encode them, ordered as integers in
     # the lexicographic order of the vectors.
@@ -650,17 +736,14 @@ def _enumerate_monoid(
     anchors = [0]  # the first vector met in each class
     labels = [0]  # the least vector met in each class
     parents: list[tuple[int, int] | None] = [None]
-    class_of = {keys[0]: 0}
     action: list[list[int]] = [[] for _ in range(k)]
+    generators = list(zip(range(k), units, action, steps))
     for ci, key in enumerate(keys):  # ``keys`` grows as it runs
         base = anchors[ci]
-        for gi, (unit, col) in enumerate(zip(units, action)):
+        for gi, unit, col, step in generators:
             y = base + unit
-            if step is not None:
-                found = step[gi][key]
-            else:
-                found = _normal_form(key[:gi] + (key[gi] + 1,) + key[gi + 1:], rules)
-            cls = class_of.get(found)
+            found = step[key]
+            cls = class_of[found]
             if cls is None:
                 cls = len(keys)
                 if cls >= max_elements:

@@ -250,9 +250,13 @@ def sandpile_monoid(g: Graph, *, max_elements: int = DEFAULT_BOUNDS.max_elements
     ``monoid._box_action`` with radix d_k and the rows of ``_firing_rule``,
     since firing k once turns d_k e_k into one chip on each non-sink
     out-neighbour of k, counted with multiplicity.  The presentation
-    enumeration builds its table with the same builder.  Every threshold
-    entry is resolved once, so the build fires at most n times per element
-    (n non-sink vertices) and needs no firing budget.
+    enumeration builds its table with the same builder.  A chip added to k
+    at its threshold is a chip added to k in the configuration with one
+    chip fewer on another vertex j, and then a chip added to j: two table
+    lookups, and each threshold block after the first is one pass through a
+    finished column.  Only the n configurations (d_k - 1) e_k fire, k once
+    each, and fold its chips in by lookups, so the build needs no firing
+    budget.
     """
     from .monoid import MonoidTable, _box_action
 

@@ -8,7 +8,7 @@ import time
 import weakref
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monodyn.corpus import random_sandpile_graph, sandpile_corpus
@@ -30,12 +30,13 @@ from monodyn.monoid import (
     serialize_presentation,
     words_equal,
     _BudgetSpent,
+    _box_action,
     _enumerate_monoid,
     _normal_form,
     _rewriting_rules,
     _walk,
 )
-from monodyn.sandpile import ChipConfig, sandpile_monoid, stabilize
+from monodyn.sandpile import ChipConfig, _firing_rule, sandpile_monoid, stabilize
 
 from conftest import rose_graph
 
@@ -721,6 +722,122 @@ def test_enumerate_matches_reference_bfs(data):
     max_elements = data.draw(st.sampled_from([4, 30, 500]))
     expected = _reference_enumeration(p, max_elements, 200_000)
     assert _enumerate_monoid(p, max_elements, 200_000) == expected
+
+
+# --- the threshold-block builder against the fold builder it replaced -------
+
+
+def _reference_box_action(radix, tails):
+    """``_box_action`` as it was before threshold blocks: every threshold
+    entry folds its rule's tail through the table being built."""
+    k = len(radix)
+    size = math.prod(radix)
+    stride = [math.prod(radix[g + 1:]) for g in range(k)]
+    action = []
+    parents = [None] * size
+    for g, (r, s) in enumerate(zip(radix, stride)):
+        block = r * s
+        col = list(range(s, size + s))
+        for b in range(block - s, size, block):
+            col[b:b + s] = itertools.repeat(None, s)
+        action.append(col)
+        for j in range(1, r):
+            parents[j * s::block] = zip(range((j - 1) * s, size, block), itertools.repeat(g))
+    for h, (r, s) in enumerate(zip(radix, stride)):
+        for b in range((r - 1) * s, size, r * s):
+            for x in range(b, b + s):
+                if action[h][x] is not None:
+                    continue
+                stack = [(x, h, x - (r - 1) * s, 0, None, None)]
+                while stack:
+                    e, g, y, pos, left, seen = stack.pop()
+                    tail = tails[g]
+                    while pos < len(tail):
+                        t, m = tail[pos]
+                        if left is None:
+                            left, seen = m, None
+                        st_, rt = stride[t], radix[t]
+                        while left > (room := rt - 1 - y // st_ % rt):
+                            y += room * st_
+                            left -= room
+                            z = action[t][y]
+                            if z is None:
+                                break
+                            if seen is None:
+                                seen = {}
+                            elif y in seen:
+                                left %= seen[y] - left
+                                if not left:
+                                    continue
+                            seen[y] = left
+                            y, left = z, left - 1
+                        else:
+                            y += left * st_
+                            pos, left = pos + 1, None
+                            continue
+                        stack.append((e, g, y, pos, left, seen))
+                        stack.append((y, t, y - (rt - 1) * st_, 0, None, None))
+                        break
+                    else:
+                        action[g][e] = y
+    return action, parents
+
+
+@st.composite
+def acyclic_boxes(draw):
+    """Radix and tails of a basis c_g g = tail_g whose tails lie below their
+    heads in a drawn order: radix 1 allowed, k = 0 included, multiplicities
+    up to 10^6."""
+    k = draw(st.integers(0, 4))
+    radix = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    order = draw(st.permutations(range(k)))
+    coefficient = st.one_of(st.integers(0, 3), st.integers(0, 10**6))
+    tails = []
+    for h in range(k):
+        tail = [(g, draw(coefficient)) for g in order[order.index(h) + 1:]]
+        tails.append(sorted((g, m) for g, m in tail if m))
+    return radix, tails
+
+
+@st.composite
+def firing_rules(draw):
+    """Outdegrees and firing rows of a random sandpile digraph, its vertex
+    order shuffled."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_sandpile_graph(rng, 6, 4)
+    order = list(g.vertices)
+    rng.shuffle(order)
+    return _firing_rule(Graph.build(order, g.edges))
+
+
+@st.composite
+def presentation_boxes(draw):
+    """Radix and tails of the box basis of a pure-power presentation, whose
+    tails may reach 10^6 and may be completed into the basis."""
+    p = draw(pure_power_presentations())
+    rules = _rewriting_rules(p, [200_000])
+    k = len(p.generators)
+    powers = {support[0][0]: (lead, tail) for lead, tail, support, _, _ in rules if len(support) == 1}
+    assume(len(powers) == len(rules) == k)
+    radix = [powers[g][0][g] for g in range(k)]
+    return radix, [[(t, m) for t, m in enumerate(powers[g][1]) if m] for g in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(box=st.one_of(firing_rules(), presentation_boxes(), acyclic_boxes()))
+@example(box=([], []))
+@example(box=([1, 3, 1], [[(1, 10**6), (2, 2)], [(2, 5)], []]))
+def test_box_action_matches_the_fold_builder(box):
+    radix, tails = box
+    assert _box_action(radix, tails) == _reference_box_action(radix, tails)
+
+
+def test_box_action_matches_the_fold_builder_on_8000_elements():
+    # The acyclic basis 20a = (10^6 + 1) b + 999 999 c, 20b = 999 983 c,
+    # 20c = 0, whose multiplicities are no multiples of the orbit periods.
+    radix = [20, 20, 20]
+    tails = [[(1, 10**6 + 1), (2, 999_999)], [(2, 999_983)], []]
+    assert _box_action(radix, tails) == _reference_box_action(radix, tails)
 
 
 # 2a = 10^18 b, 2b = 0 is the Klein four-group; a = 10^18 b, b = 0 is trivial.

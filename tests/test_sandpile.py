@@ -451,6 +451,22 @@ def test_from_generator_action_rejects_parent_not_below_child():
             MonoidTable.from_generator_action(("x",), elements, action, 0, parents)
 
 
+def test_from_generator_action_rejects_a_column_count_or_entry_off_the_classes():
+    # Z/2 on one generator: x + x = 0.
+    elements, parents = ((0,), (1,)), [None, (0, 0)]
+    t = MonoidTable.from_generator_action(("x",), elements, [[1, 0]], 0, parents)
+    assert t.add == ((0, 1), (1, 0)) and t.generator_classes == (1,)
+    bad = [
+        (("x", "y"), [[1, 0]]),  # two generators, one column
+        (("x",), [[1, 0], [1, 0]]),  # one generator, two columns
+        (("x",), [[1, -1]]),  # -1 would land in the table as class -1
+        (("x",), [[1, 2]]),  # 2 is no class of a two-element monoid
+    ]
+    for generators, action in bad:
+        with pytest.raises(ValueError):
+            MonoidTable.from_generator_action(generators, elements, action, 0, parents)
+
+
 def test_monoid_vs_presentation_oracle(two_cycle_loop_sink):
     """The stable-configuration table and the presentation enumeration are
     the same monoid; the stabilization map is the isomorphism."""
