@@ -97,9 +97,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 
 def _resolve_bounds(args) -> Bounds:
-    bounds = DEFAULT_BOUNDS
-    if getattr(args, "bounds_file", None):
-        bounds = load_bounds(args.bounds_file, bounds)
+    bounds = load_bounds(args.bounds_file) if getattr(args, "bounds_file", None) else DEFAULT_BOUNDS
     overrides = {}
     for name in args.bound_names:
         value = getattr(args, f"bound_{name}")

@@ -47,7 +47,7 @@ class Bounds(Frozen):
 DEFAULT_BOUNDS = Bounds()
 
 
-def parse_bounds(text: str, base: Bounds = DEFAULT_BOUNDS) -> Bounds:
+def parse_bounds(text: str) -> Bounds:
     overrides = {}
     for lineno, line in records(text):
         if "=" not in line:
@@ -57,9 +57,9 @@ def parse_bounds(text: str, base: Bounds = DEFAULT_BOUNDS) -> Bounds:
         if key not in Bounds._fields:
             raise ParseError(f"unknown bound {key!r}", line=lineno)
         overrides[key] = integer(value, f"bound {key!r} needs an integer, got {value!r}", lineno)
-    return base.replace(**overrides)
+    return DEFAULT_BOUNDS.replace(**overrides)
 
 
-def load_bounds(path: str, base: Bounds = DEFAULT_BOUNDS) -> Bounds:
+def load_bounds(path: str) -> Bounds:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_bounds(fh.read(), base)
+        return parse_bounds(fh.read())

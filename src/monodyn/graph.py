@@ -14,6 +14,7 @@ File format, one record per line, ``#`` starts a comment::
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import Frozen, ParseError, ShapeError, integer, records
@@ -90,6 +91,14 @@ class Graph(Frozen):
             adj[src].append((dst, m))
         return {v: tuple(lst) for v, lst in adj.items()}
 
+    @cached_property
+    def in_adj(self) -> dict[str, list[tuple[str, int]]]:
+        """``out_adj`` reversed: (source, multiplicity) pairs per target."""
+        adj: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
+        for src, dst, m in self.edges:
+            adj[dst].append((src, m))
+        return adj
+
     def outdegree(self, v: str) -> int:
         return sum(m for _, m in self.out_adj[v])
 
@@ -124,14 +133,10 @@ class Graph(Frozen):
         if len(self.sinks) != 1:
             return None
         (s,) = self.sinks
-        # Reverse reachability: all vertices must have a directed path to s.
-        incoming: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for src, dst, _ in self.edges:
-            incoming[dst].append(src)
         back = {s}
         frontier = [s]
         while frontier:
-            for src in incoming[frontier.pop()]:
+            for src, _ in self.in_adj[frontier.pop()]:
                 if src not in back:
                     back.add(src)
                     frontier.append(src)
@@ -145,53 +150,43 @@ class Graph(Frozen):
 
     @cached_property
     def _finished(self) -> list[list[str]]:
-        """Strongly connected components by Tarjan's algorithm, iterative,
-        in the order it finishes them: an edge that leaves a component enters
-        one finished earlier."""
-        index_of: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        counter = 0
-        components: list[list[str]] = []
-
+        """Strongly connected components by Kosaraju's algorithm (Sharir 1981),
+        so ordered that an edge leaving a component enters an earlier one.  No
+        edge from another unplaced component enters that of the unplaced vertex
+        a depth-first search finishes last, so a search back from it through
+        unplaced vertices collects its component; the list is then reversed."""
+        out_adj, in_adj = self.out_adj, self.in_adj
+        seen: set[str] = set()
+        order: list[str] = []
         for root in self.vertices:
-            if root in index_of:
+            if root in seen:
                 continue
-            work = [(root, iter(self.out_adj[root]))]
-            index_of[root] = lowlink[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
+            seen.add(root)
+            work = [(root, iter(out_adj[root]))]
             while work:
                 v, it = work[-1]
-                advanced = False
                 for dst, _ in it:
-                    if dst not in index_of:
-                        index_of[dst] = lowlink[dst] = counter
-                        counter += 1
-                        stack.append(dst)
-                        on_stack.add(dst)
-                        work.append((dst, iter(self.out_adj[dst])))
-                        advanced = True
+                    if dst not in seen:
+                        seen.add(dst)
+                        work.append((dst, iter(out_adj[dst])))
                         break
-                    if dst in on_stack:
-                        lowlink[v] = min(lowlink[v], index_of[dst])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-                if lowlink[v] == index_of[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(comp)
+                else:
+                    work.pop()
+                    order.append(v)
+        placed: set[str] = set()
+        components: list[list[str]] = []
+        for root in reversed(order):
+            if root in placed:
+                continue
+            placed.add(root)
+            comp = [root]
+            for v in comp:  # comp grows while it is read
+                for src, _ in in_adj[v]:
+                    if src not in placed:
+                        placed.add(src)
+                        comp.append(src)
+            components.append(comp)
+        components.reverse()
         return components
 
     @cached_property
@@ -203,25 +198,21 @@ class Graph(Frozen):
         ordered.sort(key=lambda c: idx[c[0]])
         return tuple(ordered)
 
-    @cached_property
-    def _reach(self) -> tuple[dict[str, int], list[int]]:
-        """Each vertex's position in ``_finished``, and per component the
-        bitmask of the positions it reaches, its own among them: one pass,
-        as an edge out of a component enters one whose mask is done."""
-        position: dict[str, int] = {}
-        masks: list[int] = []
-        for k, comp in enumerate(self._finished):
-            position.update(dict.fromkeys(comp, k))
-            masks.append(1 << k)
+    def reached(self, targets: Sequence[str]) -> dict[str, int]:
+        """Per vertex, the mask of the distinct ``targets`` it reaches: bit i
+        is set when a path, possibly empty, leads to ``targets[i]``.  One pass
+        over ``_finished``, since an edge leaving a component enters one whose
+        mask is done, and a component's vertices reach the same targets."""
+        bits = {t: 1 << i for i, t in enumerate(targets)}
+        masks: dict[str, int] = {}
+        for comp in self._finished:
+            m = 0
             for v in comp:
+                m |= bits.get(v, 0)
                 for dst, _ in self.out_adj[v]:
-                    masks[k] |= masks[position[dst]]
-        return position, masks
-
-    def reaches(self, u: str, v: str) -> bool:
-        """Whether a directed path, possibly empty, leads from u to v."""
-        position, masks = self._reach
-        return masks[position[u]] >> position[v] & 1 == 1
+                    m |= masks.get(dst, 0)  # 0 inside comp, not yet done
+            masks.update(dict.fromkeys(comp, m))
+        return masks
 
     @cached_property
     def cyclic_components(self) -> tuple[tuple[str, ...], ...]:
@@ -354,9 +345,7 @@ def graph_from_matrix(a: IntMatrix) -> Graph:
 
 def structure_report(g: Graph) -> StructureReport:
     sccs = g.components
-    indegrees = dict.fromkeys(g.vertices, 0)
-    for _, dst, m in g.edges:
-        indegrees[dst] += m
+    in_adj, multiplicity = g.in_adj, itemgetter(1)
     return StructureReport(
         sinks=g.sinks,
         strongly_connected=len(sccs) == 1,
@@ -364,5 +353,5 @@ def structure_report(g: Graph) -> StructureReport:
         sandpile=g.sandpile_sink is not None,
         sink_name=g.sandpile_sink,
         outdegrees=tuple(g.outdegree(v) for v in g.vertices),
-        indegrees=tuple(indegrees.values()),
+        indegrees=tuple([sum(map(multiplicity, in_adj[v])) for v in g.vertices]),
     )

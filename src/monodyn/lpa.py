@@ -4,7 +4,7 @@
 (Abrams-Aranda Pino, "The Leavitt path algebra of a graph", J. Algebra
 2005): every vertex connects to every cycle and every sink (cofinality),
 and every cycle has an exit.  ``lpa_zorn`` is the cycle-exit condition
-alone.  Both read the structure a ``Graph`` caches, so only ``kp_compare``
+alone.  Both read the structure a ``Graph`` computes, so only ``kp_compare``
 loads graph code.  Cofinality holds exactly when the sinks and the
 cycle-holding components together make at most one component, because
 
@@ -81,16 +81,18 @@ def lpa_simple(g: Graph) -> SimplicityVerdict:
     cycles = g.cyclic_components
     if len(sinks) + len(cycles) > 1:
         # Cofinality fails.  The witness is the first vertex that misses a
-        # target, with the first target it misses, sinks before cycles.  A
-        # component's vertices reach the same set, and a target is reached
-        # whole or not at all, so one question per component suffices.
+        # target, with the first target it misses (sinks before cycles), the
+        # lowest bit its mask lacks.  A component's vertices reach the same
+        # set, and a target is reached whole or not at all.
         targets = tuple((s,) for s in sinks) + cycles
+        masks = g.reached([target[0] for target in targets])
         for comp in g.components:
-            for target in targets:
-                if not g.reaches(comp[0], target[0]):
-                    return SimplicityVerdict(
-                        False, "cofinality", witness_vertex=comp[0], witness_target=target
-                    )
+            m = masks[comp[0]]
+            k = (m ^ (m + 1)).bit_length() - 1  # the lowest bit m lacks
+            if k < len(targets):
+                return SimplicityVerdict(
+                    False, "cofinality", witness_vertex=comp[0], witness_target=targets[k]
+                )
     cycle = g.exitless_cycle
     if cycle is not None:
         return SimplicityVerdict(False, "exitless_cycle", witness_cycle=cycle)

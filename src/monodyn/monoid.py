@@ -140,6 +140,7 @@ class MonoidTable(Frozen):
             raise ValueError("elements, action columns and parents must have one entry per class")
         if any(col and (min(col) < 0 or max(col) >= n) for col in action):
             raise ValueError("action entries must be classes, in range(len(elements))")
+        columns = dict(enumerate(action))  # unlike a list, no column for g = -1
         cols: list[tuple[int, ...]] = [()] * n
         cols[identity] = tuple(range(n))
         for j, link in enumerate(parents):
@@ -150,7 +151,10 @@ class MonoidTable(Frozen):
             if link is None or not 0 <= link[0] < j:
                 raise ValueError(f"parent of class {j} must be a class below it")
             p, g = link
-            cols[j] = itemgetter(*cols[p])(action[g])  # n >= 2 items, so a tuple
+            try:
+                cols[j] = itemgetter(*cols[p])(columns[g])  # n >= 2 items, so a tuple
+            except KeyError:
+                raise ValueError(f"parent of class {j} must name one of the generators") from None
         return MonoidTable(
             tuple(generators),
             tuple(elements),

@@ -20,7 +20,7 @@ from operator import mul
 
 from .config import DEFAULT_BOUNDS
 from .errors import Frozen, MonodynError, ShapeError
-from .matrix import IntMatrix, charpoly, kron
+from .matrix import MAX_POWER_BITS, IntMatrix, charpoly, kron
 
 # se_search skips a kernel whose coefficient box holds more combinations.
 _CANDIDATE_CAP = 250_000
@@ -375,7 +375,9 @@ def se_search(
     Neither R S nor S R depends on the lag, so lag 1 tries every pair in
     order and files it under its R S; a later lag computes S R only for the
     pairs filed under A^lag, in the same order, and a pair found there is
-    the first pair the full loop over all pairs would find.
+    the first pair the full loop over all pairs would find.  The lags stop
+    where A^lag or B^lag first needs more than ``MAX_POWER_BITS`` bits, since
+    ``verify_se`` refuses a witness there; the bounds then name that cap too.
     An invariant obstruction short circuits the search, since no witness
     can exist past one.  A returned witness has passed ``verify_se``.
     """
@@ -437,6 +439,9 @@ def se_search(
     a_pow, b_pow = a, b
     for lag in range(2, max_lag + 1):
         a_pow, b_pow = a_pow @ a, b_pow @ b
+        if max(map(int.bit_length, a_pow.entries + b_pow.entries)) > MAX_POWER_BITS:
+            bounds["max_power_bits"] = MAX_POWER_BITS  # verify_se refuses this lag
+            break
         for r, s in pairs_by_product.get(a_pow.entries, ()):
             if s @ r == b_pow:
                 return verified(SEWitness(r=r, s=s, lag=lag))

@@ -119,7 +119,7 @@ def rose_graph(petals: int) -> Graph:
 
 def reachable_from(g: Graph, start: str) -> set[str]:
     """The vertices a depth-first search from ``start`` meets: the oracle
-    for ``Graph.reaches``, sharing none of its code."""
+    for ``Graph.reached``, sharing none of its code."""
     seen = {start}
     stack = [start]
     while stack:

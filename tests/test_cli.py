@@ -559,7 +559,7 @@ def test_shift_search_se(files, capsys, tmp_path):
     assert report["obstruction"]["verdict"] == "obstruction"
 
 
-def test_capped_se_search_names_the_cap(capsys, tmp_path):
+def test_capped_se_search_names_the_cap(capsys, tmp_path, monkeypatch):
     # The zero matrix against one edge: the coefficient box of the kernel is
     # over the cap, so both reports name it among the bounds.
     zero = tmp_path / "zero.mat"
@@ -576,6 +576,16 @@ def test_capped_se_search_names_the_cap(capsys, tmp_path):
     code, report = invoke_json(capsys, ["lpa", "compare", str(empty), str(one_edge), "--mode", "graded"])
     assert code == 1 and report["outcome"] == "unknown"
     assert report["bounds"]["candidate_cap"] == 250_000
+    # Baker's pair: the lags stop where the powers pass MAX_POWER_BITS, here
+    # lowered to 64 bits, long before the lag cap.
+    monkeypatch.setattr("monodyn.shifteq.MAX_POWER_BITS", 64)
+    left = tmp_path / "left.mat"
+    left.write_text("2 2\n1 3\n2 1\n")
+    right = tmp_path / "right.mat"
+    right.write_text("2 2\n1 6\n1 1\n")
+    code, report = invoke_json(capsys, ["shift", "search-se", str(left), str(right), "--max-lag", "1000000"])
+    assert code == 1 and report["outcome"] == "not_found"
+    assert report["bounds"] == {"max_lag": 10**6, "coeff_bound": 2, "max_power_bits": 64}
 
 
 def test_shift_invariants(files, capsys, tmp_path):

@@ -175,10 +175,16 @@ def test_components_are_the_mutual_reachability_classes(g):
     assert sorted(v for comp in comps for v in comp) == sorted(g.vertices)
     # ... whose blocks are the mutual reachability classes ...
     block = {v: i for i, comp in enumerate(comps) for v in comp}
+    masks = g.reached(g.vertices)
     for u in g.vertices:
-        for v in g.vertices:
+        for i, v in enumerate(g.vertices):
             assert (block[u] == block[v]) == (v in reach[u] and u in reach[v])
-            assert g.reaches(u, v) == (v in reach[u])
+            assert masks[u] >> i & 1 == (v in reach[u])
+    # Every edge of the finishing order enters an earlier or the same component.
+    finished = {v: k for k, comp in enumerate(g._finished) for v in comp}
+    assert sorted(map(sorted, g._finished)) == sorted(map(sorted, comps))
+    for src, dst, _ in g.edges:
+        assert finished[dst] <= finished[src]
     # ... listed by smallest vertex index, each in declaration order.
     idx = g.index
     firsts = [idx[comp[0]] for comp in comps]

@@ -467,6 +467,21 @@ def test_from_generator_action_rejects_a_column_count_or_entry_off_the_classes()
             MonoidTable.from_generator_action(generators, elements, action, 0, parents)
 
 
+def test_from_generator_action_rejects_a_parent_generator_off_the_list():
+    # The Klein four-group on x and y: x + x = y + y = 0.
+    elements = ((0, 0), (1, 0), (0, 1), (1, 1))
+    action = [[1, 0, 3, 2], [2, 3, 0, 1]]
+    parents = [None, (0, 0), (0, 1), (1, 1)]
+    t = MonoidTable.from_generator_action(("x", "y"), elements, action, 0, parents)
+    assert t.add[3] == (3, 2, 1, 0)
+    t.check_laws()
+    # Generator -1 would read the last column, and 2 lies past the columns.
+    for g in (-1, 2):
+        bad = [None, (0, 0), (0, g), (1, 1)]
+        with pytest.raises(ValueError, match="parent of class 2 must name one of the generators"):
+            MonoidTable.from_generator_action(("x", "y"), elements, action, 0, bad)
+
+
 def test_monoid_vs_presentation_oracle(two_cycle_loop_sink):
     """The stable-configuration table and the presentation enumeration are
     the same monoid; the stabilization map is the isomorphism."""

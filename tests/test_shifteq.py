@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monodyn.errors import MonodynError, ShapeError
+from monodyn import shifteq
 from monodyn.matrix import MAX_POWER_BITS, IntMatrix, kron
 from monodyn.shifteq import (
     _CANDIDATE_CAP,
@@ -452,6 +453,10 @@ def reference_se_search(a, b, max_lag, coeff_bound):
     rs = candidates(kron(a, IntMatrix.identity(m)).sub(kron(IntMatrix.identity(n), b.transpose())), n, m)
     ss = candidates(kron(IntMatrix.identity(m), a.transpose()).sub(kron(b, IntMatrix.identity(n))), m, n)
     for lag in range(1, max_lag + 1) if rs and ss else ():
+        powers = a.pow(lag).entries + b.pow(lag).entries
+        if lag > 1 and max(x.bit_length() for x in powers) > shifteq.MAX_POWER_BITS:
+            bounds["max_power_bits"] = shifteq.MAX_POWER_BITS
+            break
         for r in rs:
             for s in ss:
                 if r @ s == a.pow(lag) and s @ r == b.pow(lag):
@@ -469,3 +474,23 @@ def test_se_search_matches_the_lag_loop_over_all_pairs(max_lag, coeff_bound):
     ]
     for a, b in pairs:
         assert se_search(a, b, max_lag, coeff_bound) == reference_se_search(a, b, max_lag, coeff_bound)
+
+
+def test_se_search_stops_at_the_first_lag_past_the_power_bits(monkeypatch):
+    # README's Baker pair: A^lag grows by about 1.79 bits per lag, so with
+    # 64 bits the lags stop near 36, not at max_lag.  At the real 2^16 bits
+    # the loop would stop near lag 36 700, where verify_se starts refusing.
+    a = IntMatrix.from_rows([[1, 3], [2, 1]])
+    b = IntMatrix.from_rows([[1, 6], [1, 1]])
+    monkeypatch.setattr(shifteq, "MAX_POWER_BITS", 64)
+    first = next(lag for lag in itertools.count(2) if max(
+        x.bit_length() for x in a.pow(lag).entries + b.pow(lag).entries) > 64)
+    assert 30 < first < 40
+    result = se_search(a, b, max_lag=10**6)
+    assert isinstance(result, SearchExhausted) and result.obstruction is None
+    assert result.bounds == {"max_lag": 10**6, "coeff_bound": 2, "max_power_bits": 64}
+    # The lag that passes the bits is the one that stops the search.
+    for max_lag in (first - 1, first):
+        result = se_search(a, b, max_lag)
+        assert result == reference_se_search(a, b, max_lag, 2)
+        assert ("max_power_bits" in result.bounds) == (max_lag == first)

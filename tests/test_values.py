@@ -219,9 +219,8 @@ def test_bounds_replace():
 
 
 def test_bounds_files():
-    base = Bounds(max_elements=5)
-    b = parse_bounds("# comment\nmax-lag = 7\n\nnode_budget=3  # trailing\n", base)
-    assert b == Bounds(max_elements=5, max_lag=7, node_budget=3)
+    b = parse_bounds("# comment\nmax-lag = 7\n\nnode_budget=3  # trailing\n")
+    assert b == Bounds(max_lag=7, node_budget=3)  # the defaults, two of them overridden
     assert parse_bounds("") == DEFAULT_BOUNDS
     for text, message in [
         ("max_lag", "line 1: config line must be 'key = value'"),
