@@ -8,7 +8,8 @@ handler so that a command loads only its own layers, and returns ``(exit
 code, output)``: a dict for a JSON report, a str for text, bytes for an
 image, or None when it has written its result to a file.  The dispatcher
 prints the output.  This package holds the file and JSON helpers that more
-than one group uses.
+than one group uses: ``stopped_report`` builds every report of a run that
+ran out of a bound.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from ..errors import Stopped
     from ..matrix import IntMatrix
 
 
@@ -34,6 +36,16 @@ def load_matrix(path: str) -> IntMatrix:
     from ..matrix import parse_matrix
 
     return parse_matrix(read_text(path))
+
+
+def stopped_report(report: dict, stop: Stopped) -> tuple[int, dict]:
+    """Exit code 1 and ``report`` with the ``bounds`` that ``stop`` lists,
+    if any, and ``stopped_by``, the bound that ran out, unless none did."""
+    if stop.bounds:
+        report["bounds"] = dict(stop.bounds)
+    if stop.by is not None:
+        report["stopped_by"] = stop.by
+    return 1, report
 
 
 def witness_json(r: IntMatrix, s: IntMatrix) -> dict:

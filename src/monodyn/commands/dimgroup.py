@@ -3,7 +3,8 @@ groups, and the Fibonacci cone."""
 
 from __future__ import annotations
 
-from . import load_matrix
+from ..errors import Stopped
+from . import load_matrix, stopped_report
 
 
 def _cmd_dim_equal(args, bounds):
@@ -17,11 +18,14 @@ def _cmd_dim_equal(args, bounds):
 
 
 def _cmd_dim_positive(args, bounds):
-    from ..dimension import dim_positive, parse_dim_element
+    from ..dimension import INCONCLUSIVE, _dim_positive, parse_dim_element
 
     m = load_matrix(args.matrix)
     x = parse_dim_element(m, args.element)
-    verdict = dim_positive(x, bounds.max_power)
+    try:
+        verdict = _dim_positive(x, bounds.max_power)
+    except Stopped as stop:
+        return stopped_report({"kind": "dim-positive", "verdict": INCONCLUSIVE}, stop)
     return (0 if verdict == "positive" else 1), {"kind": "dim-positive", "verdict": verdict}
 
 

@@ -3,7 +3,7 @@ Higman-Thompson isomorphism criteria, and Kirchberg-Phillips comparison."""
 
 from __future__ import annotations
 
-from . import invariants_json, load_graph, witness_json
+from . import invariants_json, load_graph, stopped_report, witness_json
 
 
 def _cmd_lpa_simple(args, bounds):
@@ -59,10 +59,8 @@ def _cmd_lpa_compare(args, bounds):
         report["lag"] = verdict.se_witness.lag
     if verdict.invariants is not None:
         report["invariants"] = invariants_json(verdict.invariants)
-    if verdict.bounds is not None:
-        report["bounds"] = dict(verdict.bounds)
-    if verdict.stopped_by is not None:
-        report["stopped_by"] = verdict.stopped_by
+    if verdict.stopped is not None:
+        return stopped_report(report, verdict.stopped)
     return (0 if verdict.kind == "iso_witness" else 1), report
 
 

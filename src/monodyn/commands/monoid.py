@@ -3,7 +3,8 @@ enumeration of finite monoids."""
 
 from __future__ import annotations
 
-from . import load_graph, read_text
+from ..errors import Stopped
+from . import load_graph, read_text, stopped_report
 
 
 def _cmd_monoid_present(args, bounds):
@@ -24,8 +25,8 @@ def _cmd_monoid_equal(args, bounds):
     report = {"kind": "word-equal", "verdict": res.verdict}
     if res.path is not None:
         report["path"] = [_format_side(p, v) for v in res.path]
-    if res.stopped_by is not None:
-        report["stopped_by"] = res.stopped_by
+    if res.stopped is not None:
+        return stopped_report(report, res.stopped)
     return (0 if res.verdict == "yes" else 1), report
 
 
@@ -33,14 +34,10 @@ def _cmd_monoid_enumerate(args, bounds):
     from ..monoid import _enumerate_monoid, parse_presentation
 
     p = parse_presentation(read_text(args.presentation))
-    table, stopped_by = _enumerate_monoid(p, bounds.max_elements, bounds.node_budget)
-    if table is None:
-        return 1, {
-            "kind": "monoid-table",
-            "outcome": "unknown",
-            "bounds": {"max_elements": bounds.max_elements, "node_budget": bounds.node_budget},
-            "stopped_by": stopped_by,
-        }
+    try:
+        table = _enumerate_monoid(p, bounds.max_elements, bounds.node_budget)
+    except Stopped as stop:
+        return stopped_report({"kind": "monoid-table", "outcome": "unknown"}, stop)
     return 0, {"kind": "monoid-table", "outcome": "table", "table": table.to_json_dict()}
 
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..errors import BudgetExceededError, MonodynError, integer
-from . import load_graph, read_text
+from ..errors import MonodynError, Stopped, integer
+from . import load_graph, read_text, stopped_report
 
 if TYPE_CHECKING:
     from ..sandpile import ChipConfig
@@ -23,13 +23,9 @@ def _cmd_sandpile_stabilize(args, bounds):
     trace: list[ChipConfig] | None = [] if args.trace else None
     try:
         config, odometer = stabilize(g, start, budget=bounds.firing_budget, trace_to=trace)
-    except BudgetExceededError as err:
-        return 1, {
-            "kind": "stabilize",
-            "stabilized": False,
-            "budget": bounds.firing_budget,
-            "firings": err.fired,
-        }
+    except Stopped as stop:
+        report = {"kind": "stabilize", "stabilized": False, "budget": stop.bound, "firings": stop.work}
+        return stopped_report(report, stop)
     if args.trace:
         return 0, " ⟿ ".join(format_config_terms(g, [start] + trace))
     return 0, {
@@ -60,7 +56,10 @@ def _cmd_sandpile_monoid(args, bounds):
     from ..sandpile import sandpile_monoid
 
     g = load_graph(args.graph)
-    table = sandpile_monoid(g, max_elements=bounds.max_elements)
+    try:
+        table = sandpile_monoid(g, max_elements=bounds.max_elements)
+    except Stopped as stop:
+        return stopped_report({"kind": "monoid-table", "outcome": "unknown"}, stop)
     return 0, {"kind": "monoid-table", "outcome": "table", "table": table.to_json_dict()}
 
 
@@ -84,18 +83,12 @@ def _cmd_sandpile_grid(args, bounds):
 
     spec = GridSpec(args.rows, args.cols, args.mode)
     config = grid_config(spec, _parse_places(args.place))
+    report = {"kind": "grid", "rows": spec.rows, "cols": spec.cols, "mode": spec.mode}
     try:
         final, odometer = stabilize_grid(spec, config, budget=bounds.firing_budget)
-    except BudgetExceededError as err:
-        return 1, {
-            "kind": "grid",
-            "rows": spec.rows,
-            "cols": spec.cols,
-            "mode": spec.mode,
-            "stabilized": False,
-            "budget": bounds.firing_budget,
-            "firings": err.fired,
-        }
+    except Stopped as stop:
+        report |= {"stabilized": False, "budget": stop.bound, "firings": stop.work}
+        return stopped_report(report, stop)
     histogram: dict[str, int] = {}
     for count in final.counts:
         key = str(count)
@@ -104,16 +97,9 @@ def _cmd_sandpile_grid(args, bounds):
         cells = GridVertices(spec)
         with open(args.save_config, "w", encoding="utf-8") as fh:
             fh.write(serialize_config(cells, final))
-    return 0, {
-        "kind": "grid",
-        "rows": spec.rows,
-        "cols": spec.cols,
-        "mode": spec.mode,
-        "stabilized": True,
-        "absorbed": final.absorbed,
-        "firings": odometer.total(),
-        "histogram": histogram,
-    }
+    report |= {"stabilized": True, "absorbed": final.absorbed, "firings": odometer.total(),
+               "histogram": histogram}
+    return 0, report
 
 
 def _cmd_sandpile_render(args, bounds):

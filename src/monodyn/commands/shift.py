@@ -7,20 +7,20 @@ import json
 from typing import TYPE_CHECKING
 
 from ..errors import ParseError
-from . import invariants_json, load_matrix, read_text, witness_json
+from . import invariants_json, load_matrix, read_text, stopped_report, witness_json
 
 if TYPE_CHECKING:
     from ..matrix import IntMatrix
     from ..shifteq import SearchExhausted, SSEChain
 
 
-def _not_found_json(kind: str, result: SearchExhausted) -> dict:
+def _not_found(kind: str, result: SearchExhausted) -> tuple[int, dict]:
     """Report of a search that found nothing, with its invariant obstruction
     when there is one."""
-    report = {"kind": kind, "outcome": "not_found", "bounds": result.bounds}
+    report = {"kind": kind, "outcome": "not_found"}
     if result.obstruction is not None:
         report["obstruction"] = invariants_json(result.obstruction)
-    return report
+    return stopped_report(report, result.stopped)
 
 
 def _chain_json(chain: SSEChain) -> dict:
@@ -91,7 +91,7 @@ def _cmd_shift_search_sse(args, bounds):
     result = sse_search(a, b, max_depth=bounds.search_depth, max_inner_dim=bounds.max_inner_dim)
     if isinstance(result, SSEChain):
         return 0, {"kind": "sse-search", "outcome": "found", "chain": _chain_json(result)}
-    return 1, _not_found_json("sse-search", result)
+    return _not_found("sse-search", result)
 
 
 def _cmd_shift_search_se(args, bounds):
@@ -106,7 +106,7 @@ def _cmd_shift_search_se(args, bounds):
             "witness": witness_json(result.r, result.s),
             "lag": result.lag,
         }
-    return 1, _not_found_json("se-search", result)
+    return _not_found("se-search", result)
 
 
 def _cmd_shift_invariants(args, bounds):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
-from .errors import Frozen, MonodynError, ParseError, ShapeError, integer
+from .errors import Frozen, MonodynError, ParseError, ShapeError, Stopped, integer
 from .matrix import IntMatrix, vec_mat_mul
 
 if TYPE_CHECKING:
@@ -92,6 +92,15 @@ def dim_positive(x: DimElement, max_power: int = DEFAULT_BOUNDS.max_power) -> st
     A strictly negative vector stays strictly negative under any nonnegative
     matrix without zero columns, which certifies the negative answer.
     """
+    try:
+        return _dim_positive(x, max_power)
+    except Stopped:
+        return INCONCLUSIVE
+
+
+def _dim_positive(x: DimElement, max_power: int) -> str:
+    """``dim_positive``'s definite verdict, or ``Stopped`` by ``max_power``
+    after the powers A^0 .. A^max_power."""
     a = x.matrix
     no_zero_column = all(
         any(a.at(i, j) != 0 for i in range(a.rows)) for j in range(a.cols)
@@ -103,7 +112,7 @@ def dim_positive(x: DimElement, max_power: int = DEFAULT_BOUNDS.max_power) -> st
         if no_zero_column and all(c < 0 for c in v):
             return NOT_POSITIVE
         v = vec_mat_mul(v, a)
-    return INCONCLUSIVE
+    raise Stopped("max_power", max_power, max_power + 1)
 
 
 def dim_add(x: DimElement, y: DimElement) -> DimElement:

@@ -1,5 +1,5 @@
 """Exception types, the two readers of every text input (its records and
-its integers), and the base of the immutable value classes."""
+its integers), the base of the immutable value classes, and ``Stopped``."""
 
 from __future__ import annotations
 
@@ -47,24 +47,6 @@ class FiringError(MonodynError):
     """Firing a stable vertex, a sink, or an unknown vertex."""
 
 
-class BudgetExceededError(MonodynError):
-    """Stabilization did not finish within the firing budget.
-
-    Carries the partial configuration and odometer reached when the
-    budget ran out, so callers can report how far the run got.
-    """
-
-    def __init__(self, message: str, config=None, odometer=None, fired: int = 0):
-        super().__init__(message)
-        self.config = config
-        self.odometer = odometer
-        self.fired = fired
-
-
-class CapExceededError(MonodynError):
-    """An enumeration would produce more elements than the configured cap."""
-
-
 class Frozen:
     """Base of the package's immutable value classes.
 
@@ -77,11 +59,10 @@ class Frozen:
     are equal, and an instance hashes as its key.  The key is the tuple of
     every field, less those the class names in ``_not_in_key`` (a
     ``ChipConfig``'s ``absorbed``), so a one-field key is the 1-tuple.  A
-    class that defines ``__eq__`` or ``__hash__`` in its body keeps its own:
-    ``SearchExhausted`` and ``CompareVerdict`` set ``__hash__ = None``, since
-    they carry a dict.  Once built, an instance refuses every assignment and
-    deletion.  Instances can be weakly referenced, copied and pickled; a copy
-    is built by ``__init__`` from the fields.
+    class that defines ``__eq__`` or ``__hash__`` in its body keeps its own.
+    Once built, an instance refuses every assignment and deletion.
+    Instances can be weakly referenced, copied and pickled; a copy is built
+    by ``__init__`` from the fields.
     """
 
     __slots__ = ("__weakref__",)
@@ -151,3 +132,30 @@ class Frozen:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Stopped(Frozen, MonodynError):
+    """Every bounded procedure that runs out of a bound raises this record,
+    or returns a result that carries it.
+
+    - ``by``: the ``config.Bounds`` field that ran out; "infinite" when the
+      object being built has no end; None for a search, which tried every
+      candidate within all of ``bounds``.
+    - ``bound``: the value of ``by``, or None.
+    - ``work``: the count, in the unit of ``by``, that the run had reached:
+      firings, node units charged (the refused charge included), elements,
+      or powers tried; None for the rest.
+    - ``bounds``: (name, value) pairs, from a dict or pairs, of the bounds
+      the run's report lists, with the internal caps that cut a search.
+    - ``config``, ``odometer``: the state a stabilizer reached.
+    """
+
+    __slots__ = ("by", "bound", "work", "bounds", "config", "odometer")
+
+    def __init__(self, by, bound=None, work=None, bounds=(), config=None, odometer=None):
+        super().__init__(by, bound, work, tuple(dict(bounds).items()), config, odometer)
+
+    def __str__(self) -> str:
+        if self.by == "firing_budget":
+            return f"did not stabilize within budget of {self.bound} firings"
+        return f"count {self.work} exceeds {self.by} {self.bound}"

@@ -99,19 +99,22 @@ class Graph(Frozen):
             adj[dst].append((src, m))
         return adj
 
-    def outdegree(self, v: str) -> int:
-        return sum(m for _, m in self.out_adj[v])
+    @cached_property
+    def outdegrees(self) -> dict[str, int]:
+        """Each vertex's out-edges counted with multiplicity, in declaration
+        order."""
+        return {v: sum(m for _, m in row) for v, row in self.out_adj.items()}
 
-    def is_sink(self, v: str) -> bool:
-        return self.outdegree(v) == 0
+    def outdegree(self, v: str) -> int:
+        return self.outdegrees[v]
 
     @cached_property
     def sinks(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.is_sink(v))
+        return tuple(v for v, d in self.outdegrees.items() if d == 0)
 
     @cached_property
     def nonsink_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self.is_sink(v))
+        return tuple(v for v, d in self.outdegrees.items() if d)
 
     @cached_property
     def _nonsink_positions(self) -> dict[str, int]:
@@ -146,7 +149,7 @@ class Graph(Frozen):
         """Declared weight, defaulting to the outdegree (vertex weighting)."""
         if self.weights is not None:
             return self.weights[self.index[v]]
-        return self.outdegree(v)
+        return self.outdegrees[v]
 
     @cached_property
     def _finished(self) -> list[list[str]]:
@@ -228,10 +231,7 @@ class Graph(Frozen):
         is exit-less exactly when each of its vertices has total outdegree 1,
         so it suffices to walk the functional subgraph of outdegree-1
         vertices and look for cycles there."""
-        nxt = {}
-        for v in self.vertices:
-            if self.outdegree(v) == 1:
-                nxt[v] = self.out_adj[v][0][0]
+        nxt = {v: self.out_adj[v][0][0] for v, d in self.outdegrees.items() if d == 1}
         color: dict[str, int] = {}  # 1 = on current walk, 2 = finished
         for start in self.vertices:
             if start not in nxt or color.get(start):
@@ -352,6 +352,6 @@ def structure_report(g: Graph) -> StructureReport:
         scc_partition=sccs,
         sandpile=g.sandpile_sink is not None,
         sink_name=g.sandpile_sink,
-        outdegrees=tuple(g.outdegree(v) for v in g.vertices),
+        outdegrees=tuple(g.outdegrees.values()),
         indegrees=tuple([sum(map(multiplicity, in_adj[v])) for v in g.vertices]),
     )

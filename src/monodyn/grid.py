@@ -59,7 +59,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
-from .errors import BudgetExceededError, Frozen, ParseError, ShapeError, integer
+from .errors import Frozen, ParseError, ShapeError, Stopped, integer
 from .sandpile import ChipConfig, Odometer
 
 if TYPE_CHECKING:
@@ -385,11 +385,11 @@ def stabilize_grid(
     colour, which has got no chips since (the first half-sweep always
     fires).  Otherwise a stable grid shows at the next recomputation, after
     at most ``_WINDOW - 1`` half-sweeps that topple nothing.  So the
-    half-sweep sequence, the result, the odometer and any
-    ``BudgetExceededError`` are those of half-sweeping the whole grid.  The
-    error carries the state after the last whole half-sweep that fits in
-    the budget: ``fired <= budget``, and one more half-sweep would pass it.
-    So unlike ``sandpile.stabilize``, which stops at exactly ``fired ==
+    half-sweep sequence, the result, the odometer and any ``Stopped`` by
+    ``firing_budget`` are those of half-sweeping the whole grid.  The record
+    carries the state after the last whole half-sweep that fits in the
+    budget: ``work <= budget`` firings, and one more half-sweep would pass
+    it.  So unlike ``sandpile.stabilize``, which stops at exactly ``work ==
     budget``, the partial state is a half-sweep boundary.  When the
     unstable cells of the start all have one colour, a Jacobi sweep of the
     whole grid, which topples every unstable cell at once, topples one
@@ -538,13 +538,7 @@ def stabilize_grid(
             if total == 0:
                 break
             if fired + total > budget:
-                config, odometer = result()
-                raise BudgetExceededError(
-                    f"did not stabilize within budget of {budget} firings",
-                    config=config,
-                    odometer=odometer,
-                    fired=fired,
-                )
+                raise Stopped("firing_budget", budget, fired, (), *result())
             fired += total
         if open_mode:
             bitwise_and(band, three, out=band)

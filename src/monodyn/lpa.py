@@ -29,7 +29,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_BOUNDS
-from .errors import Frozen, ShapeError
+from .errors import Frozen, ShapeError, Stopped
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -58,10 +58,7 @@ class SimplicityVerdict(Frozen):
 
 
 class CompareVerdict(Frozen):
-    __slots__ = (
-        "kind", "detail", "generator_images", "se_witness", "invariants", "bounds", "stopped_by",
-    )
-    __hash__ = None  # ``bounds`` may be a dict
+    __slots__ = ("kind", "detail", "generator_images", "se_witness", "invariants", "stopped")
 
     def __init__(
         self,
@@ -70,10 +67,9 @@ class CompareVerdict(Frozen):
         generator_images: tuple[int, ...] | None = None,
         se_witness: SEWitness | None = None,
         invariants: object | None = None,
-        bounds: dict | None = None,
-        stopped_by: str | None = None,  # why an enumeration stopped, for unknown
+        stopped: Stopped | None = None,  # why the search or enumeration stopped, for unknown
     ):
-        super().__init__(kind, detail, generator_images, se_witness, invariants, bounds, stopped_by)
+        super().__init__(kind, detail, generator_images, se_witness, invariants, stopped)
 
 
 def lpa_simple(g: Graph) -> SimplicityVerdict:
@@ -175,8 +171,8 @@ def kp_compare(
         return CompareVerdict(
             "unknown",
             "no witness within bounds and no invariant obstruction",
-            bounds=found.bounds,
             invariants=found.invariants,
+            stopped=found.stopped,
         )
 
     if mode != PLAIN:
@@ -184,14 +180,14 @@ def kp_compare(
 
     p1 = _presentation_for(first, presentation)
     p2 = _presentation_for(second, presentation)
-    t1, why1 = _enumerate_monoid(p1, max_elements, node_budget)
-    t2, why2 = _enumerate_monoid(p2, max_elements, node_budget)
-    if t1 is None or t2 is None:
+    try:
+        t1 = _enumerate_monoid(p1, max_elements, node_budget)
+        t2 = _enumerate_monoid(p2, max_elements, node_budget)
+    except Stopped as stop:
         return CompareVerdict(
             "unknown",
             "monoid enumeration did not close within bounds",
-            bounds={"max_elements": max_elements, "node_budget": node_budget},
-            stopped_by=why1 or why2,
+            stopped=stop.with_traceback(None),
         )
     if t1.size != t2.size:
         return CompareVerdict(

@@ -127,7 +127,7 @@ class IntMatrix(Frozen):
             return m
 
         result = None
-        base = checked(self)
+        base = self
         n = k
         while n:
             if n & 1:

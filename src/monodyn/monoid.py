@@ -17,10 +17,10 @@ tri-state: "yes" carries a rewrite path that replays in relation steps, "no"
 means different normal forms (or, out of budget, a coset mismatch), and
 "unknown" only that the node budget ran out, in the completion, the
 rewriting or the path.  Every charge to the budget goes through ``_spend``,
-which raises the private ``_BudgetSpent`` once the budget is below 0; only
-the two entry points, ``words_equal`` and ``_enumerate_monoid``, catch it.
-The monoid is finite exactly when every generator has a pure power among
-the leading terms.
+which raises ``errors.Stopped`` by ``node_budget`` once the charges pass
+it; the two entry points, ``words_equal`` and ``_enumerate_monoid``, catch
+it.  The monoid is finite exactly when every generator has a pure power
+among the leading terms.
 
 Enumeration calls ``_normal_form`` only for a basis with a mixed lead, one
 of two or more generators.  The classes are the standard monomials, the
@@ -55,7 +55,7 @@ from operator import add, ge, itemgetter, sub
 from typing import TYPE_CHECKING, Sequence
 
 from .config import DEFAULT_BOUNDS
-from .errors import Frozen, ParseError, ShapeError, integer, records
+from .errors import Frozen, ParseError, ShapeError, Stopped, integer, records
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -94,15 +94,15 @@ class MonoidPresentation(Frozen):
 
 
 class WordEquality(Frozen):
-    __slots__ = ("verdict", "path", "stopped_by")
+    __slots__ = ("verdict", "path", "stopped")
 
     def __init__(
         self,
         verdict: str,  # "yes" | "no" | "unknown"
         path: tuple[Vector, ...] | None = None,
-        stopped_by: str | None = None,  # "node_budget" exactly when unknown
+        stopped: Stopped | None = None,  # by "node_budget", exactly when unknown
     ):
-        super().__init__(verdict, path, stopped_by)
+        super().__init__(verdict, path, stopped)
 
 
 class MonoidTable(Frozen):
@@ -219,9 +219,7 @@ def graph_monoid_presentation(
         gens = g.vertices
     pos = {v: i for i, v in enumerate(gens)}
     relations = []
-    for v in g.vertices:
-        if g.is_sink(v):
-            continue
+    for v in g.nonsink_vertices:
         w = g.vertex_weight(v) if weighted else 1
         lhs = [0] * len(gens)
         lhs[pos[v]] = w
@@ -252,17 +250,13 @@ def congruent_difference_possible(p: MonoidPresentation, x: Vector, y: Vector) -
     return lattice_contains(diffs, [a - b for a, b in zip(x, y)])
 
 
-class _BudgetSpent(Exception):
-    """The node budget ran out: raised by ``_spend`` and caught only by
-    ``words_equal`` and ``_enumerate_monoid``."""
-
-
-def _spend(budget: list[int], units: int) -> None:
-    """Charge ``units`` to ``budget[0]``, and raise ``_BudgetSpent`` once it
-    is below 0."""
-    budget[0] -= units
-    if budget[0] < 0:
-        raise _BudgetSpent
+def _spend(budget: list, units: int) -> None:
+    """Charge ``units`` to a budget ``[spent, limit]``, or ``[spent, limit,
+    bounds]``, and raise ``Stopped`` by ``node_budget``, listing the bounds,
+    once ``spent`` passes ``limit``."""
+    budget[0] += units
+    if budget[0] > budget[1]:
+        raise Stopped("node_budget", budget[1], budget[0], *budget[2:])
 
 
 def words_equal(
@@ -286,7 +280,7 @@ def words_equal(
     y = p.validate_element(y)
     if x == y:
         return WordEquality(YES, (x,))
-    budget = [node_budget]
+    budget = [0, node_budget]
     try:
         rules = _rewriting_rules(p, budget)
         # Rewrite what x and y do not share first, so the loop erasure cuts
@@ -303,10 +297,10 @@ def words_equal(
                     raise AssertionError("rewrite path does not replay from x to y")
                 return WordEquality(YES, tuple(path))
         return WordEquality(NO)
-    except _BudgetSpent:
+    except Stopped as spent:
         if not congruent_difference_possible(p, x, y):
             return WordEquality(NO)
-        return WordEquality(UNKNOWN, stopped_by="node_budget")
+        return WordEquality(UNKNOWN, stopped=spent.with_traceback(None))
 
 
 def _grevlex_key(v: Vector) -> tuple:
@@ -324,7 +318,7 @@ def _rule(lead: Vector, tail: Vector, path) -> tuple:
     return lead, tail, support, delta, path
 
 
-def _normal_form(v: Vector, rules, budget: list[int] | None = None, steps: list | None = None) -> Vector:
+def _normal_form(v: Vector, rules, budget: list | None = None, steps: list | None = None) -> Vector:
     """Rewrite v until no rule's lead embeds in it, each rule as often as it
     fits at once, appending (the rule's path, q) to ``steps`` for q copies.
     With ``budget``, every rule examined costs one unit of it."""
@@ -360,7 +354,7 @@ class _Recipe:
         self.path: tuple[Vector, ...] | None = None
 
 
-def _walk(v: Vector, steps: list, budget: list[int]) -> list[Vector]:
+def _walk(v: Vector, steps: list, budget: list) -> list[Vector]:
     """The loop-erased walk from v that follows each (path, q) of ``steps``
     |q| times, backwards when q < 0, shifted to where it is applied.  Its
     steps, counted before the loop erasure, are paid for from ``budget``.  A
@@ -383,7 +377,7 @@ def _walk(v: Vector, steps: list, budget: list[int]) -> list[Vector]:
     return _follow(v, steps, budget)
 
 
-def _follow(v: Vector, steps: list, budget: list[int]) -> list[Vector]:
+def _follow(v: Vector, steps: list, budget: list) -> list[Vector]:
     """``_walk`` once every recipe that ``steps`` follow has been walked."""
     steps = [(path.path if path.__class__ is _Recipe else path, q) for path, q in steps]
     _spend(budget, sum(abs(q) * (len(path) - 1) for path, q in steps))
@@ -405,7 +399,7 @@ def _follow(v: Vector, steps: list, budget: list[int]) -> list[Vector]:
     return walk
 
 
-def _rewriting_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple]:
+def _rewriting_rules(p: MonoidPresentation, budget: list) -> list[tuple]:
     """Rules ``_rule(lead, tail, path)`` whose normal forms decide the
     congruence.  The completion walks no rule's path: it keeps the recipe of
     each, for ``_walk``.
@@ -457,7 +451,7 @@ def _rewriting_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple]:
     return rules
 
 
-def _groebner_rules(p: MonoidPresentation, budget: list[int]) -> list[tuple]:
+def _groebner_rules(p: MonoidPresentation, budget: list) -> list[tuple]:
     """Binomial Gröbner completion of the relations in the graded reverse
     lexicographic order, as rewriting rules.
 
@@ -685,16 +679,18 @@ def enumerate_monoid(
     Returns None (unknown) when the completion runs out of ``node_budget``,
     when some generator has no pure-power leading term (the monoid is then
     infinite), or when more than ``max_elements`` classes appear;
-    ``_enumerate_monoid`` also names which of the three stopped it.
+    ``_enumerate_monoid`` raises the ``Stopped`` that names which of the
+    three stopped it.
     """
-    return _enumerate_monoid(p, max_elements, node_budget)[0]
+    try:
+        return _enumerate_monoid(p, max_elements, node_budget)
+    except Stopped:
+        return None
 
 
-def _enumerate_monoid(
-    p: MonoidPresentation, max_elements: int, node_budget: int
-) -> tuple[MonoidTable | None, str | None]:
-    """``enumerate_monoid``'s table, or None and why enumeration stopped:
-    ``"node_budget"``, ``"infinite"`` or ``"max_elements"``.
+def _enumerate_monoid(p: MonoidPresentation, max_elements: int, node_budget: int) -> MonoidTable:
+    """``enumerate_monoid``'s table, or ``Stopped`` by ``"node_budget"``,
+    ``"infinite"`` or ``"max_elements"``, listing both bounds.
 
     Classes are numbered in the order a breadth-first search from 0 meets
     them, adding generators in order; a class's parent is the step that met
@@ -708,22 +704,20 @@ def _enumerate_monoid(
     is walked, so ``node_budget`` pays only for the completion's reductions
     and pairs."""
     k = len(p.generators)
-    try:
-        rules = _rewriting_rules(p, [node_budget])
-    except _BudgetSpent:
-        return None, "node_budget"
+    held = {"max_elements": max_elements, "node_budget": node_budget}
+    rules = _rewriting_rules(p, [0, node_budget, held])
     # Finite exactly when every generator has a pure-power leading term.
     powers = {
         support[0][0]: (lead, tail) for lead, tail, support, _, _ in rules if len(support) == 1
     }
     if len(powers) < k:
-        return None, "infinite"
+        raise Stopped("infinite", bounds=held)
     if len(powers) == len(rules):
         radix = [powers[g][0][g] for g in range(k)]
         tails = [[(t, m) for t, m in enumerate(powers[g][1]) if m] for g in range(k)]
         size = math.prod(radix)
         if size > max_elements:
-            return None, "max_elements"
+            raise Stopped("max_elements", max_elements, size, held)
         steps: Sequence = _box_action(radix, tails)[0]
         keys: list = [0]  # the box index of each class
         class_of: list | dict = [None] * size
@@ -751,7 +745,7 @@ def _enumerate_monoid(
             if cls is None:
                 cls = len(keys)
                 if cls >= max_elements:
-                    return None, "max_elements"
+                    raise Stopped("max_elements", max_elements, cls + 1, held)
                 keys.append(found)
                 anchors.append(y)
                 labels.append(y)
@@ -762,7 +756,7 @@ def _enumerate_monoid(
             col.append(cls)
     digits = [[y // unit % (size + 1) for y in labels] for unit in units]
     elements = list(zip(*digits)) if k else [()]
-    return MonoidTable.from_generator_action(p.generators, elements, action, 0, parents), None
+    return MonoidTable.from_generator_action(p.generators, elements, action, 0, parents)
 
 
 def replay_path(p: MonoidPresentation, path: Sequence[Vector]) -> bool:

@@ -22,7 +22,7 @@ from random import Random
 from typing import TYPE_CHECKING, Mapping
 
 from .config import DEFAULT_BOUNDS
-from .errors import BudgetExceededError, CapExceededError, FiringError, Frozen, ParseError, integer, records
+from .errors import FiringError, Frozen, ParseError, Stopped, integer, records
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -125,9 +125,8 @@ def _firing_rule(g: Graph, *configs: ChipConfig) -> tuple[list[int], list[list[t
                 f"{len(nonsink)} non-sink vertices"
             )
     pos = {v: k for k, v in enumerate(nonsink)}
-    rows = [g.out_adj[v] for v in nonsink]
-    degree = [sum(m for _, m in row) for row in rows]
-    return degree, [[(pos[dst], m) for dst, m in row if dst in pos] for row in rows]
+    degree = list(map(g.outdegrees.__getitem__, nonsink))
+    return degree, [[(pos[dst], m) for dst, m in g.out_adj[v] if dst in pos] for v in nonsink]
 
 
 def fire(g: Graph, c: ChipConfig, v: str) -> ChipConfig:
@@ -167,10 +166,11 @@ def stabilize(
     every single firing.  No firing counts sink chips: by conservation, a
     state's ``absorbed`` is the start's chips less those its counts hold.
 
-    Raises BudgetExceededError when the budget runs out, which can happen on
-    chip-heavy closed grids but never on sandpile graphs.  The error stops at
-    exactly ``fired == budget``: the last batch is cut to fit, and its config
-    and odometer are the state after that many single firings.
+    Raises ``Stopped`` by ``firing_budget`` when the budget runs out, which
+    can happen on chip-heavy closed grids but never on sandpile graphs.  It
+    stops at exactly ``work == budget`` firings: the last batch is cut to
+    fit, and its config and odometer are the state after that many single
+    firings.
     """
     degree, targets = _firing_rule(g, c)
     counts = list(c.counts)
@@ -188,12 +188,7 @@ def stabilize(
     queue = deque(i for i, q in enumerate(queued) if q)
     while queue:
         if fired == budget:
-            raise BudgetExceededError(
-                f"did not stabilize within budget of {budget} firings",
-                config=state(),
-                odometer=Odometer(tuple(odometer)),
-                fired=fired,
-            )
+            raise Stopped("firing_budget", budget, fired, (), state(), Odometer(tuple(odometer)))
         if rng is not None:
             queue.rotate(-rng.randrange(len(queue)))
         i = queue[0]
@@ -265,9 +260,7 @@ def sandpile_monoid(g: Graph, *, max_elements: int = DEFAULT_BOUNDS.max_elements
     outdeg, chips = _firing_rule(g)
     size = math.prod(outdeg)
     if size > max_elements:
-        raise CapExceededError(
-            f"stable configuration count {size} exceeds max_elements {max_elements}"
-        )
+        raise Stopped("max_elements", max_elements, size, {"max_elements": max_elements})
     action, parents = _box_action(outdeg, chips)
     elements = itertools.product(*(range(d) for d in outdeg))
     return MonoidTable.from_generator_action(g.nonsink_vertices, tuple(elements), action, 0, parents)

@@ -3,9 +3,10 @@ nonnegative integer matrices.
 
 The verifiers are exact.  Both searches check the invariants first and stop
 at once on an obstruction; otherwise they are bounded, report the exhausted
-bounds on failure and never claim non-equivalence.  Each re-verifies its
-witness or chain with the exact verifier before returning it (a failure is a
-bug, raised as ``AssertionError``).  Definite negative verdicts come only from
+bounds on failure, as an ``errors.Stopped`` by None, and never claim
+non-equivalence.  Each re-verifies its witness or chain with the exact
+verifier before returning it (a failure is a bug, raised as
+``AssertionError``).  Definite negative verdicts come only from
 the invariant layer: the cokernel of I - A (its invariant factors plus free
 rank) and the characteristic polynomial with all factors of t stripped are
 both preserved by every chain of elementary moves, so a mismatch is a genuine
@@ -19,7 +20,7 @@ import sys
 from operator import mul
 
 from .config import DEFAULT_BOUNDS
-from .errors import Frozen, MonodynError, ShapeError
+from .errors import Frozen, MonodynError, ShapeError, Stopped
 from .matrix import MAX_POWER_BITS, IntMatrix, charpoly, kron
 
 # se_search skips a kernel whose coefficient box holds more combinations.
@@ -71,11 +72,11 @@ class SSEChain(Frozen):
 
 
 class SearchExhausted(Frozen):
-    """Outcome of a bounded search that found nothing within its bounds,
-    with the invariants report the search checked first."""
+    """Outcome of a bounded search that found nothing within its bounds:
+    the ``Stopped`` that lists them, and the invariants report the search
+    checked first."""
 
-    __slots__ = ("bounds", "invariants")
-    __hash__ = None  # ``bounds`` is a dict
+    __slots__ = ("stopped", "invariants")
 
     @property
     def obstruction(self) -> "InvariantReport | None":
@@ -313,7 +314,7 @@ def sse_search(
         return SSEChain((a,), ())
     report = invariants_report(a, b)
     if report.verdict == "obstruction":
-        return SearchExhausted(bounds, report)
+        return SearchExhausted(Stopped(None, bounds=bounds), report)
 
     def verified(mats: tuple[IntMatrix, ...], wits: tuple[ESWitness, ...]) -> SSEChain:
         chain = SSEChain(mats, wits)
@@ -354,7 +355,7 @@ def sse_search(
         for m, mats, wits in frontier:
             for r, s in _factorizations(m, b.rows, b):
                 return verified(mats + (b,), wits + (ESWitness(r, s),))
-    return SearchExhausted(bounds, report)
+    return SearchExhausted(Stopped(None, bounds=bounds), report)
 
 
 def se_search(
@@ -387,7 +388,7 @@ def se_search(
     bounds = {"max_lag": max_lag, "coeff_bound": coeff_bound}
     report = invariants_report(a, b)
     if report.verdict == "obstruction":
-        return SearchExhausted(bounds, report)
+        return SearchExhausted(Stopped(None, bounds=bounds), report)
 
     def verified(w: SEWitness) -> SEWitness:
         if not verify_se(a, b, w):
@@ -428,7 +429,7 @@ def se_search(
     rs = nonneg_candidates(k_r, n, m)
     ss = nonneg_candidates(k_s, m, n)
     if not (rs and ss and max_lag >= 1):
-        return SearchExhausted(bounds, report)
+        return SearchExhausted(Stopped(None, bounds=bounds), report)
     pairs_by_product: dict[tuple[int, ...], list[tuple[IntMatrix, IntMatrix]]] = {}
     for r in rs:
         for s in ss:
@@ -445,4 +446,4 @@ def se_search(
         for r, s in pairs_by_product.get(a_pow.entries, ()):
             if s @ r == b_pow:
                 return verified(SEWitness(r=r, s=s, lag=lag))
-    return SearchExhausted(bounds, report)
+    return SearchExhausted(Stopped(None, bounds=bounds), report)

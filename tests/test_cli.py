@@ -165,11 +165,13 @@ def test_sandpile_monoid(files, capsys):
 
 
 def test_sandpile_monoid_cap_names_max_elements(files, capsys):
+    # Over its cap the table is unknown, as an enumeration's is, not an error.
     code, report = invoke_json(
         capsys, ["sandpile", "monoid", files["e.graph"], "--max-elements", "5"]
     )
-    assert code == 3 and report["kind"] == "error"
-    assert "max_elements" in report["message"]
+    assert code == 1 and report == {
+        "kind": "monoid-table", "outcome": "unknown", "bounds": {"max_elements": 5}, "stopped_by": "max_elements",
+    }
 
 
 def test_sandpile_grid(files, capsys):
@@ -313,6 +315,7 @@ def test_unknown_enumeration_stopped_by_node_budget(capsys, tmp_path):
     pres.write_text("gens: u v\nu = u+v\nv = u\n")
     code, report = invoke_json(capsys, ["monoid", "enumerate", str(pres), "--node-budget", "1"])
     assert code == 1 and report["stopped_by"] == "node_budget"
+    assert report["bounds"] == {"max_elements": 10_000, "node_budget": 1}
     # A window's relations already are a Gröbner basis: no budget is spent,
     # and the free last stage makes the monoid infinite.
     graph = tmp_path / "window.graph"
@@ -336,6 +339,47 @@ def test_unknown_enumeration_stopped_by_max_elements(files, capsys, tmp_path):
         ["lpa", "compare", files["f.graph"], files["f.graph"], "--presentation", "sandpile", "--max-elements", "2"],
     )
     assert code == 1 and report["stopped_by"] == "max_elements"
+
+
+# One row per bounded command: its arguments, given the inputs below or the
+# ``files`` fixture's, with a bound low enough to trip, and the bound its
+# report names.  A search's report names its bounds in ``bounds`` alone.
+STOPPED_ROWS = {
+    "sandpile-stabilize": (["sandpile", "stabilize", "loops.graph", "three.cfg", "--budget", "10"], "firing_budget"),
+    "sandpile-grid": (["sandpile", "grid", "4", "4", "--place", "1,1,100", "--budget", "1000"], "firing_budget"),
+    "sandpile-monoid": (["sandpile", "monoid", "e.graph", "--max-elements", "5"], "max_elements"),
+    "monoid-enumerate": (["monoid", "enumerate", "e.pres", "--max-elements", "5"], "max_elements"),
+    "monoid-equal": (["monoid", "equal", "p.pres", "u", "v", "--node-budget", "1"], "node_budget"),
+    "dimgroup-positive": (["dimgroup", "positive", "fib.mat", "[-1 2]@0", "--max-power", "0"], "max_power"),
+    "shift-search-se": (["shift", "search-se", "baker-a.mat", "baker-b.mat", "--max-lag", "1"], "max_lag"),
+    "lpa-compare": (
+        ["lpa", "compare", "f.graph", "e.graph", "--mode", "plain", "--presentation", "sandpile", "--max-elements", "5"],
+        "max_elements",
+    ),
+}
+STOPPED_INPUTS = {
+    "loops.graph": "v a\ne a a 3\n",
+    "three.cfg": "a 3\n",
+    "p.pres": "gens: u v\nu = u+v\nv = u\n",
+    "baker-a.mat": "2 2\n1 3\n2 1\n",
+    "baker-b.mat": "2 2\n1 6\n1 1\n",
+}
+
+
+@pytest.mark.parametrize("argv, bound", STOPPED_ROWS.values(), ids=STOPPED_ROWS)
+def test_every_bounded_command_stops_the_same_way(files, capsys, tmp_path, argv, bound):
+    for name, text in STOPPED_INPUTS.items():
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    code, present = invoke(capsys, ["monoid", "present", files["e.graph"], "--weighted", "--sink-zero"])
+    (tmp_path / "e.pres").write_text(present)
+    files["e.pres"] = str(tmp_path / "e.pres")
+    code, report = invoke_json(capsys, [files.get(arg, arg) for arg in argv])
+    assert code == 1
+    if argv[:2] == ["shift", "search-se"]:
+        assert "stopped_by" not in report and bound in report["bounds"]
+    else:
+        assert report["stopped_by"] == bound
 
 
 def test_cli_import_loads_no_layer():
@@ -727,7 +771,7 @@ def test_bounds_file(files, capsys, tmp_path):
     assert code == 1 and report["firings"] == 50
     # The file may set bounds a command does not read; each uses its own.
     code, report = invoke_json(capsys, ["sandpile", "monoid", files["e.graph"], "--bounds-file", str(cfg)])
-    assert code == 3 and "max_elements 20" in report["message"]
+    assert code == 1 and report["bounds"] == {"max_elements": 20} and report["stopped_by"] == "max_elements"
 
 
 def test_console_entry_point():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodyn.errors import BudgetExceededError, ParseError, ShapeError
+from monodyn.errors import ParseError, ShapeError, Stopped
 from monodyn.grid import (
     DEFAULT_PALETTE,
     INT16_MAX,
@@ -110,14 +110,14 @@ def test_fast_grid_matches_generic():
             try:
                 config, odo = run()
                 results.append((config, config.absorbed, odo))
-            except BudgetExceededError as err:
+            except Stopped as err:
                 results.append(err)
         fast, gen = results
-        if isinstance(fast, BudgetExceededError) or isinstance(gen, BudgetExceededError):
+        if isinstance(fast, Stopped) or isinstance(gen, Stopped):
             # The schedulers stop at different points (the grid before the
             # half-sweep that would overrun, the generic one at the budget), so
             # only the failure itself and chip conservation are shared.
-            assert isinstance(fast, BudgetExceededError) and isinstance(gen, BudgetExceededError)
+            assert isinstance(fast, Stopped) and isinstance(gen, Stopped)
             for err in (fast, gen):
                 assert err.config.total() + err.config.absorbed == c.total() + c.absorbed
         else:
@@ -157,7 +157,7 @@ def test_placement_of_2_63_chips_is_exact():
     assert_exact_and_conserved(GridSpec(3, 3, "open"), {(1, 1): 2**63}, 10**30)
     # With the default budget the same drop is an honest budget failure.
     c = grid_config(GridSpec(3, 3, "open"), {(1, 1): 2**63})
-    with pytest.raises(BudgetExceededError) as err:
+    with pytest.raises(Stopped) as err:
         stabilize_grid(GridSpec(3, 3, "open"), c)
     assert err.value.config.total() + err.value.config.absorbed == 2**63
 
@@ -188,10 +188,10 @@ def test_closed_grid_budget_guard():
     spec = GridSpec(3, 3, "closed")
     # Max stable total is sum(deg - 1) = 15; 16 chips can never settle.
     c = grid_config(spec, {(1, 1): 16})
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(Stopped):
         stabilize_grid(spec, c, budget=10_000)
     g = make_grid(spec)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(Stopped):
         stabilize(g, c, budget=10_000)
 
 
@@ -205,14 +205,14 @@ def test_budget_failure_rules_of_both_stabilizers(budget):
     spec = GridSpec(3, 3, "closed")
     g = make_grid(spec)
     c = grid_config(spec, {(1, 1): 12})
-    with pytest.raises(BudgetExceededError) as generic:
+    with pytest.raises(Stopped) as generic:
         stabilize(g, c, budget=budget)
-    with pytest.raises(BudgetExceededError) as grid:
+    with pytest.raises(Stopped) as grid:
         stabilize_grid(spec, c, budget=budget)
-    assert generic.value.fired == budget == generic.value.odometer.total()
+    assert generic.value.work == budget == generic.value.odometer.total()
     partial = grid.value.config
     next_half_sweep = sum(n // g.outdegree(v) for v, n in partial.to_mapping(g).items())
-    assert grid.value.fired == grid.value.odometer.total() <= budget < grid.value.fired + next_half_sweep
+    assert grid.value.work == grid.value.odometer.total() <= budget < grid.value.work + next_half_sweep
     for err in (generic.value, grid.value):
         assert err.config.total() + err.config.absorbed == 12
 
@@ -354,7 +354,7 @@ def test_grid_matches_generic_at_every_dtype(rows, cols, mode, edge, offset, bud
     generic_config, generic_odo = stabilize(make_grid(spec), c, budget=10**40)
     try:
         fast = stabilize_grid(spec, c, budget=budget)
-    except BudgetExceededError:
+    except Stopped:
         assert generic_odo.total() > budget
     else:
         assert fast == (generic_config, generic_odo) and generic_odo.total() <= budget
@@ -512,10 +512,10 @@ def test_int16_edge_matches_generic(m):
 )
 def test_budget_failure_partial_state_obeys_odometer(spec, placements, budget):
     start = grid_config(spec, placements)
-    with pytest.raises(BudgetExceededError) as err:
+    with pytest.raises(Stopped) as err:
         stabilize_grid(spec, start, budget=budget)
     assert_partial_state_obeys_odometer(spec, start, budget, err.value)
-    assert budget < err.value.fired + next_half_sweep_firings(spec, err.value.config)
+    assert budget < err.value.work + next_half_sweep_firings(spec, err.value.config)
 
 
 def grid_thresholds(spec):
@@ -542,7 +542,7 @@ def neighbour_sum(a):
 def assert_partial_state_obeys_odometer(spec, start, budget, err):
     """The partial state of a budget failure is the start fired by its
     odometer, which holds ``fired`` firings, at most the budget."""
-    partial, odometer, fired = err.config, err.odometer, err.fired
+    partial, odometer, fired = err.config, err.odometer, err.work
     assert fired == odometer.total() <= budget
     odo = np.array(odometer.firings, dtype=object).reshape(spec.rows, spec.cols)
     degree, thresh = grid_thresholds(spec)
@@ -622,13 +622,13 @@ def test_half_sweep_budget_rule(pile):
     start = grid_config(spec, placements)
     try:
         stabilize_grid(spec, start, budget=budget)
-    except BudgetExceededError as err:
+    except Stopped as err:
         assert_partial_state_obeys_odometer(spec, start, budget, err)
-        assert budget < err.fired + next_half_sweep_firings(spec, err.config)
+        assert budget < err.work + next_half_sweep_firings(spec, err.config)
         counts = config_to_array(spec, start, object)
         if not (colour_unstable(spec, counts, 0) and colour_unstable(spec, counts, 1)):
             jacobi_counts, jacobi_odo, jacobi_fired = jacobi_reference(spec, start, budget)
-            assert err.fired == jacobi_fired
+            assert err.work == jacobi_fired
             assert err.config.counts == tuple(jacobi_counts.reshape(-1).tolist())
             assert err.odometer.firings == tuple(jacobi_odo.reshape(-1).tolist())
     else:
@@ -643,8 +643,8 @@ def grid_outcome(spec, placements, budget):
     try:
         config, odometer = stabilize_grid(spec, start, budget=budget)
         stabilized, fired = True, odometer.total()
-    except BudgetExceededError as err:
-        config, odometer, stabilized, fired = err.config, err.odometer, False, err.fired
+    except Stopped as err:
+        config, odometer, stabilized, fired = err.config, err.odometer, False, err.work
     odo = np.array(odometer.firings, dtype=object).reshape(spec.rows, spec.cols)
     return stabilized, config_to_array(spec, config, object), config.absorbed, odo, fired
 
@@ -739,10 +739,10 @@ def test_closed_pile_is_pinned(spec, placements, digest):
 
 
 def failure_digest(spec, placements, budget):
-    with pytest.raises(BudgetExceededError) as err:
+    with pytest.raises(Stopped) as err:
         stabilize_grid(spec, grid_config(spec, placements), budget=budget)
     partial, odometer = err.value.config, err.value.odometer
-    payload = json.dumps([list(partial.counts), partial.absorbed, list(odometer.firings), err.value.fired])
+    payload = json.dumps([list(partial.counts), partial.absorbed, list(odometer.firings), err.value.work])
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

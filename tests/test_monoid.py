@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from monodyn.corpus import random_sandpile_graph, sandpile_corpus
 from monodyn.dimension import talented_window
-from monodyn.errors import ParseError
+from monodyn.errors import ParseError, Stopped
 from monodyn.graph import Graph
 from monodyn.cli import run
 from monodyn.monoid import (
@@ -29,7 +29,6 @@ from monodyn.monoid import (
     replay_path,
     serialize_presentation,
     words_equal,
-    _BudgetSpent,
     _box_action,
     _enumerate_monoid,
     _normal_form,
@@ -121,7 +120,7 @@ def test_words_equal_unknown_on_bound():
     # b differ, a certified no that no bounded search could give.
     p2 = MonoidPresentation(("a", "b"), (((1, 0), (2, 0)), ((0, 1), (0, 2))))
     res = words_equal(p2, (1, 0), (0, 1))
-    assert res.verdict == "no" and res.stopped_by is None
+    assert res.verdict == "no" and res.stopped is None
     # Running out of node budget is the one source of unknown.  a = a+b and
     # b = a need a completion (a is in its own tail, and a < a+b in grevlex),
     # which does not fit in a budget of 1.  a - b is a relation difference,
@@ -129,9 +128,10 @@ def test_words_equal_unknown_on_bound():
     # against c is still a certified no.
     p3 = MonoidPresentation(("a", "b", "c"), (((1, 0, 0), (1, 1, 0)), ((0, 1, 0), (1, 0, 0))))
     res = words_equal(p3, (1, 0, 0), (0, 1, 0), node_budget=1)
-    assert res.verdict == "unknown" and res.stopped_by == "node_budget" and res.path is None
+    assert res.verdict == "unknown" and res.stopped.by == "node_budget" and res.path is None
+    assert (res.stopped.bound, res.stopped.work) == (1, 2)
     res = words_equal(p3, (0, 0, 0), (0, 0, 1), node_budget=1)
-    assert res.verdict == "no" and res.stopped_by is None
+    assert res.verdict == "no" and res.stopped is None
     assert words_equal(p3, (1, 0, 0), (0, 1, 0)).verdict == "yes"
 
 
@@ -142,7 +142,7 @@ def test_words_equal_budget_pays_for_the_path():
     start = time.perf_counter()
     res = words_equal(p, (10**12, 0), (0, 5 * 10**11))
     assert time.perf_counter() - start < 1
-    assert res.verdict == "unknown" and res.stopped_by == "node_budget"
+    assert res.verdict == "unknown" and res.stopped.by == "node_budget"
     # Rewriting 8a and 4b examines the one rule 3 times; with the 4 steps of
     # the path that is a budget of 7.
     res = words_equal(p, (8, 0), (0, 4), node_budget=7)
@@ -173,7 +173,7 @@ def test_words_equal_monotone_in_node_budget(query):
     p, x, y = query
     results = [words_equal(p, x, y, node_budget=b) for b in NODE_BUDGETS]
     for res in results:
-        assert (res.verdict == "unknown") == (res.stopped_by == "node_budget")
+        assert (res.verdict == "unknown") == (res.stopped is not None and res.stopped.by == "node_budget")
     # Once decided, a larger budget gives the same verdict.
     verdicts = [res.verdict for res in results]
     decided = [v for v in verdicts if v != "unknown"]
@@ -183,9 +183,9 @@ def test_words_equal_monotone_in_node_budget(query):
         assert decided and verdicts[:4] == ["unknown"] * 4
     # Enumeration either runs out of its budget or finishes as with the
     # default one.
-    expected = _enumerate_monoid(p, 500, 200_000)
+    expected = _table_or_stop(p, 500, 200_000)
     for b in NODE_BUDGETS:
-        assert _enumerate_monoid(p, 500, b) in ((None, "node_budget"), expected)
+        assert _table_or_stop(p, 500, b) in ("node_budget", expected)
 
 
 def test_words_equal_translation_invariance():
@@ -315,9 +315,9 @@ def test_radius_two_window_decided_without_completion():
     # builder runs no completion and spends no node budget; a query's budget
     # then pays only for its rewriting and its path.
     p = radius_two_window()
-    budget = [0]
+    budget = [0, 0]
     _rewriting_rules(p, budget)
-    assert budget == [0]
+    assert budget == [0, 0]
     rng = random.Random(11)
     seen = set()
     for _ in range(60):
@@ -470,9 +470,9 @@ def test_words_equal_matches_sympy_groebner(data):
     if res.verdict == "yes":
         assert res.path[0] == x and res.path[-1] == y and replay_path(p, res.path)
     if acyclic:  # no completion runs, so the rules cost no budget
-        budget = [0]
+        budget = [0, 0]
         _rewriting_rules(p, budget)
-        assert budget == [0]
+        assert budget == [0, 0]
 
 
 def _sympy_lattice_shape(rows):
@@ -544,10 +544,18 @@ def _digest(results) -> str:
     return hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
 
 
+def _table_or_stop(p, max_elements=10_000, node_budget=200_000):
+    """``_enumerate_monoid``'s table, or what stopped it."""
+    try:
+        return _enumerate_monoid(p, max_elements, node_budget)
+    except Stopped as stop:
+        return stop.by
+
+
 def _enumerated(p, max_elements=10_000, node_budget=200_000):
-    """``_enumerate_monoid``'s table as JSON, or why it stopped."""
-    table, stopped_by = _enumerate_monoid(p, max_elements, node_budget)
-    return stopped_by if table is None else table.to_json_dict()
+    """``_enumerate_monoid``'s table as JSON, or what stopped it."""
+    result = _table_or_stop(p, max_elements, node_budget)
+    return result if isinstance(result, str) else result.to_json_dict()
 
 
 def _multigraphs(seed: int, count: int) -> list[Graph]:
@@ -575,7 +583,7 @@ def _random_presentation(rng: random.Random) -> MonoidPresentation:
 
 def _lead_kind(p: MonoidPresentation) -> str:
     """"pure" when every rule's lead is a pure power, else "mixed"."""
-    rules = _rewriting_rules(p, [200_000])
+    rules = _rewriting_rules(p, [0, 200_000])
     return "pure" if all(len(support) == 1 for _, _, support, _, _ in rules) else "mixed"
 
 
@@ -657,11 +665,11 @@ def _reference_enumeration(p, max_elements, node_budget):
     step by its Gröbner normal form: the enumeration before the box builder."""
     k = len(p.generators)
     try:
-        rules = _rewriting_rules(p, [node_budget])
-    except _BudgetSpent:
-        return None, "node_budget"
+        rules = _rewriting_rules(p, [0, node_budget])
+    except Stopped:
+        return "node_budget"
     if len({support[0][0] for _, _, support, _, _ in rules if len(support) == 1}) < k:
-        return None, "infinite"
+        return "infinite"
     zero = (0,) * k
     anchors, labels, normal_forms, parents = [zero], [zero], [zero], [None]
     nf2class = {zero: 0}
@@ -676,7 +684,7 @@ def _reference_enumeration(p, max_elements, node_budget):
             if cls is None:
                 cls = len(anchors)
                 if cls >= max_elements:
-                    return None, "max_elements"
+                    return "max_elements"
                 anchors.append(y)
                 labels.append(y)
                 normal_forms.append(nf)
@@ -686,7 +694,7 @@ def _reference_enumeration(p, max_elements, node_budget):
                 labels[cls] = y
             action[gi].append(cls)
         ci += 1
-    return MonoidTable.from_generator_action(p.generators, labels, action, 0, parents), None
+    return MonoidTable.from_generator_action(p.generators, labels, action, 0, parents)
 
 
 @st.composite
@@ -721,7 +729,7 @@ def test_enumerate_matches_reference_bfs(data):
     p = data.draw(st.one_of(pure_power_presentations(), presentations()))
     max_elements = data.draw(st.sampled_from([4, 30, 500]))
     expected = _reference_enumeration(p, max_elements, 200_000)
-    assert _enumerate_monoid(p, max_elements, 200_000) == expected
+    assert _table_or_stop(p, max_elements, 200_000) == expected
 
 
 # --- the threshold-block builder against the fold builder it replaced -------
@@ -815,7 +823,7 @@ def presentation_boxes(draw):
     """Radix and tails of the box basis of a pure-power presentation, whose
     tails may reach 10^6 and may be completed into the basis."""
     p = draw(pure_power_presentations())
-    rules = _rewriting_rules(p, [200_000])
+    rules = _rewriting_rules(p, [0, 200_000])
     k = len(p.generators)
     powers = {support[0][0]: (lead, tail) for lead, tail, support, _, _ in rules if len(support) == 1}
     assume(len(powers) == len(rules) == k)
@@ -892,13 +900,13 @@ def test_enumeration_builds_no_rewrite_paths(tmp_path, capsys):
     # none of them; a walk of the rule's recipe runs out of the budget.
     found = MonoidPresentation(("a", "b"), (((2, 0), (0, 1000001)), ((0, 3), (0, 1))))
     small = MonoidPresentation(("a", "b"), (((2, 0), (0, 101)), ((0, 3), (0, 1))))
-    rules = _rewriting_rules(found, [200_000])
+    rules = _rewriting_rules(found, [0, 200_000])
     assert [rule[:2] for rule in rules] == [((0, 3), (0, 1)), ((2, 0), (0, 1))]
     assert all(rule[4].path is None for rule in rules)
-    with pytest.raises(_BudgetSpent):
-        _walk((2, 0), [(rules[1][4], 1)], [200_000])
-    for lead, tail, _, _, recipe in _rewriting_rules(small, [200_000]):
-        path = _walk(lead, [(recipe, 1)], [200_000])
+    with pytest.raises(Stopped):
+        _walk((2, 0), [(rules[1][4], 1)], [0, 200_000])
+    for lead, tail, _, _, recipe in _rewriting_rules(small, [0, 200_000]):
+        path = _walk(lead, [(recipe, 1)], [0, 200_000])
         assert path[0] == lead and path[-1] == tail and replay_path(small, path)
     expected = enumerate_monoid(small).to_json_dict()
     assert len(expected["elements"]) == 6

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monodyn.corpus import random_sandpile_graph, sandpile_corpus
-from monodyn.errors import BudgetExceededError, CapExceededError, FiringError, ParseError
+from monodyn.errors import FiringError, ParseError, Stopped
 from monodyn.graph import Graph, adjacency_matrix
 from monodyn.grid import GridSpec, grid_config, make_grid
 from monodyn.matrix import IntMatrix, det
@@ -104,9 +104,9 @@ def test_budget_guard_on_closed_cycle():
     # Two vertices chasing a chip forever: no sink, never stabilizes.
     g = Graph.build(["a", "b"], [("a", "b"), ("b", "a")])
     c = ChipConfig.from_mapping(g, {"a": 1})
-    with pytest.raises(BudgetExceededError) as err:
+    with pytest.raises(Stopped) as err:
         stabilize(g, c, budget=100)
-    assert err.value.fired == 100
+    assert (err.value.by, err.value.bound, err.value.work) == ("firing_budget", 100, 100)
     assert err.value.config.total() == 1  # chips conserved even on abort
 
 
@@ -117,10 +117,10 @@ def test_budget_cut_is_one_bulk_step():
     g = make_grid(spec)
     c = grid_config(spec, {(1, 1): 2**40})
     t0 = time.perf_counter()
-    with pytest.raises(BudgetExceededError) as err:
+    with pytest.raises(Stopped) as err:
         stabilize(g, c, budget=10**7)
     assert time.perf_counter() - t0 < 1.0
-    assert err.value.fired == 10**7 == err.value.odometer.total()
+    assert err.value.work == 10**7 == err.value.odometer.total()
     assert err.value.config.total() + err.value.config.absorbed == 2**40
 
 
@@ -129,12 +129,12 @@ def test_budget_cut_matches_traced_run(budget):
     spec = GridSpec(3, 3, "open")
     g = make_grid(spec)
     c = grid_config(spec, {(1, 1): 2**40, (0, 2): 7})
-    with pytest.raises(BudgetExceededError) as bulk:
+    with pytest.raises(Stopped) as bulk:
         stabilize(g, c, budget=budget)
     trace: list[ChipConfig] = []
-    with pytest.raises(BudgetExceededError) as traced:
+    with pytest.raises(Stopped) as traced:
         stabilize(g, c, budget=budget, trace_to=trace)
-    assert len(trace) == budget == bulk.value.fired == traced.value.fired
+    assert len(trace) == budget == bulk.value.work == traced.value.work
     assert bulk.value.config == traced.value.config == (trace[-1] if trace else c)
     assert bulk.value.config.absorbed == traced.value.config.absorbed
     assert bulk.value.odometer == traced.value.odometer
@@ -146,12 +146,12 @@ def test_budget_cut_matches_traced_run_through_loops(four_vertex_sandpile):
     start = ChipConfig.from_mapping(g, {"v": 40, "z": 9})
     _, odometer = stabilize(g, start)
     for budget in range(odometer.total()):
-        with pytest.raises(BudgetExceededError) as bulk:
+        with pytest.raises(Stopped) as bulk:
             stabilize(g, start, budget=budget)
         trace: list[ChipConfig] = []
-        with pytest.raises(BudgetExceededError) as traced:
+        with pytest.raises(Stopped) as traced:
             stabilize(g, start, budget=budget, trace_to=trace)
-        assert len(trace) == budget == bulk.value.fired == traced.value.fired
+        assert len(trace) == budget == bulk.value.work == traced.value.work
         assert bulk.value.config == traced.value.config == (trace[-1] if trace else start)
         assert bulk.value.odometer == traced.value.odometer
 
@@ -161,9 +161,9 @@ def test_random_schedule_stops_at_the_budget(budget):
     spec = GridSpec(3, 3, "open")
     g = make_grid(spec)
     c = grid_config(spec, {(1, 1): 2**40, (0, 2): 7})
-    with pytest.raises(BudgetExceededError) as err:
+    with pytest.raises(Stopped) as err:
         stabilize(g, c, budget=budget, rng=random.Random(budget))
-    assert err.value.fired == budget == err.value.odometer.total()
+    assert err.value.work == budget == err.value.odometer.total()
     assert err.value.config.total() + err.value.config.absorbed == c.total()
 
 
@@ -238,7 +238,7 @@ def test_absorbed_is_what_the_odometer_sends_to_sinks(game, budget, seed, traced
     rng = None if seed is None else random.Random(seed)
     try:
         config, odometer = stabilize(g, start, budget=budget, rng=rng, trace_to=trace)
-    except BudgetExceededError as err:
+    except Stopped as err:
         config, odometer = err.config, err.odometer
     fired = odometer.to_mapping(g)
     assert config.absorbed == start.absorbed + sum(fired[v] * into_sinks[v] for v in fired)
@@ -275,8 +275,9 @@ def test_sandpile_monoid_element_count(four_vertex_sandpile):
 
 
 def test_sandpile_monoid_cap(four_vertex_sandpile):
-    with pytest.raises(CapExceededError, match="count 27 exceeds max_elements 10"):
+    with pytest.raises(Stopped, match="count 27 exceeds max_elements 10") as err:
         sandpile_monoid(four_vertex_sandpile, max_elements=10)
+    assert err.value.by == "max_elements" and err.value.bounds == (("max_elements", 10),)
 
 
 def test_sandpile_monoid_rejects_non_sandpile():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monodyn.errors import MonodynError, ShapeError
+from monodyn.errors import MonodynError, ShapeError, Stopped
 from monodyn import shifteq
 from monodyn.matrix import MAX_POWER_BITS, IntMatrix, kron
 from monodyn.shifteq import (
@@ -65,6 +65,17 @@ def test_verify_se_power_bit_limit():
     assert not verify_se(twos, TWO, SEWitness(COL, ROW, MAX_POWER_BITS // 2))
     with pytest.raises(MonodynError, match="MAX_POWER_BITS"):
         verify_se(twos, TWO, SEWitness(COL, ROW, MAX_POWER_BITS // 2 + 1))
+
+
+def test_power_bit_limit_checks_only_the_powers_it_computes():
+    # A itself is no computed power: lag 1 verifies, and se_search returns
+    # the trivial witness of A against A, however wide A's entries are.
+    wide = IntMatrix.from_rows([[2**70000]])
+    assert wide.pow(1, bounded=True) == wide
+    assert verify_se(wide, wide, SEWitness(wide, IntMatrix.from_rows([[1]]), 1))
+    assert se_search(wide, wide) == SEWitness(wide, IntMatrix.from_rows([[1]]), 1)
+    with pytest.raises(MonodynError, match="MAX_POWER_BITS"):
+        wide.pow(2, bounded=True)
 
 
 def test_verify_sse_chain():
@@ -166,7 +177,7 @@ def test_sse_search_not_found_reports_bounds():
     b4 = IntMatrix.from_rows([[1, 12], [1, 1]])
     result = sse_search(a4, b4, max_depth=1, max_inner_dim=2)
     assert isinstance(result, SearchExhausted)
-    assert result.bounds == {"max_depth": 1, "max_inner_dim": 2}
+    assert dict(result.stopped.bounds) == {"max_depth": 1, "max_inner_dim": 2} and result.stopped.by is None
     assert result.obstruction is None
 
 
@@ -227,15 +238,15 @@ def test_se_search_names_the_candidate_cap_that_cut_it():
     b = IntMatrix(4, 4, tuple(int(i == 1) for i in range(16)))
     result = se_search(zero, b)
     assert isinstance(result, SearchExhausted) and result.obstruction is None
-    assert result.bounds == {"max_lag": 4, "coeff_bound": 2, "candidate_cap": 250_000}
+    assert dict(result.stopped.bounds) == {"max_lag": 4, "coeff_bound": 2, "candidate_cap": 250_000}
     r = IntMatrix(4, 4, tuple(int(i == 2 * 4 + 1) for i in range(16)))
     s = IntMatrix(4, 4, tuple(int(i == 2) for i in range(16)))
     assert verify_se(zero, b, SEWitness(r, s, 1))
     # A search the cap does not cut names only its two bounds.
-    assert "candidate_cap" not in se_search(TWO, IntMatrix.from_rows([[3]])).bounds
+    assert "candidate_cap" not in dict(se_search(TWO, IntMatrix.from_rows([[3]])).stopped.bounds)
     # With no candidate on one side, no lag can give a witness, so none is tried.
     far = se_search(zero, b, max_lag=10**6)
-    assert far.bounds == {"max_lag": 10**6, "coeff_bound": 2, "candidate_cap": 250_000}
+    assert dict(far.stopped.bounds) == {"max_lag": 10**6, "coeff_bound": 2, "candidate_cap": 250_000}
 
 
 def test_se_search_finds_a_lag_two_witness():
@@ -369,7 +380,7 @@ def reference_sse_search(a, b, max_depth, max_inner_dim):
         return SSEChain((a,), ())
     report = invariants_report(a, b)
     if report.verdict == "obstruction":
-        return SearchExhausted(bounds, report)
+        return SearchExhausted(Stopped(None, bounds=bounds), report)
     canon_b, perm_b = permutation_canonical(b)
     visited = {(a.rows, permutation_canonical(a)[0])}
     frontier = [(a, (a,), ())]
@@ -391,7 +402,7 @@ def reference_sse_search(a, b, max_depth, max_inner_dim):
                         visited.add(key)
                         next_frontier.append((succ, mats + (succ,), wits + (ESWitness(r, s),)))
         frontier = next_frontier
-    return SearchExhausted(bounds, report)
+    return SearchExhausted(Stopped(None, bounds=bounds), report)
 
 
 def search_pairs(seed: int, count: int, moves: int = 1):
@@ -431,7 +442,7 @@ def reference_se_search(a, b, max_lag, coeff_bound):
     bounds = {"max_lag": max_lag, "coeff_bound": coeff_bound}
     report = invariants_report(a, b)
     if report.verdict == "obstruction":
-        return SearchExhausted(bounds, report)
+        return SearchExhausted(Stopped(None, bounds=bounds), report)
     if a == b:
         return SEWitness(r=a, s=IntMatrix.identity(a.rows), lag=1)
     n, m = a.rows, b.rows
@@ -461,7 +472,7 @@ def reference_se_search(a, b, max_lag, coeff_bound):
             for s in ss:
                 if r @ s == a.pow(lag) and s @ r == b.pow(lag):
                     return SEWitness(r=r, s=s, lag=lag)
-    return SearchExhausted(bounds, report)
+    return SearchExhausted(Stopped(None, bounds=bounds), report)
 
 
 @pytest.mark.parametrize("coeff_bound", [0, 2])
@@ -488,9 +499,9 @@ def test_se_search_stops_at_the_first_lag_past_the_power_bits(monkeypatch):
     assert 30 < first < 40
     result = se_search(a, b, max_lag=10**6)
     assert isinstance(result, SearchExhausted) and result.obstruction is None
-    assert result.bounds == {"max_lag": 10**6, "coeff_bound": 2, "max_power_bits": 64}
+    assert dict(result.stopped.bounds) == {"max_lag": 10**6, "coeff_bound": 2, "max_power_bits": 64}
     # The lag that passes the bits is the one that stops the search.
     for max_lag in (first - 1, first):
         result = se_search(a, b, max_lag)
         assert result == reference_se_search(a, b, max_lag, 2)
-        assert ("max_power_bits" in result.bounds) == (max_lag == first)
+        assert ("max_power_bits" in dict(result.stopped.bounds)) == (max_lag == first)
