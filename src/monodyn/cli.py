@@ -38,7 +38,8 @@ Machine output is a single JSON report per invocation with a ``kind`` tag,
 printed with sorted keys so identical inputs give byte-identical bytes;
 images are binary PPM and stabilization traces are plain text.  Exit codes:
 0 for an affirmative result, 1 for a negative, not-found, or unknown
-verdict, 2 for usage errors, 3 for runtime errors.
+verdict or a run stopped by a bound (its report names the bound in
+``stopped_by``), 2 for usage errors, 3 for runtime errors.
 """
 
 

@@ -44,7 +44,11 @@ def _cmd_sandpile_add(args, bounds):
     g = load_graph(args.graph)
     a = parse_config(g, read_text(args.config_a))
     b = parse_config(g, read_text(args.config_b))
-    result = stable_add(g, a, b, budget=bounds.firing_budget)
+    try:
+        result = stable_add(g, a, b, budget=bounds.firing_budget)
+    except Stopped as stop:
+        report = {"kind": "stable-add", "stabilized": False, "budget": stop.bound, "firings": stop.work}
+        return stopped_report(report, stop)
     return 0, {
         "kind": "stable-add",
         "config": result.to_mapping(g),

@@ -79,7 +79,7 @@ class MonoidPresentation(Frozen):
                 raise ShapeError("relation vector length does not match generator count")
             if lhs == rhs:
                 raise ParseError("relation equates a vector with itself")
-            if any(x < 0 for x in lhs + rhs):
+            if min(lhs + rhs) < 0:  # not empty: lhs != rhs
                 raise ParseError("relation vectors must be nonnegative")
         super().__init__(generators, relations)
 
@@ -303,10 +303,12 @@ def words_equal(
         return WordEquality(UNKNOWN, stopped=spent.with_traceback(None))
 
 
-def _grevlex_key(v: Vector) -> tuple:
-    """Sort key of the graded reverse lexicographic order: the higher degree
-    is larger, and at equal degree so is the smaller last differing entry."""
-    return sum(v), tuple(-x for x in reversed(v))
+def _grevlex_above(a: Vector, b: Vector) -> bool:
+    """Whether a > b in the graded reverse lexicographic order: the higher
+    degree is larger, and at equal degree so is the smaller last differing
+    entry.  Vectors of one length only."""
+    da, db = sum(a), sum(b)
+    return da > db if da != db else a[::-1] < b[::-1]
 
 
 def _rule(lead: Vector, tail: Vector, path) -> tuple:
@@ -440,8 +442,9 @@ def _rewriting_rules(p: MonoidPresentation, budget: list) -> list[tuple]:
                 if waiting[g] == 0:
                     order.append(g)
     if len(order) < len(heads):  # a cycle; grevlex may still orient every relation
-        if not all(_grevlex_key(lead) > _grevlex_key(tail) for lead, tail in heads.values()):
-            return _groebner_rules(p, budget)
+        for lead, tail in heads.values():
+            if not _grevlex_above(lead, tail):
+                return _groebner_rules(p, budget)
         order = list(heads)
     rules = []
     for h in order:  # as ``_rule`` builds them, but from the sparse tail
@@ -486,7 +489,7 @@ def _groebner_rules(p: MonoidPresentation, budget: list) -> list[tuple]:
         b = _normal_form(b, rules.values(), budget, b_steps)
         if a == b:
             continue
-        lead, tail = (a, b) if _grevlex_key(a) > _grevlex_key(b) else (b, a)
+        lead, tail = (a, b) if _grevlex_above(a, b) else (b, a)
         back = [(pth, -q) for pth, q in reversed(a_steps)]
         path = _Recipe(a, back + steps + b_steps, lead != a)
         for rid, (l, t, _, _, pth) in list(rules.items()):
@@ -519,16 +522,20 @@ def _box_action(
     parent of a nonzero vector lowers its last nonzero entry by one.
 
     The threshold entries of h come in blocks of s_h consecutive indices,
-    one for each value of the digits before h, and the columns are finished
-    in order h = 0, 1, ...  For any digit g != h with v_g > 0,
-    v + e_h = (v - e_g + e_h) + e_g, so the entry is ``action[g][a]``, a the
-    entry s_g below it: the neighbour rule.  In a block after the first, g
-    is the last nonzero digit before h, the same for the whole block, and
-    the block is the block s_g below it pushed through the finished column
-    g, one pass.  In the first block, and on the stack below, g is the last
-    nonzero digit other than h, and each entry takes the two lookups.  Only
-    (c_h - 1) e_h has no such g: it folds the tail into 0 by index steps and
-    lookups ``action[t][y]`` into the table being built.
+    one for each value of the digits before h.  They are marked missing
+    (``None``) by one slice assignment per block, or, when h has fewer
+    offsets s_h than blocks, by one extended slice per offset, every
+    c_h s_h-th index: the last generator's take one assignment, not one
+    per block.  The columns are finished in order h = 0, 1, ...  For any
+    digit g != h with v_g > 0, v + e_h = (v - e_g + e_h) + e_g, so the
+    entry is ``action[g][a]``, a the entry s_g below it: the neighbour
+    rule.  In a block after the first, g is the last nonzero digit before
+    h, the same for the whole block, and the block is the block s_g below
+    it pushed through the finished column g, one pass.  In the first block,
+    and on the stack below, g is the last nonzero digit other than h, and
+    each entry takes the two lookups.  Only (c_h - 1) e_h has no such g: it
+    folds the tail into 0 by index steps and lookups ``action[t][y]`` into
+    the table being built.
 
     A lookup that is still missing is another threshold entry.  It is
     pushed on an explicit stack and resolved first by the same rules, and
@@ -563,8 +570,14 @@ def _box_action(
     for g, (r, s) in enumerate(zip(radix, stride)):
         block = r * s  # index ranges over which only v_g and later entries change
         col = list(range(s, size + s))
-        for b in range(block - s, size, block):  # g's threshold, v_g = r - 1
-            col[b:b + s] = repeat(None, s)
+        blocks = size // block
+        if s < blocks:  # g's threshold, v_g = r - 1: one slice per offset
+            nones = [None] * blocks
+            for b in range(block - s, block):
+                col[b::block] = nones
+        else:  # or one slice per block
+            for b in range(block - s, size, block):
+                col[b:b + s] = repeat(None, s)
         action.append(col)
         for j in range(1, r):
             parents[j * s::block] = zip(range((j - 1) * s, size, block), repeat(g))

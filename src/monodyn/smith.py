@@ -140,14 +140,14 @@ def is_unimodular(m: IntMatrix) -> bool:
 
 
 def integer_kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the lattice of integer column vectors x with M x = 0."""
-    _, d, v = smith_normal_form(m)
+    """Basis of the lattice of integer column vectors x with M x = 0: the
+    columns j of V in U M V = D with D_jj = 0 or j past the diagonal.  U
+    only records the row operations, and D and V do not depend on it, so it
+    is not tracked."""
+    vt = IntMatrix.identity(m.cols).to_rows()
+    d = _diagonalize(m.to_rows(), None, vt)
     n = min(m.rows, m.cols)
-    basis = []
-    for j in range(m.cols):
-        if j >= n or d.at(j, j) == 0:
-            basis.append(tuple(v.at(i, j) for i in range(m.cols)))
-    return basis
+    return [tuple(vt[j]) for j in range(m.cols) if j >= n or d[j][j] == 0]
 
 
 def _reduce(echelon: list[list[int]], v: Sequence[int]) -> tuple[list[int], list[int]]:

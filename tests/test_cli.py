@@ -346,6 +346,7 @@ def test_unknown_enumeration_stopped_by_max_elements(files, capsys, tmp_path):
 # report names.  A search's report names its bounds in ``bounds`` alone.
 STOPPED_ROWS = {
     "sandpile-stabilize": (["sandpile", "stabilize", "loops.graph", "three.cfg", "--budget", "10"], "firing_budget"),
+    "sandpile-add": (["sandpile", "add", "loops.graph", "two.cfg", "two.cfg", "--budget", "7"], "firing_budget"),
     "sandpile-grid": (["sandpile", "grid", "4", "4", "--place", "1,1,100", "--budget", "1000"], "firing_budget"),
     "sandpile-monoid": (["sandpile", "monoid", "e.graph", "--max-elements", "5"], "max_elements"),
     "monoid-enumerate": (["monoid", "enumerate", "e.pres", "--max-elements", "5"], "max_elements"),
@@ -360,6 +361,7 @@ STOPPED_ROWS = {
 STOPPED_INPUTS = {
     "loops.graph": "v a\ne a a 3\n",
     "three.cfg": "a 3\n",
+    "two.cfg": "a 2\n",
     "p.pres": "gens: u v\nu = u+v\nv = u\n",
     "baker-a.mat": "2 2\n1 3\n2 1\n",
     "baker-b.mat": "2 2\n1 6\n1 1\n",

@@ -31,6 +31,7 @@ from monodyn.monoid import (
     words_equal,
     _box_action,
     _enumerate_monoid,
+    _grevlex_above,
     _normal_form,
     _rewriting_rules,
     _walk,
@@ -730,6 +731,31 @@ def test_enumerate_matches_reference_bfs(data):
     max_elements = data.draw(st.sampled_from([4, 30, 500]))
     expected = _reference_enumeration(p, max_elements, 200_000)
     assert _table_or_stop(p, max_elements, 200_000) == expected
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two nonnegative vectors of one length, often of equal degree."""
+    n = draw(st.integers(0, 5))
+    a = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    b = draw(st.one_of(st.permutations(a), st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    return tuple(a), tuple(b)
+
+
+@settings(max_examples=300)
+@given(pair=vector_pairs())
+@example(pair=((), ()))
+@example(pair=((1, 2, 0), (1, 2, 0)))
+@example(pair=((2, 0, 1), (0, 3, 0)))
+@example(pair=((0, 3, 0), (2, 0, 1)))
+@example(pair=((1, 0, 1), (0, 2, 0)))
+def test_grevlex_above_agrees_with_the_key_order(pair):
+    def key(v):  # degree, then the negated entries read from the last
+        return sum(v), tuple(-x for x in reversed(v))
+
+    a, b = pair
+    assert _grevlex_above(a, b) == (key(a) > key(b))
+    assert _grevlex_above(b, a) == (key(b) > key(a))
 
 
 # --- the threshold-block builder against the fold builder it replaced -------

@@ -154,6 +154,15 @@ def test_kernel_basis():
     none = integer_kernel_basis(IntMatrix.identity(3))
     assert none == []
 
+    # The basis is the zero-diagonal columns of the V of smith_normal_form.
+    rng = random.Random(27)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = rand_matrix(rng, rows, cols, -4, 4)
+        _, d, v = smith_normal_form(m)
+        zero = [j for j in range(cols) if j >= min(rows, cols) or d.at(j, j) == 0]
+        assert integer_kernel_basis(m) == [tuple(v.at(i, j) for i in range(cols)) for j in zero]
+
 
 def test_solve_integer_column():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
