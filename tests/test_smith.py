@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monodyn.errors import ShapeError
 from monodyn.matrix import IntMatrix, charpoly, det
 from monodyn.smith import (
+    _echelon,
     integer_kernel_basis,
     invariant_factors,
     is_unimodular,
@@ -245,6 +247,140 @@ def test_kernel_basis_spans_the_kernel(m, low_rank):
     assert len(basis) == m.cols - rational_rank(m.to_rows())
     if basis:
         assert rational_rank(basis) == len(basis)
+
+
+def test_lattice_contains_refuses_a_vector_of_another_length():
+    # zip would drop the 5 and answer True.
+    with pytest.raises(ShapeError, match="row length 1 does not match vector length 2"):
+        lattice_contains([[2]], [2, 5])
+
+
+def test_lattice_contains_refuses_ragged_rows():
+    with pytest.raises(ShapeError, match="row length 1 does not match vector length 2"):
+        lattice_contains([[1, 0], [0]], [1, 0])
+
+
+def dense_echelon(rows: list[list[int]], t: list[list[int]] | None = None) -> int:
+    """Reference for ``_echelon``: the elimination that rebuilt the whole
+    tail of a row, transform part included, on every row operation."""
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
+    if t is not None:
+        for r, tr in zip(rows, t):
+            r += tr
+    rank = 0
+    for col in range(width):
+        while True:
+            piv, best = None, 0
+            for i in range(rank, n):
+                x = rows[i][col]
+                if x and (piv is None or abs(x) < best):
+                    piv, best = i, abs(x)
+            if piv is None:
+                break
+            if piv != rank:
+                rows[rank], rows[piv] = rows[piv], rows[rank]
+            top = rows[rank]
+            p = top[col]
+            tail = top[col:]
+            clear = True
+            for i in range(rank + 1, n):
+                r = rows[i]
+                x = r[col]
+                if x:
+                    q = x // p
+                    r[col:] = [a - q * b for a, b in zip(r[col:], tail)]
+                    clear = clear and not r[col]
+            if clear:
+                rank += 1
+                break
+        if rank == n:
+            break
+    if t is not None:
+        for i, r in enumerate(rows):
+            t[i] = r[width:]
+            del r[width:]
+    return rank
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _both_echelons(rows, with_transform):
+    """``_echelon`` and ``dense_echelon`` on copies of ``rows``, each with an
+    identity transform when asked: (rows, transform, rank) of each."""
+    out = []
+    for echelon in (_echelon, dense_echelon):
+        a = [list(r) for r in rows]
+        t = _identity(len(rows)) if with_transform else None
+        rank = echelon(a, t)
+        out.append((a, t, rank))
+    return out
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Wide, tall and square integer rows with 0-90 % zeros, optionally made
+    upper or lower triangular, or replaced by the transpose of their echelon
+    form, which is what the column passes of a Smith form eliminate."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    zeros = draw(st.integers(0, 9))
+    a = [
+        [0 if draw(st.integers(0, 9)) < zeros else draw(st.integers(-9, 9)) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    shape = draw(st.sampled_from(("plain", "upper", "lower", "echelon-transposed")))
+    if shape == "upper":
+        a = [[x if j >= i else 0 for j, x in enumerate(r)] for i, r in enumerate(a)]
+    elif shape == "lower":
+        a = [[x if j <= i else 0 for j, x in enumerate(r)] for i, r in enumerate(a)]
+    elif shape == "echelon-transposed":
+        dense_echelon(a)
+        a = [list(c) for c in zip(*a)]
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=echelon_inputs(), with_transform=st.booleans())
+def test_echelon_matches_the_dense_elimination(rows, with_transform):
+    fast, dense = _both_echelons(rows, with_transform)
+    assert fast == dense
+
+
+class _CountingRow(list):
+    """A row that counts the entries written to it, one by one or by slice."""
+
+    entries = {int: 0, slice: 0}
+
+    def __setitem__(self, key, value):
+        _CountingRow.entries[type(key)] += 1 if isinstance(key, int) else len(value)
+        super().__setitem__(key, value)
+
+
+def _entries_written(echelon, rows):
+    _CountingRow.entries = {int: 0, slice: 0}
+    counted = [_CountingRow(r) for r in rows]
+    echelon(counted, _identity(len(rows)))
+    return dict(_CountingRow.entries)
+
+
+def test_echelon_skips_the_zeros_of_a_sparse_pivot_row():
+    # The transpose of a 16x16 unit upper-triangular matrix, as a column pass
+    # meets it: the first pivot row is 1 and 15 zeros, then the identity row
+    # e_0, so an operation with it writes 2 entries where the dense
+    # elimination rebuilds 32.
+    rng = random.Random(1979)
+    upper = [[1 if j == i else rng.randint(-5, 5) if j > i else 0 for j in range(16)] for i in range(16)]
+    rows = [list(c) for c in zip(*upper)]
+    fast, dense = _both_echelons(rows, True)
+    assert fast == dense
+    assert fast[2] == 16
+
+    skipping = _entries_written(_echelon, rows)
+    rebuilding = _entries_written(dense_echelon, rows)
+    assert skipping[slice] == 0 and rebuilding[int] == 0
+    assert 0 < 2 * skipping[int] < rebuilding[slice]
 
 
 def kernel_corpus() -> list[IntMatrix]:
