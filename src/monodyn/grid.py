@@ -15,11 +15,12 @@ cell for cell.  One kernel serves both modes: each half-sweep takes the
 topplings by a shift, as if every degree were 4, redoes them on a closed
 grid's edge cells by dividing each grid edge by its degrees, takes the shed
 chips off the counts, and adds the topplings to the odometer and to the four
-neighbours.  The counts sit in a padded array of odd width with a ring
+neighbours, these by one sum of the topplings of cells half a row apart
+added twice.  The counts sit in a padded array of odd width with a ring
 around the grid, so a cell's colour is the parity of its flat index, and
 each colour is kept in its own half-size array; the top and bottom ring rows
-are written and never read.  A half-sweep is 8 array calls on an open grid
-and at most 13 on a closed one.  The firings are summed only once the
+are written and never read.  A half-sweep is 7 array calls on an open grid
+and at most 12 on a closed one.  The firings are summed only once the
 half-sweeps done and the next few could pass the firing budget, since a
 half-sweep fires at most once per chip.
 The arrays use the narrowest integer type that provably cannot overflow,
@@ -290,7 +291,9 @@ def _stabilizer_dtype(spec: GridSpec, c: ChipConfig, budget: int):
     one half-sweep's topplings of its grid neighbours (two of them when one
     ring column ends each row, one when two do), no more than the chips,
     since the stabilizer clears it after every half-sweep that reaches it;
-    the top and bottom ring rows are never read, so they may wrap.
+    the top and bottom ring rows are never read, so they may wrap.  A pair
+    sum adds the topplings of two distinct cells in one half-sweep, each at
+    most that cell's count, so it too is at most the chips.
 
     Each odometer entry is at most the number of firings, which the budget
     caps.  On an open grid, it is also at most chips * B(m) for the shorter
@@ -348,18 +351,28 @@ def stabilize_grid(
     are four slices of the colour-1 array, the band shifted by -(W + 1) / 2,
     -1, 0 and (W - 1) / 2, and for colour-1 cells the band shifted by
     -(W - 1) / 2, 0, 1 and (W + 1) / 2 in the colour-0 array.  A band of
-    whole grid rows is one slice of each colour array.  An open-grid
-    half-sweep is 8 array calls, as many as a sweep of both colours would
-    take, on arrays half the size:
+    whole grid rows is one slice of each colour array.  In both lists the
+    second offset is the first plus h = (W - 1) / 2, and the fourth is the
+    third plus h: band cell i + h reaches by the first (third) offset the
+    cell that band cell i reaches by the second (fourth).  So the pair sums
+    t[i] + t[i + h] of the topple counts t, for -h <= i < n on a band of n
+    cells, added once at the first offset and once at the third, push every
+    topple to all four neighbours.  Each colour's topple counts sit in
+    their own buffer between two runs of h zeros, so the pair sums are one
+    add of two slices of it.  The views are remade when the band moves, and
+    the guard runs are zeroed then, since a longer band's topple counts may
+    sit in the last.  An open-grid half-sweep is 7 array calls, on arrays
+    half the size of the grid:
     - the topple counts, by a shift;
     - ``&= 3``;
     - the odometer add;
-    - the four neighbour adds into the other colour;
+    - the pair sums;
+    - the two pair-sum adds into the other colour;
     - one fill that clears the other colour's ring-column cells in the band.
     A closed-grid half-sweep adds, for each grid edge in the band (at most
     4), a ``floor_divide`` by the edge's degrees that overwrites its topple
     counts after the shift, so every cell topples floor(count / degree)
-    times, and in place of the mask it subtracts topple * degree: 13 calls
+    times, and in place of the mask it subtracts topple * degree: 12 calls
     at most.  A grid column's cells of one colour are every W-th entry of
     its colour array, and a grid row's are contiguous.
     The top and bottom ring rows are never read, so nothing clears them.
@@ -415,7 +428,14 @@ def stabilize_grid(
     counts = [padded.reshape(-1)[p::2].copy() for p in (0, 1)]
     size = counts[0].size
     odos = [np.zeros(size, dtype=odo_dtype) for _ in (0, 1)]  # ring entries stay 0
-    buf = np.zeros(size, dtype=count_dtype)
+    # Where the neighbours of a band of one colour sit in the other colour's
+    # array, relative to the band: up and right; left is up + half_row, and
+    # down is right + half_row.
+    half_row = (width - 1) // 2
+    offsets = ((-half_row - 1, 0), (-half_row, 1))
+    # Each colour's topple counts, between two guard runs of half_row zeros.
+    topple_bufs = [np.zeros(size + 2 * half_row, dtype=count_dtype) for _ in (0, 1)]
+    pair_buf = np.zeros(size + half_row, dtype=count_dtype)
     shed_buf = np.zeros(size, dtype=count_dtype)
     two, three = (np.array(k, dtype=count_dtype) for k in (2, 3))
     right_shift, bitwise_and, add = np.right_shift, np.bitwise_and, np.add
@@ -432,10 +452,6 @@ def stabilize_grid(
         grid_degree[:, 0] -= 1
         grid_degree[:, -1] -= 1
     degrees = [degree.reshape(-1)[p::2].copy() for p in (0, 1)]
-    # Where the neighbours of a band of one colour sit in the other colour's
-    # array, relative to the band: up, left, right and down.
-    half_row = (width - 1) // 2
-    offsets = ((-half_row - 1, -1, 0, half_row), (-half_row, 0, 1, half_row + 1))
     # A colour array cut into rows of W holds a pair of padded rows in each,
     # with its ring-column cells at one spot, or at two spots a < b with
     # a + 2 (b - a) past the row's end.
@@ -464,10 +480,18 @@ def stabilize_grid(
     def half_sweep_views(p: int, r0: int, r1: int):
         """The arrays a half-sweep of colour p over grid rows r0 to r1 - 1
         reads and writes."""
-        q = 1 - p
+        q, h = 1 - p, half_row
         k0, k1 = first((r0 + 1) * width, p), first((r1 + 1) * width, p)
-        band, topple = counts[p][k0:k1], buf[: k1 - k0]
-        neighbours = [counts[q][k0 + o : k1 + o] for o in offsets[p]]
+        n = k1 - k0
+        guarded = topple_bufs[p][: n + 2 * h]
+        guarded[:h] = 0
+        guarded[n + h :] = 0
+        band, topple = counts[p][k0:k1], guarded[h : n + h]
+        # pair_sum[i + h] = topple[i] + topple[i + h] for -h <= i < n: what
+        # the cell at i + h + o of colour q gets from band cell i + h by
+        # offset o (up or right) and from band cell i by o + h (left or down).
+        pair_sum = pair_buf[: n + h]
+        pushes = [counts[q][k0 + o : k1 + o + h] for o in offsets[p]]
         # The ring-column cells those slices reach with nonzero topplings,
         # in padded rows r0 to r1.
         ring = pairs[q][r0 // 2 : r1 // 2 + 1, rings[q]]
@@ -488,7 +512,8 @@ def stabilize_grid(
                     cuts.append(slice(first(row * width + 1, p) - k0, first(row * width + cols - 1, p) - k0))
             edges = [[a[cut] for a in (band, degree_band, topple)] for cut in cuts]
             edges = [edge for edge in edges if edge[0].size]
-        return (band, topple, odos[p][k0:k1], degree_band, shed, *neighbours, ring, edges)
+        pair_halves = (guarded[: n + h], guarded[h:])
+        return (band, topple, odos[p][k0:k1], degree_band, shed, *pair_halves, pair_sum, *pushes, ring, edges)
 
     def result() -> tuple[ChipConfig, Odometer]:
         # Flat entries alternate between the colours, colour 0 first.
@@ -529,7 +554,7 @@ def stabilize_grid(
                 band_rows = (r0, r1)
                 views = [half_sweep_views(p, r0, r1) for p in (0, 1)]
 
-        band, topple, odo_band, degree_band, shed, up, left, right, down, ring, edges = views[colour]
+        band, topple, odo_band, degree_band, shed, low, high, pair_sum, up_left, right_down, ring, edges = views[colour]
         right_shift(band, two, out=topple)
         for edge, edge_degree, edge_topple in edges:
             floor_divide(edge, edge_degree, out=edge_topple)
@@ -545,10 +570,9 @@ def stabilize_grid(
         else:
             subtract(band, multiply(topple, degree_band, out=shed), out=band)
         add(odo_band, topple, out=odo_band)
-        add(up, topple, out=up)
-        add(left, topple, out=left)
-        add(right, topple, out=right)
-        add(down, topple, out=down)
+        add(low, high, out=pair_sum)
+        add(up_left, pair_sum, out=up_left)
+        add(right_down, pair_sum, out=right_down)
         ring.fill(0)
         colour ^= 1
         sweeps += 1
@@ -584,7 +608,7 @@ def render_ppm(spec: GridSpec, c: ChipConfig, palette: Palette = DEFAULT_PALETTE
     cells = bytes(counts)
     pixels = bytearray(3 * len(cells))
     for channel in range(3):
-        table = bytes(palette.colors[min(n, 3)][channel] for n in range(256))
+        table = bytes(rgb[channel] for rgb in palette.colors) + bytes([palette.colors[3][channel]]) * 252
         pixels[channel::3] = cells.translate(table)
     header = f"P6\n{spec.cols} {spec.rows}\n255\n".encode("ascii")
     return header + pixels

@@ -635,6 +635,88 @@ def test_half_sweep_budget_rule(pile):
         assert jacobi_reference(spec, start, budget) is None
 
 
+@pytest.mark.parametrize(
+    "spec, cells",
+    [
+        # (r, c) and (r + 1, c - 1) are one half row apart in their colour's
+        # array, so the first half-sweep adds their topplings in one pair sum.
+        (GridSpec(2, 9, "open"), ((0, 4), (1, 3))),
+        (GridSpec(6, 7, "open"), ((2, 3), (3, 2))),
+        (GridSpec(9, 40, "open"), ((4, 20), (5, 19))),
+        (GridSpec(5, 6, "closed"), ((1, 3), (2, 2))),
+        (GridSpec(4, 4, "closed"), ((0, 1), (1, 0))),
+    ],
+)
+def test_int16_pair_sums_match_generic(spec, cells):
+    # INT16_MAX chips between two cells of one colour whose topplings meet
+    # in a pair sum.  The closed grids cannot hold them, so they stop at
+    # the budget, which keeps their odometer in int16 too.
+    first, second = cells
+    start = grid_config(spec, {first: INT16_MAX // 2, second: INT16_MAX - INT16_MAX // 2})
+    budget = 10**9 if spec.mode == "open" else INT16_MAX
+    assert _stabilizer_dtype(spec, start, budget) == (np.int16, np.int16)
+    if spec.mode == "open":
+        assert stabilize_grid(spec, start, budget=budget) == stabilize(make_grid(spec), start, budget=budget)
+    else:
+        with pytest.raises(Stopped) as err:
+            stabilize_grid(spec, start, budget=budget)
+        assert_partial_state_obeys_odometer(spec, start, budget, err.value)
+        assert budget < err.value.work + next_half_sweep_firings(spec, err.value.config)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("spec", [GridSpec(72, 9, "open"), GridSpec(61, 10, "closed")])
+def test_shrinking_band_matches_generic_at_cuts(spec, seed):
+    # Small drops in the top rows settle while a large one further down
+    # does not, so the band of active rows shrinks and moves down, and its
+    # views are remade for a shorter band.  Cuts at many half-sweep
+    # boundaries, before and after the moves, check the states between.
+    rng = random.Random(seed)
+    big = (600, 900) if spec.mode == "closed" else (1500, 3000)
+    placements = {(rng.randint(spec.rows - 24, spec.rows - 16), rng.randrange(spec.cols)): rng.randint(*big)}
+    for row in (rng.randint(0, 4), rng.randint(14, 20)):
+        placements[(row, rng.randrange(spec.cols))] = rng.randint(8, 100)
+    start = grid_config(spec, placements)
+    budget = 10**7
+    final = stabilize_grid(spec, start, budget=budget)
+    assert final == stabilize(make_grid(spec), start, budget=budget)
+    fired = final[1].total()
+    for cut in range(0, fired, -(-fired // 60)):
+        with pytest.raises(Stopped) as err:
+            stabilize_grid(spec, start, budget=cut)
+        assert_partial_state_obeys_odometer(spec, start, cut, err.value)
+        assert cut < err.value.work + next_half_sweep_firings(spec, err.value.config)
+
+
+@pytest.mark.parametrize(
+    "spec, placements",
+    [
+        (GridSpec(21, 21, "open"), {(10, 10): 2000}),
+        (GridSpec(12, 15, "closed"), {(3, 4): 150, (9, 11): 90}),
+    ],
+)
+def test_half_sweep_makes_four_adds(monkeypatch, spec, placements):
+    # Each half-sweep takes its topple counts by one right_shift, then adds
+    # them to the odometer, makes the pair sums and pushes those twice: four
+    # adds, and nothing else in a run calls numpy.add.
+    calls = {"add": 0, "right_shift": 0}
+
+    def counted(name):
+        ufunc = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return ufunc(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counted(name))
+    stabilize_grid(spec, grid_config(spec, placements))
+    assert calls["right_shift"] > 0
+    assert calls["add"] == 4 * calls["right_shift"]
+
+
 def grid_outcome(spec, placements, budget):
     """(stabilized, counts, absorbed, odometer, fired) of ``stabilize_grid``,
     counts and odometer as rows x cols arrays, the partial state when the
@@ -820,6 +902,9 @@ GRID_SPECS = st.builds(
 )
 
 
+PALETTES = st.lists(st.tuples(*[st.integers(0, 255)] * 3), min_size=4, max_size=4).map(lambda cs: Palette(tuple(cs)))
+
+
 @st.composite
 def config_texts(draw, spec):
     """Config files over the spec's cells, mostly valid lines, with
@@ -869,7 +954,7 @@ def test_grid_vertices_parse_and_save_like_the_grids_graph(data, spec):
     data=st.data(),
     spec=GRID_SPECS,
     counts=st.sampled_from(((0, 3), (4, 255), (256, 2**70))),
-    palette=st.lists(st.tuples(*[st.integers(0, 255)] * 3), min_size=4, max_size=4).map(lambda cs: Palette(tuple(cs))),
+    palette=PALETTES,
 )
 def test_render_matches_the_numpy_render(data, spec, counts, palette):
     cells = 0 if spec.mode == "closed" and spec.rows * spec.cols == 1 else spec.rows * spec.cols
@@ -884,6 +969,21 @@ def test_render_matches_the_numpy_render(data, spec, counts, palette):
     with pytest.raises(ShapeError) as old:
         reference_render(spec, wrong, palette)
     assert str(new.value) == str(old.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    spec=GRID_SPECS,
+    palette=PALETTES,
+)
+def test_render_paints_each_cell_its_palette_colour(data, spec, palette):
+    cells = 0 if spec.mode == "closed" and spec.rows * spec.cols == 1 else spec.rows * spec.cols
+    counts = data.draw(st.lists(st.integers(0, 300), min_size=cells, max_size=cells))
+    width, height, pixels = decode_ppm(render_ppm(spec, ChipConfig(tuple(counts)), palette))
+    assert (width, height) == (spec.cols, spec.rows)
+    expected = [palette.colors[min(n, 3)] for n in counts] or [palette.colors[0]]
+    assert [tuple(rgb) for rgb in pixels.reshape(-1, 3).tolist()] == expected
 
 
 def test_render_lone_sink_is_one_pixel_of_color_0():
